@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (LIGHT_SPEED, EnergyBudget, NodeId, Packet, PacketClass,
                    Position, dist)
@@ -267,21 +267,57 @@ def generate_topology(cfg: SimConfig, seed: int) -> dict:
 
 
 def _connected(positions, tx_range, start, targets) -> bool:
-    ids = sorted(positions)
+    grid = _Grid(positions, tx_range)
     frontier = [start]
     seen = {start}
     remaining = set(targets)
     while frontier and remaining:
         nxt = []
         for x in frontier:
-            px = positions[x]
-            for y in ids:
-                if y not in seen and dist(px, positions[y]) <= tx_range:
+            for y, _ in grid.in_range(x):
+                if y not in seen:
                     seen.add(y)
                     nxt.append(y)
                     remaining.discard(y)
         frontier = nxt
     return not remaining
+
+
+class _Grid:
+    """Positions bucketed into square cells about `tx_range` wide, so that a
+    node's in-range neighbours lie in its own cell or the eight around it and
+    set-up costs O(n * degree) instead of O(n^2)."""
+
+    def __init__(self, positions, tx_range):
+        # The cell side is a hair wider than tx_range so that two points
+        # exactly tx_range apart never land two cells apart once x / side is
+        # rounded: that rounding is a few ulps of x / side, far below the
+        # 1e-9 slack on any field under ~10^6 ranges across. A 3x3 scan
+        # then finds every neighbour.
+        self._side = tx_range * (1 + 1e-9)
+        self._tx_range = tx_range
+        self._positions = positions
+        self._cells = {}
+        for nid, p in positions.items():
+            self._cells.setdefault(self._cell(p), []).append(nid)
+
+    def _cell(self, p):
+        return math.floor(p.x / self._side), math.floor(p.y / self._side)
+
+    def in_range(self, x) -> list:
+        """(y, dist) for every other node y within tx_range of x, y ascending."""
+        px = self._positions[x]
+        cx, cy = self._cell(px)
+        found = []
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                for y in self._cells.get((i, j), ()):
+                    if y != x:
+                        d = dist(px, self._positions[y])
+                        if d <= self._tx_range:
+                            found.append((y, d))
+        found.sort()
+        return found
 
 
 class _Node:
@@ -343,15 +379,11 @@ class Simulation:
             for nid, pos in sorted(self.positions.items())}
         self.link_prob = {}
         self.adjacency = {nid: [] for nid in self.nodes}
-        ids = sorted(self.nodes)
-        for x in ids:
-            for y in ids:
-                if x == y:
-                    continue
-                d = dist(self.positions[x], self.positions[y])
-                if d <= cfg.tx_range:
-                    self.link_prob[(x, y)] = delivery_probability(d, cfg)
-                    self.adjacency[x].append(y)
+        grid = _Grid(self.positions, cfg.tx_range)
+        for x in self.nodes:
+            for y, d in grid.in_range(x):
+                self.link_prob[(x, y)] = delivery_probability(d, cfg)
+                self.adjacency[x].append(y)
         self.metrics = MetricsLedger()
         self.metrics.lifetime_metric = cfg.lifetime_metric
         self.trace = trace                     # file-like or None

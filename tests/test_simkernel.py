@@ -2,14 +2,16 @@
 hidden link model, and end-to-end run invariants on a small field."""
 
 import io
+import math
 import random
 
 import pytest
 import yaml
 
+from tdthr import simkernel
 from tdthr.core import Position, dist
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
-                             Simulation, delivery_probability,
+                             Simulation, _connected, delivery_probability,
                              generate_topology, run)
 
 from helpers import mini_config
@@ -141,6 +143,101 @@ def test_impossible_topology_raises():
         generate_topology(cfg, seed=1)
 
 
+def test_connected_agrees_with_bfs_on_accepted_and_rejected_placements():
+    rng = random.Random(7)
+    outcomes = set()
+    for trial in range(200):
+        tx_range = rng.choice([100.0, 33.3, 7.1, 0.3])
+        side = tx_range * rng.uniform(1.5, 6.0)
+        n = rng.randint(4, 40)
+        if trial % 2:
+            # snapped to half ranges, so pairs exactly tx_range apart occur
+            halves = int(2 * side / tx_range)
+            coords = [rng.randint(0, halves) * tx_range / 2 for _ in range(2 * n)]
+        else:
+            coords = [rng.uniform(0.0, side) for _ in range(2 * n)]
+        positions = {nid: Position(coords[2 * nid], coords[2 * nid + 1])
+                     for nid in range(n)}
+        targets = {PRIMARY_SINK, SECONDARY_SINK}
+        expected = all(_bfs_reachable(positions, tx_range, SOURCE, t)
+                       for t in targets)
+        assert _connected(positions, tx_range, SOURCE, targets) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+# ---- adjacency and link truth against all pairs ---------------------------
+
+def _all_pairs(positions, cfg):
+    """Adjacency and link probabilities from a plain double loop."""
+    adjacency, link_prob = {}, {}
+    for x in sorted(positions):
+        adjacency[x] = []
+        for y in sorted(positions):
+            if x != y:
+                d = dist(positions[x], positions[y])
+                if d <= cfg.tx_range:
+                    adjacency[x].append(y)
+                    link_prob[(x, y)] = delivery_probability(d, cfg)
+    return adjacency, link_prob
+
+
+def _assert_matches_all_pairs(sim):
+    adjacency, link_prob = _all_pairs(sim.positions, sim.cfg)
+    assert sim.adjacency == adjacency
+    assert list(sim.link_prob.items()) == list(link_prob.items())
+
+
+def _default_config():
+    with open(f"{CONFIG_DIR}/default.yaml") as fh:
+        return SimConfig.from_dict(yaml.safe_load(fh))
+
+
+def _field_config(n, side, tx_range):
+    return mini_config(node_count=n, field_width=side, field_height=side,
+                       node_density=n / (side * side), sink_inset=0.0,
+                       tx_range=tx_range)
+
+
+def test_adjacency_matches_all_pairs_on_random_topologies():
+    rng = random.Random(11)
+    for seed in range(1, 31):
+        tx_range = rng.choice([100.0, 60.0, 33.3, 7.1])
+        n = rng.randint(20, 80)
+        # about ten neighbours per node, so the source reaches both corners
+        side = tx_range * math.sqrt(n * math.pi / 10)
+        cfg = _field_config(n, side, tx_range)
+        cfg.rng_seed = seed
+        _assert_matches_all_pairs(Simulation(cfg))
+
+
+@pytest.mark.parametrize("tx_range", [100.0, 33.3, 7.1, 0.3])
+def test_adjacency_matches_all_pairs_on_cell_boundaries(monkeypatch, tx_range):
+    # Sinks on the corners of a field six ranges wide and the source at its
+    # centre; three nodes exactly tx_range from the primary sink, relays on
+    # every multiple of tx_range, and random points snapped to half ranges.
+    side = 6 * tx_range
+    at_range = [(tx_range, 0.0), (0.0, tx_range),
+                (3 * tx_range / 5, 4 * tx_range / 5)]
+    points = [(0.0, 0.0), (side, side), (side / 2, side / 2)] + at_range
+    points += [(i * tx_range, j * tx_range) for i in range(7) for j in range(7)]
+    rng = random.Random(tx_range)
+    points += [(rng.randint(0, 12) * tx_range / 2, rng.randint(0, 12) * tx_range / 2)
+               for _ in range(30)]
+    positions = {nid: Position(x, y) for nid, (x, y) in enumerate(points)}
+    monkeypatch.setattr(simkernel, "generate_topology",
+                        lambda cfg, seed: dict(positions))
+    sim = Simulation(_field_config(len(positions), side, tx_range))
+    _assert_matches_all_pairs(sim)
+    if tx_range == 100.0:   # the three distances are exact in binary
+        assert {3, 4, 5} <= set(sim.adjacency[PRIMARY_SINK])
+
+
+def test_adjacency_matches_all_pairs_on_the_shipped_full_scale_field():
+    # default.yaml puts the sinks on the corners of a field 18 ranges wide
+    _assert_matches_all_pairs(Simulation(_default_config()))
+
+
 # ---- end-to-end run invariants -------------------------------------------
 
 def test_invalid_config_rejected_at_construction():
@@ -238,3 +335,21 @@ def test_trace_lines_are_well_formed():
         assert len(fields) >= 4
         times.append(float(fields[0]))
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_full_scale_default_config_builds_and_runs(seed):
+    cfg = _default_config()
+    cfg.rng_seed = seed
+    cfg.duration = 6.0            # one HELLO round
+    cfg.energy_initial = 1000.0   # so no node dies
+    sim = Simulation(cfg)
+    edges = {(x, y) for x, ys in sim.adjacency.items() for y in ys}
+    assert edges == {(y, x) for x, y in edges}
+    assert set(sim.link_prob) == edges
+    assert all(cfg.min_delivery_prob <= p <= 1 for p in sim.link_prob.values())
+    ledger = sim.run()
+    assert ledger.first_death_time is None
+    assert ledger.accounting_closed()
+    assert ledger.total_energy_nj == sim.initial_minus_residual_nj()
+    assert ledger.total_energy_nj == sim.energy_spent_by_nodes_nj()
