@@ -2,10 +2,9 @@
 with a deterministic discrete-event simulator and baseline protocols."""
 
 from .core import NodeId, Packet, PacketClass, Position, dist, tx_power_cost
-from .estimators import DelayEstimator, PrrEstimator, nodal_delay
+from .estimators import DelayEstimator, PrrEstimator
 from .forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
-                         offered_velocity, required_velocity, select_next_hop,
-                         update_lag_time)
+                         required_velocity, select_next_hop, update_lag_time)
 from .metrics import MetricsLedger
 from .neighborhood import ForwarderPair, HelloMessage, NeighborTable
 from .queueing import QueueBank
@@ -13,10 +12,9 @@ from .simkernel import SimConfig, Simulation, generate_topology, run
 
 __all__ = [
     "NodeId", "Packet", "PacketClass", "Position", "dist", "tx_power_cost",
-    "DelayEstimator", "PrrEstimator", "nodal_delay",
+    "DelayEstimator", "PrrEstimator",
     "DeadlineExpired", "NoQualifyingPair", "VoidRegion",
-    "offered_velocity", "required_velocity", "select_next_hop",
-    "update_lag_time",
+    "required_velocity", "select_next_hop", "update_lag_time",
     "MetricsLedger", "ForwarderPair", "HelloMessage", "NeighborTable",
     "QueueBank", "SimConfig", "Simulation", "generate_topology", "run",
 ]

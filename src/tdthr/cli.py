@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import yaml
@@ -38,13 +39,8 @@ def config_hash(cfg: SimConfig) -> str:
 
 def execute_run(cfg: SimConfig, trace_path=None) -> str:
     """One simulation; returns the metrics CSV row."""
-    if trace_path:
-        with open(trace_path, "w") as trace:
-            sim = Simulation(cfg, trace=trace)
-            ledger = sim.run()
-    else:
-        sim = Simulation(cfg)
-        ledger = sim.run()
+    with open(trace_path, "w") if trace_path else nullcontext() as trace:
+        ledger = Simulation(cfg, trace=trace).run()
     return metrics_mod.csv_row(ledger, config_hash(cfg), cfg.rng_seed,
                                cfg.protocol, cfg.critical_rate, cfg.duration)
 

@@ -25,11 +25,6 @@ class PacketClass(Enum):
         regular traffic share the lowest-priority queue."""
         return _PRIORITY[self]
 
-    def __lt__(self, other: "PacketClass") -> bool:
-        if not isinstance(other, PacketClass):
-            return NotImplemented
-        return self.queue_priority < other.queue_priority
-
 
 _PRIORITY = {
     PacketClass.CRITICAL: 0,

@@ -87,8 +87,3 @@ class DelayEstimator:
         new = self.gamma * self.dt_for(neighbor) + (1.0 - self.gamma) * sample
         self.dt[neighbor] = new
         return new
-
-
-def nodal_delay(dq: float, dt: float) -> float:
-    """Total per-hop delay contribution; dt already includes contention."""
-    return dq + dt

@@ -6,7 +6,8 @@ rule: among forwarder pairs whose offered velocity meets the required
 velocity, delay-responsive traffic picks the most power-efficient first hop,
 critical traffic first maximizes path reliability and breaks ties on power.
 Regular traffic is plain greedy-geographic; reliability-responsive traffic
-maximizes path reliability unconditionally.
+maximizes path reliability unconditionally. Offered velocities are computed
+where the pairs are built, in `NeighborTable.favorable_pairs`.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ def required_velocity(dist_to_sink: float, lag_time: float) -> float:
     if lag_time <= 0:
         raise DeadlineExpired(f"lag time {lag_time} s is not positive")
     return dist_to_sink / lag_time
-
-
-def offered_velocity(progress: float, dq_x: float, dt_xy: float,
-                     dq_y: float, dt_yz: float) -> float:
-    denom = dq_x + dt_xy + dq_y + dt_yz
-    if denom <= 0:
-        raise ZeroDivisionError("delay denominator must be positive")
-    return progress / denom
 
 
 def update_lag_time(lt_p: float, t_rx: float, t_tx: float,

@@ -38,7 +38,6 @@ class HelloMessage:
     dq: dict                           # sender's per-class queuing estimates
     reverse_prr: dict                  # NodeId -> prr of link (that node -> sender)
     one_hop: list                      # list[TwoHopEntry]
-    seq: int = 0
 
     @property
     def size_bytes(self) -> int:

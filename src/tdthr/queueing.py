@@ -13,6 +13,7 @@ CRITICAL_Q = "critical"
 DELAY_Q = "delay"
 RELIABILITY_Q = "reliability"
 
+# Indexed by PacketClass.queue_priority.
 _QUEUE_ORDER = (CRITICAL_Q, DELAY_Q, RELIABILITY_Q)
 
 
@@ -31,19 +32,9 @@ class QueueBank:
         self.capacity = capacity
         self.single_queue = single_queue
         self.queues = {name: deque() for name in _QUEUE_ORDER}
-        self.drops = {cls: 0 for cls in PacketClass}
-        self.promotions = 0
-        self.enqueued = 0
-        self.dequeued = 0
 
     def _target_queue(self, cls: PacketClass) -> str:
-        if self.single_queue:
-            return RELIABILITY_Q
-        if cls is PacketClass.CRITICAL:
-            return CRITICAL_Q
-        if cls is PacketClass.DELAY_RESPONSIVE:
-            return DELAY_Q
-        return RELIABILITY_Q
+        return RELIABILITY_Q if self.single_queue else _QUEUE_ORDER[cls.queue_priority]
 
     def enqueue(self, packet: Packet, now: float, timer_deadline: float | None) -> bool:
         """Returns False on tail drop (queue full). Non-critical packets get
@@ -52,12 +43,10 @@ class QueueBank:
         name = self._target_queue(packet.cls)
         q = self.queues[name]
         if len(q) >= self.capacity:
-            self.drops[packet.cls] += 1
             return False
         if name == CRITICAL_Q or self.single_queue:
             timer_deadline = None
         q.append(QueueEntry(packet, now, timer_deadline))
-        self.enqueued += 1
         return True
 
     def dequeue_next(self, now: float):
@@ -69,7 +58,6 @@ class QueueBank:
             q = self.queues[name]
             if q:
                 entry = q.popleft()
-                self.dequeued += 1
                 return entry.packet, now - entry.enqueue_time
         return None
 
@@ -83,7 +71,6 @@ class QueueBank:
                     del q[i]
                     entry.timer_deadline = None
                     self.queues[CRITICAL_Q].append(entry)
-                    self.promotions += 1
                     return True
         return False
 
@@ -99,7 +86,3 @@ class QueueBank:
 
     def __len__(self) -> int:
         return sum(len(q) for q in self.queues.values())
-
-    @property
-    def total_drops(self) -> int:
-        return sum(self.drops.values())

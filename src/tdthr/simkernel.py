@@ -12,10 +12,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 from .core import (LIGHT_SPEED, EnergyBudget, NodeId, Packet, PacketClass,
-                   Position, dist)
+                   Position, dist, tx_power_cost)
 from .estimators import DelayEstimator, PrrEstimator
 from .forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
                          best_effort_pair, required_velocity, route_regular,
@@ -24,7 +25,15 @@ from .metrics import MetricsLedger
 from .neighborhood import HelloMessage, NeighborTable, TwoHopEntry
 from .queueing import QueueBank
 
-PROTOCOLS = ("tdthr", "one_hop_velocity", "greedy_geo")
+
+@dataclass(frozen=True)
+class RoutingProtocol:
+    """All the kernel knows of a routing protocol; see `PROTOCOLS`."""
+    select: Callable       # Simulation method: (node, packet, dest_pos, f1) -> hop
+    priority_queues: bool  # three priority queues with promotion, else one FIFO
+    duplicates: bool       # honours duplicate_critical / duplicate_reliability
+    expire_in_network: frozenset = frozenset()  # classes dropped once late
+
 
 PRIMARY_SINK: NodeId = 0
 SECONDARY_SINK: NodeId = 1
@@ -54,7 +63,7 @@ class SimConfig:
     energy_initial: float = 2.0
     energy_tx: float = 0.0522
     energy_rx: float = 0.0591
-    energy_sleep: float = 0.00006
+    energy_sleep: float = 0.00006    # validated, pinned by test 9, never charged
     energy_idle: float = 0.000003
     path_loss_alpha: float = 2.0
     # estimators
@@ -143,7 +152,19 @@ class SimConfig:
         return out
 
     def validate(self) -> list[str]:
+        # Types first, since the range checks below assume them. A bool is
+        # not an int, and an int is accepted where a float is expected.
+        section_of = {n: s for s, names in self._SECTIONS.items() for n in names}
         errors = []
+        for f in fields(self):
+            value, want = getattr(self, f.name), type(f.default)
+            accepted = (int, float) if want is float else want
+            if (isinstance(value, bool) != (want is bool)
+                    or not isinstance(value, accepted)):
+                errors.append(f"{section_of[f.name]}.{f.name} must be "
+                              f"{want.__name__}, got {value!r}")
+        if errors:
+            return errors
 
         def check(cond, msg):
             if not cond:
@@ -178,7 +199,7 @@ class SimConfig:
         check(0.0 <= self.delay_gamma <= 1.0,
               "estimators.delay_gamma must lie in [0, 1]")
         check(self.protocol in PROTOCOLS,
-              f"protocol.protocol must be one of {PROTOCOLS}")
+              f"protocol.protocol must be one of {tuple(PROTOCOLS)}")
         check(self.hello_period > 0, "protocol.hello_period must be positive")
         check(self.neighbor_expiry_factor > 1,
               "protocol.neighbor_expiry_factor must exceed 1")
@@ -324,7 +345,7 @@ class _Node:
     __slots__ = ("id", "pos", "is_sink", "alive", "energy", "table", "delays",
                  "prr_in", "seq_out", "seq_seen", "queues", "busy", "seen_packets")
 
-    def __init__(self, nid, pos, is_sink, cfg: SimConfig):
+    def __init__(self, nid, pos, is_sink, cfg: SimConfig, priority_queues: bool):
         self.id = nid
         self.pos = pos
         self.is_sink = is_sink
@@ -340,7 +361,7 @@ class _Node:
         self.seq_out = {}      # receiver -> last sequence number sent
         self.seq_seen = {}     # sender -> last sequence number observed
         self.queues = QueueBank(capacity=cfg.queue_capacity,
-                                single_queue=cfg.protocol != "tdthr")
+                                single_queue=not priority_queues)
         self.busy = False
         self.seen_packets = set()
 
@@ -350,7 +371,7 @@ class _Node:
 
 
 class _TxState:
-    __slots__ = ("packet", "next_hop", "t_s", "attempts", "acked", "done",
+    __slots__ = ("packet", "next_hop", "t_s", "attempts", "done",
                  "delivered_any")
 
     def __init__(self, packet, next_hop, t_s):
@@ -358,7 +379,6 @@ class _TxState:
         self.next_hop = next_hop
         self.t_s = t_s
         self.attempts = 0
-        self.acked = False
         self.done = False
         self.delivered_any = False
 
@@ -372,10 +392,12 @@ class Simulation:
         if errors:
             raise ValueError("invalid configuration: " + "; ".join(errors))
         self.cfg = cfg
+        self._protocol = PROTOCOLS[cfg.protocol]
         self.rng = random.Random(f"run:{cfg.rng_seed}")
         self.positions = generate_topology(cfg, cfg.rng_seed)
         self.nodes = {
-            nid: _Node(nid, pos, nid in (PRIMARY_SINK, SECONDARY_SINK), cfg)
+            nid: _Node(nid, pos, nid in (PRIMARY_SINK, SECONDARY_SINK), cfg,
+                       self._protocol.priority_queues)
             for nid, pos in sorted(self.positions.items())}
         self.link_prob = {}
         self.adjacency = {nid: [] for nid in self.nodes}
@@ -432,14 +454,22 @@ class Simulation:
     # ---- energy / death --------------------------------------------------
 
     def _charge(self, node: _Node, cost_nj: int):
-        if node.is_sink:
-            return
+        """Deduct from a non-sink `node`; sinks are mains-powered."""
         self.metrics.record_energy(node.energy.deduct(cost_nj))
         if (self.cfg.stop_energy_fraction > 0 and self._drain_until is None
                 and node.energy.residual_nj
                 < self.cfg.stop_energy_fraction * node.energy.initial_nj):
             self._log(node.id, "energy_low")
             self._begin_drain()
+
+    def _spend(self, node: _Node, cost_nj: int) -> bool:
+        """Pay or die: charge a non-sink `node`, then kill it if it could not
+        afford the cost. Returns whether it could."""
+        affordable = node.energy.can_afford(cost_nj)
+        self._charge(node, cost_nj)
+        if not affordable:
+            self._die(node)
+        return affordable
 
     def _die(self, node: _Node):
         if not node.alive:
@@ -481,11 +511,12 @@ class Simulation:
         return False
 
     def _tx_cost_nj(self, node: _Node, d: float) -> int:
-        frac = (d / self.cfg.tx_range) ** self.cfg.path_loss_alpha
-        return round(node.energy.cost_tx_nj * frac)
+        return round(tx_power_cost(d, self.cfg.tx_range, self.cfg.path_loss_alpha,
+                                   node.energy.cost_tx_nj))
 
     def _tx_cost_j(self, d: float) -> float:
-        return self.cfg.energy_tx * (d / self.cfg.tx_range) ** self.cfg.path_loss_alpha
+        return tx_power_cost(d, self.cfg.tx_range, self.cfg.path_loss_alpha,
+                             self.cfg.energy_tx)
 
     # ---- sequence-number reception accounting ----------------------------
 
@@ -516,12 +547,8 @@ class Simulation:
             return
         cfg = self.cfg
         node.table.evict_stale(self.now)
-        if not node.is_sink:
-            if not node.energy.can_afford(node.energy.cost_idle_nj):
-                self._charge(node, node.energy.cost_idle_nj)
-                self._die(node)
-                return
-            self._charge(node, node.energy.cost_idle_nj)
+        if not node.is_sink and not self._spend(node, node.energy.cost_idle_nj):
+            return
         hello = self._build_hello(node)
         self.metrics.hello_sent += 1
         ser = hello.size_bytes * 8 / cfg.bandwidth_bps
@@ -550,12 +577,8 @@ class Simulation:
         node = self.nodes[receiver_id]
         if not node.alive:
             return
-        if not node.is_sink:
-            if not node.energy.can_afford(node.energy.cost_idle_nj):
-                self._charge(node, node.energy.cost_idle_nj)
-                self._die(node)
-                return
-            self._charge(node, node.energy.cost_idle_nj)
+        if not node.is_sink and not self._spend(node, node.energy.cost_idle_nj):
+            return
         self._note_reception(node, sender_id, seq)
         node.table.process_hello(hello, self.now)
 
@@ -580,7 +603,7 @@ class Simulation:
         self._next_logical_id += 1
         first = self._make_packet(cls, nearest, logical, duplicate_of=None)
         copies = [first]
-        duplicated = (cfg.protocol == "tdthr"
+        duplicated = (self._protocol.duplicates
                       and ((cls is PacketClass.CRITICAL and cfg.duplicate_critical)
                            or (cls is PacketClass.RELIABILITY_RESPONSIVE
                                and cfg.duplicate_reliability)))
@@ -624,7 +647,8 @@ class Simulation:
         """Enqueue at `node` and kick the transmitter."""
         cfg = self.cfg
         timer = None
-        if cfg.protocol == "tdthr" and packet.cls is not PacketClass.CRITICAL:
+        if (self._protocol.priority_queues
+                and packet.cls is not PacketClass.CRITICAL):
             timer = self.now + max(cfg.promotion_floor,
                                    cfg.promotion_fraction * packet.lag_time)
         if not node.queues.enqueue(packet, self.now, timer):
@@ -666,11 +690,10 @@ class Simulation:
                 packet.lag_time, packet.received_time, self.now,
                 packet.payload_size, cfg.bandwidth_bps)
         except DeadlineExpired:
-            # Only the deadline-bound classes of the two-hop protocol discard
-            # expired packets in-network; everything else is delivered late
-            # (and scored as a deadline miss at the sink).
-            if cfg.protocol == "tdthr" and packet.cls in (
-                    PacketClass.CRITICAL, PacketClass.DELAY_RESPONSIVE):
+            # Only the protocol's expiring classes are discarded in-network;
+            # everything else is delivered late (and scored as a deadline
+            # miss at the sink).
+            if packet.cls in self._protocol.expire_in_network:
                 self._drop(packet, "deadline", node.id)
                 self._finish_tx(node)
                 return
@@ -685,7 +708,6 @@ class Simulation:
         self._begin_attempt(node, state)
 
     def _select(self, node: _Node, packet: Packet) -> NodeId:
-        cfg = self.cfg
         dest = packet.destination_sink
         dest_pos = self.positions[dest]
         live = node.table.live_records(self.now)
@@ -693,11 +715,12 @@ class Simulation:
             return dest
         f1 = [(r.neighbor, dist(node.pos, dest_pos) - dist(r.position, dest_pos))
               for r in node.table.favorable_one_hop(node.pos, dest_pos, self.now)]
-        if cfg.protocol == "greedy_geo":
-            return route_regular(f1)
-        if cfg.protocol == "one_hop_velocity":
-            return self._select_one_hop_velocity(node, packet, dest_pos, f1)
-        # tdthr
+        return self._protocol.select(self, node, packet, dest_pos, f1)
+
+    def _select_greedy_geo(self, node, packet, dest_pos, f1) -> NodeId:
+        return route_regular(f1)
+
+    def _select_tdthr(self, node, packet, dest_pos, f1) -> NodeId:
         if packet.recovery_anchor is not None:
             if dist(node.pos, dest_pos) < packet.recovery_anchor:
                 packet.recovery_anchor = None  # escaped the dead-end region
@@ -720,11 +743,11 @@ class Simulation:
         # critical / delay-responsive: velocity-filtered two-hop selection
         v_req = required_velocity(dist(node.pos, dest_pos), packet.lag_time)
         try:
-            return select_next_hop(pairs, v_req, cls, cfg.critical_prr_scope).y
+            return select_next_hop(pairs, v_req, cls,
+                                   self.cfg.critical_prr_scope).y
         except NoQualifyingPair:
             if pairs:
-                packet.missed_velocity = True
-                self.metrics.missed_velocity += 1
+                self._miss_velocity(packet)
                 return best_effort_pair(pairs).y
             return self._route_or_detour(node, packet, f1, dest_pos)
 
@@ -763,10 +786,14 @@ class Simulation:
         else:
             qualifying = []
         if not qualifying:
-            packet.missed_velocity = True
-            self.metrics.missed_velocity += 1
+            self._miss_velocity(packet)
             qualifying = speeds
         return min(qualifying, key=lambda s: (-s[1], s[0]))[0]
+
+    def _miss_velocity(self, packet: Packet):
+        """The packet leaves this hop slower than its deadline requires."""
+        packet.missed_velocity = True
+        self.metrics.missed_velocity += 1
 
     # ---- MAC: attempts, ACKs, retries ------------------------------------
 
@@ -802,12 +829,9 @@ class Simulation:
         receiver = self.nodes[receiver_id]
         if not receiver.alive:
             return
-        if not receiver.is_sink:
-            if not receiver.energy.can_afford(receiver.energy.cost_rx_nj):
-                self._charge(receiver, receiver.energy.cost_rx_nj)
-                self._die(receiver)
-                return
-            self._charge(receiver, receiver.energy.cost_rx_nj)
+        if not receiver.is_sink and not self._spend(receiver,
+                                                    receiver.energy.cost_rx_nj):
+            return
         self._note_reception(receiver, sender_id, seq)
         state.delivered_any = True
         packet = state.packet
@@ -840,7 +864,6 @@ class Simulation:
             return
         if not node.is_sink:
             self._charge(node, node.energy.cost_idle_nj)
-        state.acked = True
         state.done = True
         peer = self.nodes[receiver_id]
         node.delays.dt_update(receiver_id, state.t_s, self.now,
@@ -855,7 +878,7 @@ class Simulation:
         self._finish_tx(node)
 
     def _ev_ack_timeout(self, sender_id: NodeId, state: _TxState):
-        if state.acked or state.done:
+        if state.done:
             return
         node = self.nodes[sender_id]
         if not node.alive:
@@ -881,13 +904,8 @@ class Simulation:
     def _ev_audit(self):
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
-            if node.is_sink or not node.alive:
-                continue
-            cost = node.energy.cost_idle_nj
-            affordable = node.energy.can_afford(cost)
-            self._charge(node, cost)
-            if not affordable:
-                self._die(node)
+            if not node.is_sink and node.alive:
+                self._spend(node, node.energy.cost_idle_nj)
         if self._drain_until is None:
             self._schedule(self.now + self.cfg.audit_period, "audit")
 
@@ -906,6 +924,20 @@ class Simulation:
         return sum(self.nodes[nid].energy.initial_nj
                    - self.nodes[nid].energy.residual_nj
                    for nid in sorted(self.nodes) if not self.nodes[nid].is_sink)
+
+
+# Adding a protocol takes one entry here and one select method above.
+PROTOCOLS = {
+    "tdthr": RoutingProtocol(
+        Simulation._select_tdthr, priority_queues=True, duplicates=True,
+        expire_in_network=frozenset({PacketClass.CRITICAL,
+                                     PacketClass.DELAY_RESPONSIVE})),
+    "one_hop_velocity": RoutingProtocol(
+        Simulation._select_one_hop_velocity, priority_queues=False,
+        duplicates=False),
+    "greedy_geo": RoutingProtocol(
+        Simulation._select_greedy_geo, priority_queues=False, duplicates=False),
+}
 
 
 def run(cfg: SimConfig, trace=None) -> MetricsLedger:

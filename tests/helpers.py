@@ -185,5 +185,22 @@ def brute_select(pairs, v_req: float, cls: PacketClass, scope: str):
     return (best[1].y, best[1].z)
 
 
+def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0):
+    """The forwarder pairs node 1 at x=0 sees toward a destination at x=200
+    through the engine's own `favorable_pairs`: one pair, relay 2 at x=30 and
+    second hop 3 at x=60, so progress is 60 m. The delays are the four terms
+    of the offered-velocity denominator."""
+    cls = PacketClass.CRITICAL
+    table = NeighborTable(owner=1, expiry=10.0)
+    table.process_hello(HelloMessage(
+        sender=2, position=Position(30.0, 0.0), energy=2.0, dq={cls: dq_y},
+        reverse_prr={1: 0.9},
+        one_hop=[TwoHopEntry(node=3, position=Position(60.0, 0.0), dq={},
+                             dt_yz=dt_yz, prr_yz=0.9, energy=2.0)]), 0.0)
+    return table.favorable_pairs(Position(0.0, 0.0), Position(200.0, 0.0), cls,
+                                 dq_x, DelayEstimator(dt_prior=dt_xy),
+                                 lambda d: 1.0, 0.0)
+
+
 def delay_estimator_with(dt: float, gamma: float = 0.5) -> DelayEstimator:
     return DelayEstimator(gamma=gamma, dt_prior=dt)

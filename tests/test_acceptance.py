@@ -14,13 +14,13 @@ import pytest
 import yaml
 
 from tdthr.core import PacketClass, Position, dist
-from tdthr.estimators import DelayEstimator, PrrEstimator, nodal_delay
+from tdthr.estimators import DelayEstimator, PrrEstimator
 from tdthr.forwarding import NoQualifyingPair, select_next_hop, update_lag_time
 from tdthr.simkernel import SimConfig, Simulation
 
 from helpers import (brute_favorable_one_hop, brute_favorable_pairs,
                      brute_select, build_tables, desk_config,
-                     geometric_one_hop, random_pair_snapshot,
+                     geometric_one_hop, line_pairs, random_pair_snapshot,
                      random_positions)
 from test_queueing import exercise_randomized_sequences
 
@@ -54,8 +54,11 @@ def test_01_estimator_exactness():
     dt.dt[5] = 0.004
     checks.append(abs(dt.dt_update(5, 10.000, 10.0105, 12, 250000.0)
                       - 0.007058))
-    checks.append(abs(nodal_delay(0.020, 0.007) - 0.027))
-    checks.append(abs(nodal_delay(0.015, 0.010116) - 0.025116))
+    # nodal delay dq + dt, as the first hop's share of a pair's denominator
+    checks.append(abs(line_pairs(dq_x=0.020, dt_xy=0.007)[0].denominator
+                      - 0.027))
+    checks.append(abs(line_pairs(dq_x=0.015, dt_xy=0.010116)[0].denominator
+                      - 0.025116))
     checks.append(abs(update_lag_time(0.300, 10.000, 10.020, 150, 250000.0)
                       - 0.2752))
 

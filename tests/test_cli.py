@@ -1,6 +1,7 @@
 """Command-line front-end tests: exit codes, reproducible outputs, and the
 sweep harness."""
 
+import pytest
 import yaml
 
 from tdthr import metrics
@@ -36,6 +37,24 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
     path = _write_config(tmp_path / "bad.yaml", cfg)
     assert main(["validate", "--config", path]) == EXIT_VALIDATION
     assert "prr_beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("network", "node_count", "100"),
+    ("mac", "max_retries", 2.5),
+    ("protocol", "duplicate_critical", "no"),
+])
+def test_validate_rejects_mistyped_values(tmp_path, capsys, section, key, value):
+    data = _fast_cfg().to_dict()
+    data[section][key] = value
+    path = tmp_path / "typo.yaml"
+    path.write_text(yaml.safe_dump(data))
+    for argv in (["validate", "--config", str(path)],
+                 ["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{section}.{key} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_validate_rejects_missing_and_malformed_files(tmp_path, capsys):

@@ -78,7 +78,6 @@ def test_queue_priority_order():
     assert PacketClass.DELAY_RESPONSIVE.queue_priority == 1
     assert PacketClass.RELIABILITY_RESPONSIVE.queue_priority == 2
     assert PacketClass.REGULAR.queue_priority == 2
-    assert PacketClass.CRITICAL < PacketClass.REGULAR
 
 
 def _packet(**kw):

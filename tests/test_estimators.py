@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdthr.core import PacketClass
-from tdthr.estimators import DelayEstimator, PrrEstimator, nodal_delay
+from tdthr.estimators import DelayEstimator, PrrEstimator
+
+from helpers import line_pairs
 
 EPS = 1e-12
 
@@ -129,8 +131,11 @@ def test_tx_delay_prior_used_for_unknown_neighbor():
 # ---- combined nodal delay ------------------------------------------------
 
 def test_nodal_delay_hand_computed():
-    assert abs(nodal_delay(0.020, 0.007) - 0.027) <= EPS
-    assert abs(nodal_delay(0.015, 0.010116) - 0.025116) <= EPS
+    # a node's delay dq + dt is the first hop's share of a pair's denominator
+    [pair] = line_pairs(dq_x=0.020, dt_xy=0.007)
+    assert abs(pair.denominator - 0.027) <= EPS
+    [pair] = line_pairs(dq_x=0.015, dt_xy=0.010116)
+    assert abs(pair.denominator - 0.025116) <= EPS
 
 
 @settings(max_examples=200, deadline=None)

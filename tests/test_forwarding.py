@@ -7,13 +7,12 @@ import pytest
 
 from tdthr.core import PacketClass
 from tdthr.forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
-                              best_effort_pair, offered_velocity,
-                              required_velocity, route_regular,
-                              route_reliability, select_next_hop,
-                              update_lag_time)
+                              best_effort_pair, required_velocity,
+                              route_regular, route_reliability,
+                              select_next_hop, update_lag_time)
 from tdthr.neighborhood import ForwarderPair
 
-from helpers import brute_select, random_pair_snapshot
+from helpers import brute_select, line_pairs, random_pair_snapshot
 
 EPS = 1e-12
 
@@ -29,17 +28,20 @@ def _pair(y=3, z=4, velocity=500.0, prr_xy=0.9, prr_yz=0.9,
 # ---- velocities ----------------------------------------------------------
 
 def test_offered_velocity_hand_computed():
-    assert abs(offered_velocity(60.0, 0.01, 0.02, 0.01, 0.02) - 1000.0) <= EPS
+    [pair] = line_pairs(0.01, 0.02, 0.01, 0.02)
+    assert (pair.y, pair.z, pair.progress) == (2, 3, 60.0)
+    assert abs(pair.velocity - 1000.0) <= EPS
 
 
 def test_offered_velocity_halves_when_delays_double():
-    v = offered_velocity(60.0, 0.01, 0.02, 0.01, 0.02)
-    assert abs(offered_velocity(60.0, 0.02, 0.04, 0.02, 0.04) - v / 2) <= EPS
+    [pair] = line_pairs(0.01, 0.02, 0.01, 0.02)
+    [slow] = line_pairs(0.02, 0.04, 0.02, 0.04)
+    assert abs(slow.velocity - pair.velocity / 2) <= EPS
 
 
 def test_offered_velocity_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        offered_velocity(60.0, 0.0, 0.0, 0.0, 0.0)
+        line_pairs(0.0, 0.0, 0.0, 0.0)
 
 
 def test_required_velocity():

@@ -1,6 +1,7 @@
 """Simulation-engine tests: configuration handling, topology generation, the
 hidden link model, and end-to-end run invariants on a small field."""
 
+import hashlib
 import io
 import math
 import random
@@ -8,7 +9,8 @@ import random
 import pytest
 import yaml
 
-from tdthr import simkernel
+from tdthr import metrics, simkernel
+from tdthr.cli import config_hash
 from tdthr.core import Position, dist
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, delivery_probability,
@@ -56,6 +58,17 @@ def test_validation_messages():
     assert "critical_rate" in joined
     assert "protocol.protocol" in joined
     assert "lifetime_metric" in joined
+
+
+def test_field_types_checked_before_ranges():
+    # an int is a float, a bool is not an int; direct construction and
+    # setattr are checked too, not only YAML
+    assert mini_config(duration=20, prr_beta=1).validate() == []
+    cfg = mini_config(max_retries=True, node_count="100")
+    assert cfg.validate() == ["network.node_count must be int, got '100'",
+                              "mac.max_retries must be int, got True"]
+    with pytest.raises(ValueError):
+        Simulation(cfg)
 
 
 def test_density_consistency_check():
@@ -289,6 +302,44 @@ def test_run_invariants_per_protocol(protocol):
             assert delay > 0
 
 
+# sha256 of the event trace and the metrics CSV row of one short, congested
+# run per protocol: duplicates, promotions, deadline drops, missed
+# velocities, voids and deaths all occur in these runs. A refactor must keep
+# them; a change of behaviour updates them on purpose.
+_FINGERPRINTS = {
+    "tdthr": (
+        "f5d64a85a887bae158172f307815fbce1095bb0ba10629b7b4b6294bc6b244d3",
+        "89cdadcc4931,1,tdthr,0.25,0.4,0.857143,0,0.333333,0.109878,0.130924,,"
+        "0.0719006,0.113661,0.169884,,0.0768293,0.833333,1.22511,11.4631,"
+        "13.4762,0,0,1,9,3,24,11,26,8"),
+    "one_hop_velocity": (
+        "1bbd4dd3c4fd1455e2839b6f78d2fc95e219a053415bf1ed8bbaae817a084d4c",
+        "7b8f6fe8a896,1,one_hop_velocity,0.25,0.6,0.4,0.538462,0.625,0.111197,"
+        "0.109084,0.0982245,0.0798591,0.119673,0.114864,0.132523,0.116329,"
+        "0.516129,0.633037,11.5962,10.7616,13,0,0,0,1,31,17,0,68"),
+    "greedy_geo": (
+        "a9b311a7b487206a933b7db37ca4a1ba67ccd991006cd16e1093f146c953dede",
+        "bba43bf58891,1,greedy_geo,0.25,0.833333,0.75,0.714286,1,0.101355,"
+        "0.0994352,0.0648396,0.0740819,0.138558,0.131165,0.110847,0.106294,"
+        "0.655172,0.499747,20,11.9939,5,0,0,0,0,29,24,0,0"),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
+def test_behaviour_fingerprint(protocol):
+    cfg = mini_config(protocol=protocol, rng_seed=1, rate_bytes_per_s=8000.0,
+                      deadline=0.05, critical_rate=0.25,
+                      delay_responsive_rate=0.25,
+                      reliability_responsive_rate=0.25, traffic_start=11.0,
+                      duration=20.0)
+    buf = io.StringIO()
+    ledger = Simulation(cfg, trace=buf).run()
+    row = metrics.csv_row(ledger, config_hash(cfg), cfg.rng_seed, cfg.protocol,
+                          cfg.critical_rate, cfg.duration)
+    trace_sha = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert (trace_sha, row) == _FINGERPRINTS[protocol]
+
+
 def test_duplication_only_for_loss_averse_classes():
     base = dict(critical_rate=0.5, reliability_responsive_rate=0.25,
                 delay_responsive_rate=0.25, rng_seed=6, duration=25.0)
@@ -306,6 +357,19 @@ def test_sinks_never_spend_energy():
     assert sim.nodes[PRIMARY_SINK].energy is None
     assert sim.nodes[SECONDARY_SINK].energy is None
     assert sim.nodes[SOURCE].energy.spent_nj > 0
+
+
+def test_unaffordable_cost_is_charged_then_kills():
+    # the low-energy mark sits at 10 nJ, so only the fatal charge crosses it
+    buf = io.StringIO()
+    sim = Simulation(mini_config(stop_energy_fraction=5e-9), trace=buf)
+    relay = sim.nodes[7]
+    relay.energy.spent_nj = relay.energy.initial_nj - 10
+    assert sim._spend(relay, 12) is False
+    assert not relay.alive and relay.energy.residual_nj == 0
+    assert sim.metrics.total_energy_nj == 10
+    kinds = [line.split()[2] for line in buf.getvalue().splitlines()]
+    assert kinds[:2] == ["energy_low", "death"]
 
 
 def test_first_death_ends_the_run_after_drain():
