@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from . import metrics as metrics_mod
-from .simkernel import PROTOCOLS, SimConfig, Simulation
+from .simkernel import SimConfig, Simulation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -94,8 +95,8 @@ def load_sweep_spec(path) -> dict:
     for key in ("base_config", "parameter", "values"):
         if key not in spec:
             raise ValueError(f"{path}: sweep spec missing {key!r}")
-    if not spec["values"]:
-        raise ValueError(f"{path}: sweep value list is empty")
+    if not isinstance(spec["values"], list) or not spec["values"]:
+        raise ValueError(f"{path}: sweep values must be a non-empty list")
     spec.setdefault("seeds", [1])
     spec.setdefault("protocols", None)
     if isinstance(spec["seeds"], int):
@@ -103,12 +104,19 @@ def load_sweep_spec(path) -> dict:
     if not spec["seeds"]:
         raise ValueError(f"{path}: need at least one seed per point")
     base = load_config(Path(path).parent / spec["base_config"])
-    if not hasattr(base, spec["parameter"]):
-        raise ValueError(f"{path}: unknown swept parameter {spec['parameter']!r}")
-    if spec["protocols"] is not None:
-        for proto in spec["protocols"]:
-            if proto not in PROTOCOLS:
-                raise ValueError(f"{path}: unknown protocol {proto!r}")
+    parameter = spec["parameter"]
+    if parameter not in {f.name for f in dataclasses.fields(SimConfig)}:
+        raise ValueError(f"{path}: unknown swept parameter {parameter!r}")
+    # Every point is validated here, so a bad value or protocol fails the
+    # sweep before it starts (exit 1), not each of its runs (exit 2).
+    for value in spec["values"]:
+        for proto in spec["protocols"] or [base.protocol]:
+            point = dataclasses.replace(base, **{parameter: value,
+                                                 "protocol": proto})
+            errors = point.validate()
+            if errors:
+                raise ValueError(f"{path}: {parameter}={value!r} "
+                                 f"protocol={proto}: " + "; ".join(errors))
     spec["_base"] = base
     return spec
 

@@ -76,7 +76,6 @@ class Packet:
     duplicate_of: int | None = None
     logical_id: int = -1       # shared across duplicates of one logical packet
     received_time: float = 0.0  # when the current holder received it
-    missed_velocity: bool = False
     hop_trace: list = field(default_factory=list)
     recovery_anchor: float | None = None  # distance-to-sink where a detour began
 

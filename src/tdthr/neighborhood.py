@@ -10,6 +10,7 @@ two-hop view). ACKs refresh the ACKing node's own fields between HELLOs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import NodeId, PacketClass, Position, dist
 
@@ -19,15 +20,13 @@ HELLO_PRR_ENTRY_BYTES = 6
 HELLO_NEIGHBOR_ENTRY_BYTES = 26
 
 
-@dataclass
-class TwoHopEntry:
-    """What neighbor y reports about its own neighbor z."""
+class TwoHopEntry(NamedTuple):
+    """What neighbor y reports about its own neighbor z. Immutable: one
+    beacon's entries are shared by every table that hears it."""
     node: NodeId
     position: Position
-    dq: dict                 # PacketClass -> seconds, z's queuing estimates
     dt_yz: float             # y's transmission-delay estimate toward z
     prr_yz: float            # reliability of link y->z as reported to y
-    energy: float
 
 
 @dataclass
@@ -51,7 +50,10 @@ class NeighborRecord:
     neighbor: NodeId
     position: Position
     prr_xy: float            # as last reported by the neighbor (receiver side)
-    dq: dict                 # neighbor's per-class queuing estimates
+    # The neighbor's per-class queuing estimates: the very dict of the HELLO
+    # or ACK that last refreshed the record, shared with every other
+    # receiver of that message. It is only ever replaced, never mutated.
+    dq: dict
     energy: float
     last_heard: float
     two_hop: dict = field(default_factory=dict)   # NodeId -> TwoHopEntry
@@ -99,11 +101,11 @@ class NeighborTable:
             rec = NeighborRecord(
                 neighbor=hello.sender, position=hello.position,
                 prr_xy=hello.reverse_prr.get(self.owner, 1.0),
-                dq=dict(hello.dq), energy=hello.energy, last_heard=now)
+                dq=hello.dq, energy=hello.energy, last_heard=now)
             self.records[hello.sender] = rec
         else:
             rec.position = hello.position
-            rec.dq = dict(hello.dq)
+            rec.dq = hello.dq
             rec.energy = hello.energy
             rec.last_heard = now
             if self.owner in hello.reverse_prr:
@@ -112,16 +114,17 @@ class NeighborTable:
 
     def process_ack_info(self, sender: NodeId, position: Position, energy: float,
                          dq: dict, prr_xy: float | None, now: float) -> None:
-        """ACK piggyback: refresh the ACKing node's own fields only."""
+        """ACK piggyback: refresh the ACKing node's own fields only. The
+        record keeps `dq` itself, so the caller passes a dict of its own."""
         rec = self.records.get(sender)
         if rec is None:
             rec = NeighborRecord(neighbor=sender, position=position,
                                  prr_xy=prr_xy if prr_xy is not None else 1.0,
-                                 dq=dict(dq), energy=energy, last_heard=now)
+                                 dq=dq, energy=energy, last_heard=now)
             self.records[sender] = rec
             return
         rec.energy = energy
-        rec.dq = dict(dq)
+        rec.dq = dq
         rec.last_heard = now
         if prr_xy is not None:
             rec.prr_xy = prr_xy

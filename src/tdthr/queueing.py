@@ -32,6 +32,10 @@ class QueueBank:
         self.capacity = capacity
         self.single_queue = single_queue
         self.queues = {name: deque() for name in _QUEUE_ORDER}
+        # packet_id -> entry, for every entry whose promotion timer is armed,
+        # so that a timer that lost the race to a dequeue costs one lookup.
+        # A packet sits in a bank at most once at a time.
+        self._armed = {}
 
     def _target_queue(self, cls: PacketClass) -> str:
         return RELIABILITY_Q if self.single_queue else _QUEUE_ORDER[cls.queue_priority]
@@ -46,7 +50,10 @@ class QueueBank:
             return False
         if name == CRITICAL_Q or self.single_queue:
             timer_deadline = None
-        q.append(QueueEntry(packet, now, timer_deadline))
+        entry = QueueEntry(packet, now, timer_deadline)
+        q.append(entry)
+        if timer_deadline is not None:
+            self._armed[packet.packet_id] = entry
         return True
 
     def dequeue_next(self, now: float):
@@ -58,21 +65,25 @@ class QueueBank:
             q = self.queues[name]
             if q:
                 entry = q.popleft()
+                if entry.timer_deadline is not None:
+                    del self._armed[entry.packet.packet_id]
                 return entry.packet, now - entry.enqueue_time
         return None
 
     def on_timer_expire(self, packet_id: int, now: float) -> bool:
         """Move an aged packet to the tail of the critical queue. A timer
         that raced with (and lost to) a dequeue is a no-op."""
-        for name in (DELAY_Q, RELIABILITY_Q):
-            q = self.queues[name]
-            for i, entry in enumerate(q):
-                if entry.packet.packet_id == packet_id:
-                    del q[i]
-                    entry.timer_deadline = None
-                    self.queues[CRITICAL_Q].append(entry)
-                    return True
-        return False
+        entry = self._armed.pop(packet_id, None)
+        if entry is None:
+            return False
+        q = self.queues[self._target_queue(entry.packet.cls)]
+        for i, queued in enumerate(q):
+            if queued is entry:
+                del q[i]
+                break
+        entry.timer_deadline = None
+        self.queues[CRITICAL_Q].append(entry)
+        return True
 
     def flush(self):
         """Empties every queue and returns the stranded packets (a node
@@ -82,6 +93,7 @@ class QueueBank:
             q = self.queues[name]
             stranded.extend(entry.packet for entry in q)
             q.clear()
+        self._armed.clear()
         return stranded
 
     def __len__(self) -> int:

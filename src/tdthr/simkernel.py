@@ -35,6 +35,9 @@ class RoutingProtocol:
     expire_in_network: frozenset = frozenset()  # classes dropped once late
 
 
+# Iterating a tuple is cheaper than iterating the Enum class.
+_PACKET_CLASSES = tuple(PacketClass)
+
 PRIMARY_SINK: NodeId = 0
 SECONDARY_SINK: NodeId = 1
 SOURCE: NodeId = 2
@@ -327,15 +330,18 @@ class _Grid:
 
     def in_range(self, x) -> list:
         """(y, dist) for every other node y within tx_range of x, y ascending."""
-        px = self._positions[x]
+        positions, tx_range, hypot = self._positions, self._tx_range, math.hypot
+        px = positions[x]
         cx, cy = self._cell(px)
         found = []
         for i in (cx - 1, cx, cx + 1):
             for j in (cy - 1, cy, cy + 1):
                 for y in self._cells.get((i, j), ()):
                     if y != x:
-                        d = dist(px, self._positions[y])
-                        if d <= self._tx_range:
+                        # dist(px, q) inlined: set-up's hottest line
+                        q = positions[y]
+                        d = hypot(px.x - q.x, px.y - q.y)
+                        if d <= tx_range:
                             found.append((y, d))
         found.sort()
         return found
@@ -401,11 +407,16 @@ class Simulation:
             for nid, pos in sorted(self.positions.items())}
         self.link_prob = {}
         self.adjacency = {nid: [] for nid in self.nodes}
+        # nid -> [(peer, link_prob, propagation delay)] in adjacency order:
+        # what a beacon's fan-out reads, computed once per edge.
+        self._links = {nid: [] for nid in self.nodes}
         grid = _Grid(self.positions, cfg.tx_range)
         for x in self.nodes:
             for y, d in grid.in_range(x):
-                self.link_prob[(x, y)] = delivery_probability(d, cfg)
+                p = delivery_probability(d, cfg)
+                self.link_prob[(x, y)] = p
                 self.adjacency[x].append(y)
+                self._links[x].append((y, p, d / LIGHT_SPEED))
         self.metrics = MetricsLedger()
         self.metrics.lifetime_metric = cfg.lifetime_metric
         self.trace = trace                     # file-like or None
@@ -421,11 +432,15 @@ class Simulation:
 
     # ---- event plumbing --------------------------------------------------
 
-    def _schedule(self, t, kind, *payload):
+    def _schedule(self, t, handler, *payload):
+        """Run `handler(*payload)` at time `t`. `handler` is a bound `_ev_*`
+        method, looked up at schedule time, so a wrapper put on the class
+        before construction is the one that runs."""
         if t < self.now - 1e-12:
-            raise RuntimeError(f"event {kind} scheduled in the past ({t} < {self.now})")
+            raise RuntimeError(f"event {handler.__name__} scheduled in the past "
+                               f"({t} < {self.now})")
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, payload))
+        heapq.heappush(self._heap, (t, self._seq, handler, payload))
 
     def _log(self, node, kind, packet_id="-", detail=""):
         if self.trace is not None:
@@ -435,38 +450,42 @@ class Simulation:
         cfg = self.cfg
         for nid in sorted(self.nodes):
             offset = self.rng.uniform(0.0, cfg.hello_period)
-            self._schedule(offset, "hello", nid)
-        self._schedule(cfg.traffic_start, "cbr")
-        self._schedule(cfg.audit_period, "audit")
+            self._schedule(offset, self._ev_hello, nid)
+        self._schedule(cfg.traffic_start, self._ev_cbr)
+        self._schedule(cfg.audit_period, self._ev_audit)
 
     def run(self) -> MetricsLedger:
         duration = self.cfg.duration
-        while self._heap:
-            t, _, kind, payload = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            t, _, handler, payload = heapq.heappop(heap)
             if t > duration or (self._drain_until is not None
                                 and t > self._drain_until):
                 break
             self.now = t
-            getattr(self, "_ev_" + kind)(*payload)
+            handler(*payload)
         self.now = min(self.now, duration)
         return self.metrics
 
     # ---- energy / death --------------------------------------------------
 
-    def _charge(self, node: _Node, cost_nj: int):
-        """Deduct from a non-sink `node`; sinks are mains-powered."""
-        self.metrics.record_energy(node.energy.deduct(cost_nj))
+    def _charge(self, node: _Node, cost_nj: int) -> int:
+        """Deduct from a non-sink `node`; sinks are mains-powered. Returns
+        the amount deducted: less than `cost_nj` exactly when the node could
+        not afford it."""
+        actual = node.energy.deduct(cost_nj)
+        self.metrics.record_energy(actual)
         if (self.cfg.stop_energy_fraction > 0 and self._drain_until is None
                 and node.energy.residual_nj
                 < self.cfg.stop_energy_fraction * node.energy.initial_nj):
             self._log(node.id, "energy_low")
             self._begin_drain()
+        return actual
 
     def _spend(self, node: _Node, cost_nj: int) -> bool:
         """Pay or die: charge a non-sink `node`, then kill it if it could not
         afford the cost. Returns whether it could."""
-        affordable = node.energy.can_afford(cost_nj)
-        self._charge(node, cost_nj)
+        affordable = self._charge(node, cost_nj) == cost_nj
         if not affordable:
             self._die(node)
         return affordable
@@ -551,24 +570,27 @@ class Simulation:
             return
         hello = self._build_hello(node)
         self.metrics.hello_sent += 1
-        ser = hello.size_bytes * 8 / cfg.bandwidth_bps
-        for peer in self.adjacency[nid]:
+        sent = self.now + hello.size_bytes * 8 / cfg.bandwidth_bps
+        draw = self.rng.random
+        receive = self._ev_hello_rx
+        for peer, p, prop in self._links[nid]:
             seq = self._next_seq(node, peer)
-            if self.rng.random() < self.link_prob[(nid, peer)]:
-                self._schedule(self.now + ser + self._prop(nid, peer),
-                               "hello_rx", peer, nid, hello, seq)
+            if draw() < p:
+                self._schedule(sent + prop, receive, peer, nid, hello, seq)
         self._log(nid, "hello")
-        self._schedule(self.now + cfg.hello_period, "hello", nid)
+        self._schedule(self.now + cfg.hello_period, self._ev_hello, nid)
 
     def _build_hello(self, node: _Node) -> HelloMessage:
-        one_hop = [
-            TwoHopEntry(node=rec.neighbor, position=rec.position,
-                        dq=dict(rec.dq), dt_yz=node.delays.dt_for(rec.neighbor),
-                        prr_yz=rec.prr_xy, energy=rec.energy)
-            for rec in node.table.live_records(self.now)]
+        """One snapshot per beacon, shared by every receiver: tables keep
+        references to its `dq` dict and its entries, so nothing may mutate
+        them once built."""
+        dt_for = node.delays.dt_for
+        one_hop = [TwoHopEntry(rec.neighbor, rec.position, dt_for(rec.neighbor),
+                               rec.prr_xy)
+                   for rec in node.table.live_records(self.now)]
         return HelloMessage(
             sender=node.id, position=node.pos, energy=node.reported_energy,
-            dq={cls: node.delays.dq_for(cls) for cls in PacketClass},
+            dq={cls: node.delays.dq_for(cls) for cls in _PACKET_CLASSES},
             reverse_prr={s: est.prr for s, est in sorted(node.prr_in.items())},
             one_hop=one_hop)
 
@@ -616,7 +638,7 @@ class Simulation:
         self._log(SOURCE, "generated", logical, cls.value)
         for packet in copies:
             self._accept_packet(source, packet)
-        self._schedule(self.now + cfg.cbr_interval, "cbr")
+        self._schedule(self.now + cfg.cbr_interval, self._ev_cbr)
 
     def _draw_class(self) -> PacketClass:
         cfg = self.cfg
@@ -655,8 +677,8 @@ class Simulation:
             self._drop(packet, "queue_full", node.id)
             return
         if timer is not None:
-            self._schedule(timer, "promo", node.id, packet.packet_id)
-        self._schedule(self.now, "kick", node.id)
+            self._schedule(timer, self._ev_promo, node.id, packet.packet_id)
+        self._schedule(self.now, self._ev_kick, node.id)
 
     def _ev_promo(self, nid: NodeId, packet_id: int):
         node = self.nodes[nid]
@@ -678,7 +700,7 @@ class Simulation:
     def _finish_tx(self, node: _Node):
         node.busy = False
         if node.alive:
-            self._schedule(self.now, "kick", node.id)
+            self._schedule(self.now, self._ev_kick, node.id)
 
     # ---- forwarding decision ---------------------------------------------
 
@@ -792,7 +814,6 @@ class Simulation:
 
     def _miss_velocity(self, packet: Packet):
         """The packet leaves this hop slower than its deadline requires."""
-        packet.missed_velocity = True
         self.metrics.missed_velocity += 1
 
     # ---- MAC: attempts, ACKs, retries ------------------------------------
@@ -819,10 +840,10 @@ class Simulation:
         self._log(node.id, "tx_attempt", packet.packet_id,
                   f"to={peer} n={state.attempts} seq={seq}")
         if delivered:
-            self._schedule(arrival, "data_rx", peer, node.id, state, seq)
+            self._schedule(arrival, self._ev_data_rx, peer, node.id, state, seq)
         timeout = (arrival + self._ack_ser + self._prop(node.id, peer)
                    + cfg.ack_timeout_guard)
-        self._schedule(timeout, "ack_timeout", node.id, state)
+        self._schedule(timeout, self._ev_ack_timeout, node.id, state)
 
     def _ev_data_rx(self, receiver_id: NodeId, sender_id: NodeId,
                     state: _TxState, seq: int):
@@ -842,7 +863,7 @@ class Simulation:
         # ACK back (control-plane energy, idle rate), subject to reverse loss
         if self.rng.random() < self.link_prob[(receiver_id, sender_id)]:
             ack_t = self.now + self._ack_ser + self._prop(receiver_id, sender_id)
-            self._schedule(ack_t, "ack_rx", sender_id, receiver_id, state)
+            self._schedule(ack_t, self._ev_ack_rx, sender_id, receiver_id, state)
         if not receiver.is_sink:
             self._charge(receiver, receiver.energy.cost_idle_nj)
         if not fresh:
@@ -872,7 +893,7 @@ class Simulation:
         rev = peer.prr_in.get(sender_id)
         node.table.process_ack_info(
             receiver_id, peer.pos, peer.reported_energy,
-            {cls: peer.delays.dq_for(cls) for cls in PacketClass},
+            {cls: peer.delays.dq_for(cls) for cls in _PACKET_CLASSES},
             rev.prr if rev is not None else None, self.now)
         self._log(sender_id, "ack_rx", state.packet.packet_id, f"from={receiver_id}")
         self._finish_tx(node)
@@ -907,7 +928,7 @@ class Simulation:
             if not node.is_sink and node.alive:
                 self._spend(node, node.energy.cost_idle_nj)
         if self._drain_until is None:
-            self._schedule(self.now + self.cfg.audit_period, "audit")
+            self._schedule(self.now + self.cfg.audit_period, self._ev_audit)
 
     def _drop(self, packet: Packet, cause: str, nid: NodeId):
         self.metrics.record_copy_lost(packet.logical_id, packet.packet_id,

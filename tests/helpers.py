@@ -92,8 +92,7 @@ def build_tables(positions: dict, tx_range: float,
             if rnd == 2:
                 one_hop = [
                     TwoHopEntry(node=rec.neighbor, position=rec.position,
-                                dq=dict(rec.dq), dt_yz=dt_yz,
-                                prr_yz=rec.prr_xy, energy=rec.energy)
+                                dt_yz=dt_yz, prr_yz=rec.prr_xy)
                     for rec in tables[sender].live_records(now)]
             hello = HelloMessage(
                 sender=sender, position=positions[sender], energy=energy,
@@ -195,8 +194,8 @@ def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0):
     table.process_hello(HelloMessage(
         sender=2, position=Position(30.0, 0.0), energy=2.0, dq={cls: dq_y},
         reverse_prr={1: 0.9},
-        one_hop=[TwoHopEntry(node=3, position=Position(60.0, 0.0), dq={},
-                             dt_yz=dt_yz, prr_yz=0.9, energy=2.0)]), 0.0)
+        one_hop=[TwoHopEntry(node=3, position=Position(60.0, 0.0),
+                             dt_yz=dt_yz, prr_yz=0.9)]), 0.0)
     return table.favorable_pairs(Position(0.0, 0.0), Position(200.0, 0.0), cls,
                                  dq_x, DelayEstimator(dt_prior=dt_xy),
                                  lambda d: 1.0, 0.0)

@@ -168,15 +168,36 @@ def test_sweep_spec_validation(tmp_path):
 def test_sweep_reports_runtime_failures(tmp_path, capsys):
     base = _write_config(tmp_path / "base.yaml", _fast_cfg())
     spec = tmp_path / "spec.yaml"
-    # sweeping the duration to a negative value fails at run time
+    # a 5 m range is valid, but no placement of the field connects the
+    # source to the sinks, so the run fails
     spec.write_text(yaml.safe_dump({"base_config": "base.yaml",
-                                    "parameter": "duration",
-                                    "values": [-5.0]}))
+                                    "parameter": "tx_range",
+                                    "values": [5.0]}))
     out_dir = tmp_path / "out"
     assert main(["sweep", "--spec", str(spec),
                  "--out", str(out_dir)]) == EXIT_RUNTIME
     capsys.readouterr()
-    assert "duration" in (out_dir / "failures.txt").read_text()
+    failures = (out_dir / "failures.txt").read_text()
+    assert "tx_range=5.0" in failures
+    assert "could not generate a topology" in failures
+
+
+@pytest.mark.parametrize("point, field", [
+    ({"parameter": "duration", "values": [20.0, -5.0]}, "run.duration"),
+    ({"parameter": "max_retries", "values": [2.5]}, "mac.max_retries"),
+    ({"parameter": "critical_rate", "values": [0.5],
+      "protocols": ["tdthr", "flooding"]}, "protocol.protocol"),
+    ({"parameter": "critical_rate", "values": 0.5}, "non-empty list"),
+])
+def test_sweep_rejects_invalid_points_at_load(tmp_path, capsys, point, field):
+    _write_config(tmp_path / "base.yaml", _fast_cfg())
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump({"base_config": "base.yaml", **point}))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec),
+                 "--out", str(out_dir)]) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_sweep_seed_list_normalization(tmp_path):

@@ -47,8 +47,8 @@ def test_repeat_hello_refreshes_fields():
 
 def test_two_hop_entries_exclude_owner():
     table = NeighborTable(owner=1, expiry=12.5)
-    entries = [TwoHopEntry(node=n, position=Position(n, 0), dq={}, dt_yz=0.005,
-                           prr_yz=0.9, energy=2.0) for n in (1, 3, 4)]
+    entries = [TwoHopEntry(node=n, position=Position(n, 0), dt_yz=0.005,
+                           prr_yz=0.9) for n in (1, 3, 4)]
     table.process_hello(_hello(2, Position(10, 0), one_hop=entries), 0.0)
     assert set(table.records[2].two_hop) == {3, 4}
 
@@ -72,8 +72,8 @@ def test_silent_neighbor_is_evicted():
 
 def test_ack_info_refreshes_without_touching_two_hop():
     table = NeighborTable(owner=1, expiry=12.5)
-    entries = [TwoHopEntry(node=3, position=Position(20, 0), dq={}, dt_yz=0.005,
-                           prr_yz=0.9, energy=2.0)]
+    entries = [TwoHopEntry(node=3, position=Position(20, 0), dt_yz=0.005,
+                           prr_yz=0.9)]
     table.process_hello(_hello(2, Position(10, 0), one_hop=entries), 0.0)
     table.process_ack_info(2, Position(10, 0), energy=1.2,
                            dq={PacketClass.REGULAR: 0.01}, prr_xy=0.6, now=3.0)
@@ -84,8 +84,8 @@ def test_ack_info_refreshes_without_touching_two_hop():
 
 def test_hello_wire_size():
     hello = _hello(2, Position(0, 0), reverse_prr={1: 0.9, 3: 0.8},
-                   one_hop=[TwoHopEntry(node=3, position=Position(1, 1), dq={},
-                                        dt_yz=0.005, prr_yz=0.9, energy=2.0)])
+                   one_hop=[TwoHopEntry(node=3, position=Position(1, 1),
+                                        dt_yz=0.005, prr_yz=0.9)])
     assert hello.size_bytes == (HELLO_HEADER_BYTES + 2 * HELLO_PRR_ENTRY_BYTES
                                 + HELLO_NEIGHBOR_ENTRY_BYTES)
 

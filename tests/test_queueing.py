@@ -93,6 +93,22 @@ def test_timer_after_dequeue_is_a_noop():
     assert len(bank) == 0
 
 
+def test_stale_timer_promotes_a_packet_back_for_another_visit():
+    # a packet can leave a node and come back to it (the source accepts its
+    # own packet once more); the first visit's timer then finds it queued
+    # and promotes it, and the second visit's timer finds nothing
+    bank = QueueBank()
+    packet = _packet(1, PacketClass.REGULAR)
+    bank.enqueue(packet, 0.0, 0.5)
+    bank.dequeue_next(0.1)
+    bank.enqueue(packet, 0.3, 0.8)
+    assert bank.on_timer_expire(1, 0.5)
+    assert [e.packet.packet_id for e in bank.queues[CRITICAL_Q]] == [1]
+    assert not bank.on_timer_expire(1, 0.8)
+    assert bank.dequeue_next(0.9) == (packet, 0.9 - 0.3)
+    assert len(bank) == 0
+
+
 def test_two_promotions_keep_their_order():
     bank = QueueBank()
     bank.enqueue(_packet(1, PacketClass.REGULAR), 0.0, 0.1)

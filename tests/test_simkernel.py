@@ -11,7 +11,8 @@ import yaml
 
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash
-from tdthr.core import Position, dist
+from tdthr.core import PacketClass, Position, dist
+from tdthr.neighborhood import NeighborTable
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, delivery_probability,
                              generate_topology, run)
@@ -199,6 +200,11 @@ def _assert_matches_all_pairs(sim):
     adjacency, link_prob = _all_pairs(sim.positions, sim.cfg)
     assert sim.adjacency == adjacency
     assert list(sim.link_prob.items()) == list(link_prob.items())
+    # the per-edge table a beacon's fan-out reads: same edges in the same
+    # order, same probabilities, same propagation delays
+    assert sim._links == {
+        x: [(y, link_prob[(x, y)], sim._prop(x, y)) for y in ys]
+        for x, ys in adjacency.items()}
 
 
 def _default_config():
@@ -325,19 +331,66 @@ _FINGERPRINTS = {
 }
 
 
+def _congested_config(protocol):
+    return mini_config(protocol=protocol, rng_seed=1, rate_bytes_per_s=8000.0,
+                       deadline=0.05, critical_rate=0.25,
+                       delay_responsive_rate=0.25,
+                       reliability_responsive_rate=0.25, traffic_start=11.0,
+                       duration=20.0)
+
+
 @pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
 def test_behaviour_fingerprint(protocol):
-    cfg = mini_config(protocol=protocol, rng_seed=1, rate_bytes_per_s=8000.0,
-                      deadline=0.05, critical_rate=0.25,
-                      delay_responsive_rate=0.25,
-                      reliability_responsive_rate=0.25, traffic_start=11.0,
-                      duration=20.0)
+    cfg = _congested_config(protocol)
     buf = io.StringIO()
     ledger = Simulation(cfg, trace=buf).run()
     row = metrics.csv_row(ledger, config_hash(cfg), cfg.rng_seed, cfg.protocol,
                           cfg.critical_rate, cfg.duration)
     trace_sha = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert (trace_sha, row) == _FINGERPRINTS[protocol]
+
+
+def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
+    # Tables share each HELLO's dq dict, and keep each ACK's, by reference.
+    # Every dict is copied when it is built; at the end of a congested run
+    # each record's dq must still equal the copy from the last HELLO or ACK
+    # its neighbour sent, so a dict mutated in place fails here.
+    sent = {}   # id(hello) -> (hello, dq as built)
+    last = {}   # (owner, neighbour) -> dq of the last message processed
+    build_hello = Simulation._build_hello
+    process_hello = NeighborTable.process_hello
+    process_ack_info = NeighborTable.process_ack_info
+
+    def built(self, node):
+        hello = build_hello(self, node)
+        sent[id(hello)] = (hello, dict(hello.dq))
+        return hello
+
+    def hello_heard(self, hello, now):
+        last[(self.owner, hello.sender)] = sent[id(hello)][1]
+        process_hello(self, hello, now)
+
+    def ack_heard(self, sender, position, energy, dq, prr_xy, now):
+        last[(self.owner, sender)] = dict(dq)
+        process_ack_info(self, sender, position, energy, dq, prr_xy, now)
+
+    monkeypatch.setattr(Simulation, "_build_hello", built)
+    monkeypatch.setattr(NeighborTable, "process_hello", hello_heard)
+    monkeypatch.setattr(NeighborTable, "process_ack_info", ack_heard)
+    cfg = _congested_config("tdthr")
+    cfg.energy_initial, cfg.stop_energy_fraction, cfg.duration = 1000.0, 0.0, 25.0
+    sim = Simulation(cfg)
+    sim.run()
+    records = [(nid, rec) for nid, node in sim.nodes.items()
+               for rec in node.table.records.values()]
+    assert len(records) > 5 * len(sim.nodes)
+    for nid, rec in records:
+        assert rec.dq == last[(nid, rec.neighbor)]
+    # queues built up, and estimates moved after they were sent
+    assert sum(any(v > 0 for v in rec.dq.values()) for _, rec in records) > 100
+    current = {nid: {cls: node.delays.dq_for(cls) for cls in PacketClass}
+               for nid, node in sim.nodes.items()}
+    assert sum(rec.dq != current[rec.neighbor] for _, rec in records) > 50
 
 
 def test_duplication_only_for_loss_averse_classes():
