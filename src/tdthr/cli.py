@@ -24,13 +24,20 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
+# What the loaders raise on bad input. Each message names the file once:
+# the loaders prefix their own errors, and those of `open` and YAML carry it.
+LOAD_ERRORS = (OSError, ValueError, yaml.YAMLError)
+
 
 def load_config(path) -> SimConfig:
     with open(path) as fh:
         data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config root must be a mapping")
-    return SimConfig.from_dict(data)
+    try:
+        if not isinstance(data, dict):
+            raise ValueError("config root must be a mapping")
+        return SimConfig.from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def config_hash(cfg: SimConfig) -> str:
@@ -56,8 +63,8 @@ def cmd_run(args) -> int:
             for err in errors:
                 print(f"{args.config}: {err}", file=sys.stderr)
             return EXIT_VALIDATION
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        print(f"{args.config}: {exc}", file=sys.stderr)
+    except LOAD_ERRORS as exc:
+        print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     try:
         row = execute_run(cfg, trace_path=args.trace)
@@ -73,8 +80,8 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        print(f"{args.config}: {exc}", file=sys.stderr)
+    except LOAD_ERRORS as exc:
+        print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     errors = cfg.validate()
     if errors:
@@ -198,8 +205,8 @@ def _write_plot_data(rows, parameter, out_dir: Path):
 def cmd_sweep(args) -> int:
     try:
         spec = load_sweep_spec(args.spec)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        print(f"{args.spec}: {exc}", file=sys.stderr)
+    except LOAD_ERRORS as exc:
+        print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     out_dir = args.out or os.environ.get("TDTHR_OUT_DIR", "sweep_out")
     jobs = args.jobs or int(os.environ.get("TDTHR_JOBS", "1"))

@@ -66,14 +66,11 @@ def tx_power_cost(d: float, tx_range: float, alpha: float, cost_tx: float) -> fl
 class Packet:
     packet_id: int
     cls: PacketClass
-    source: NodeId
     destination_sink: NodeId
     lag_time: float            # remaining deadline budget, seconds
     deadline: float            # original end-to-end budget, seconds
     payload_size: int          # bytes
     creation_time: float
-    hop_count: int = 0
-    duplicate_of: int | None = None
     logical_id: int = -1       # shared across duplicates of one logical packet
     received_time: float = 0.0  # when the current holder received it
     hop_trace: list = field(default_factory=list)

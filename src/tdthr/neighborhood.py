@@ -36,7 +36,7 @@ class HelloMessage:
     energy: float
     dq: dict                           # sender's per-class queuing estimates
     reverse_prr: dict                  # NodeId -> prr of link (that node -> sender)
-    one_hop: list                      # list[TwoHopEntry]
+    one_hop: dict                      # NodeId -> TwoHopEntry
 
     @property
     def size_bytes(self) -> int:
@@ -56,6 +56,9 @@ class NeighborRecord:
     dq: dict
     energy: float
     last_heard: float
+    # The one_hop dict of the neighbor's last HELLO, shared with every other
+    # receiver of that beacon. It may list the owner itself, which never
+    # forms a pair: see `favorable_pairs`.
     two_hop: dict = field(default_factory=dict)   # NodeId -> TwoHopEntry
 
 
@@ -101,16 +104,17 @@ class NeighborTable:
             rec = NeighborRecord(
                 neighbor=hello.sender, position=hello.position,
                 prr_xy=hello.reverse_prr.get(self.owner, 1.0),
-                dq=hello.dq, energy=hello.energy, last_heard=now)
+                dq=hello.dq, energy=hello.energy, last_heard=now,
+                two_hop=hello.one_hop)
             self.records[hello.sender] = rec
         else:
             rec.position = hello.position
             rec.dq = hello.dq
             rec.energy = hello.energy
             rec.last_heard = now
+            rec.two_hop = hello.one_hop
             if self.owner in hello.reverse_prr:
                 rec.prr_xy = hello.reverse_prr[self.owner]
-        rec.two_hop = {e.node: e for e in hello.one_hop if e.node != self.owner}
 
     def process_ack_info(self, sender: NodeId, position: Position, energy: float,
                          dq: dict, prr_xy: float | None, now: float) -> None:
@@ -142,33 +146,25 @@ class NeighborTable:
     def live_records(self, now: float):
         return [r for r in self.records.values() if now - r.last_heard <= self.expiry]
 
-    def one_hop_set(self, now: float) -> set:
-        return {r.neighbor for r in self.live_records(now)}
+    def favorable_one_hop(self, live, d_own: float, dest_pos: Position):
+        """F1: (record, its distance to the destination) for each of the
+        `live` records strictly closer to the destination than the owner,
+        which lies `d_own` from it."""
+        return [(r, d_y) for r in live
+                if d_own - (d_y := dist(r.position, dest_pos)) > 0]
 
-    def two_hop_set(self, now: float) -> set:
-        out = set()
-        for r in self.live_records(now):
-            out.update(r.two_hop.keys())
-        out.discard(self.owner)
-        return out
-
-    def favorable_one_hop(self, own_pos: Position, dest_pos: Position, now: float):
-        """Neighbors strictly closer to the destination than the owner."""
-        d_own = dist(own_pos, dest_pos)
-        return [r for r in self.live_records(now)
-                if d_own - dist(r.position, dest_pos) > 0]
-
-    def favorable_pairs(self, own_pos: Position, dest_pos: Position,
-                        cls: PacketClass, dq_x: float, delays, tx_cost, now: float):
-        """All (y, z) forwarder pairs with positive progress at both hops.
+    def favorable_pairs(self, f1, own_pos: Position, dest_pos: Position,
+                        d_own: float, cls: PacketClass, dq_x: float, delays,
+                        tx_cost):
+        """All (y, z) forwarder pairs with positive progress at both hops,
+        over F1 as `favorable_one_hop` returns it.
 
         `delays` supplies dt_for(neighbor); `tx_cost(distance)` prices the
-        first-hop transmission for the power score.
+        first-hop transmission for the power score. The owner, which y may
+        list, fails the second-hop test: its distance `d_own` exceeds y's.
         """
-        d_own = dist(own_pos, dest_pos)
         pairs = []
-        for rec in self.favorable_one_hop(own_pos, dest_pos, now):
-            d_y = dist(rec.position, dest_pos)
+        for rec, d_y in f1:
             dt_xy = delays.dt_for(rec.neighbor)
             cost_y = tx_cost(dist(own_pos, rec.position))
             dq_y = rec.dq.get(cls, 0.0)

@@ -29,7 +29,7 @@ from .queueing import QueueBank
 @dataclass(frozen=True)
 class RoutingProtocol:
     """All the kernel knows of a routing protocol; see `PROTOCOLS`."""
-    select: Callable       # Simulation method: (node, packet, dest_pos, f1) -> hop
+    select: Callable       # Simulation method, called by `Simulation._select`
     priority_queues: bool  # three priority queues with promotion, else one FIFO
     duplicates: bool       # honours duplicate_critical / duplicate_reliability
     expire_in_network: frozenset = frozenset()  # classes dropped once late
@@ -405,18 +405,12 @@ class Simulation:
             nid: _Node(nid, pos, nid in (PRIMARY_SINK, SECONDARY_SINK), cfg,
                        self._protocol.priority_queues)
             for nid, pos in sorted(self.positions.items())}
-        self.link_prob = {}
-        self.adjacency = {nid: [] for nid in self.nodes}
-        # nid -> [(peer, link_prob, propagation delay)] in adjacency order:
-        # what a beacon's fan-out reads, computed once per edge.
-        self._links = {nid: [] for nid in self.nodes}
+        # The hidden link truth, one entry per directed edge: nid -> {peer:
+        # (delivery probability, propagation delay)}, peers ascending.
         grid = _Grid(self.positions, cfg.tx_range)
-        for x in self.nodes:
-            for y, d in grid.in_range(x):
-                p = delivery_probability(d, cfg)
-                self.link_prob[(x, y)] = p
-                self.adjacency[x].append(y)
-                self._links[x].append((y, p, d / LIGHT_SPEED))
+        self.links = {x: {y: (delivery_probability(d, cfg), d / LIGHT_SPEED)
+                          for y, d in grid.in_range(x)}
+                      for x in self.nodes}
         self.metrics = MetricsLedger()
         self.metrics.lifetime_metric = cfg.lifetime_metric
         self.trace = trace                     # file-like or None
@@ -519,7 +513,7 @@ class Simulation:
         while frontier:
             nxt = []
             for x in frontier:
-                for y in self.adjacency[x]:
+                for y in self.links[x]:
                     if y in seen or not self.nodes[y].alive:
                         continue
                     if y in (PRIMARY_SINK, SECONDARY_SINK):
@@ -555,9 +549,6 @@ class Simulation:
         sender.seq_out[receiver] = seq
         return seq
 
-    def _prop(self, x: NodeId, y: NodeId) -> float:
-        return dist(self.positions[x], self.positions[y]) / LIGHT_SPEED
-
     # ---- HELLO dissemination ---------------------------------------------
 
     def _ev_hello(self, nid: NodeId):
@@ -573,7 +564,7 @@ class Simulation:
         sent = self.now + hello.size_bytes * 8 / cfg.bandwidth_bps
         draw = self.rng.random
         receive = self._ev_hello_rx
-        for peer, p, prop in self._links[nid]:
+        for peer, (p, prop) in self.links[nid].items():
             seq = self._next_seq(node, peer)
             if draw() < p:
                 self._schedule(sent + prop, receive, peer, nid, hello, seq)
@@ -585,9 +576,9 @@ class Simulation:
         references to its `dq` dict and its entries, so nothing may mutate
         them once built."""
         dt_for = node.delays.dt_for
-        one_hop = [TwoHopEntry(rec.neighbor, rec.position, dt_for(rec.neighbor),
-                               rec.prr_xy)
-                   for rec in node.table.live_records(self.now)]
+        one_hop = {rec.neighbor: TwoHopEntry(rec.neighbor, rec.position,
+                                             dt_for(rec.neighbor), rec.prr_xy)
+                   for rec in node.table.live_records(self.now)}
         return HelloMessage(
             sender=node.id, position=node.pos, energy=node.reported_energy,
             dq={cls: node.delays.dq_for(cls) for cls in _PACKET_CLASSES},
@@ -623,15 +614,13 @@ class Simulation:
         other = SECONDARY_SINK if nearest == PRIMARY_SINK else PRIMARY_SINK
         logical = self._next_logical_id
         self._next_logical_id += 1
-        first = self._make_packet(cls, nearest, logical, duplicate_of=None)
-        copies = [first]
+        copies = [self._make_packet(cls, nearest, logical)]
         duplicated = (self._protocol.duplicates
                       and ((cls is PacketClass.CRITICAL and cfg.duplicate_critical)
                            or (cls is PacketClass.RELIABILITY_RESPONSIVE
                                and cfg.duplicate_reliability)))
         if duplicated:
-            copies.append(self._make_packet(cls, other, logical,
-                                            duplicate_of=first.packet_id))
+            copies.append(self._make_packet(cls, other, logical))
             self.metrics.duplicates_generated += 1
         self.metrics.record_generated(logical, cls, self.now,
                                       [p.packet_id for p in copies])
@@ -653,15 +642,14 @@ class Simulation:
             return PacketClass.RELIABILITY_RESPONSIVE
         return PacketClass.REGULAR
 
-    def _make_packet(self, cls, sink, logical, duplicate_of) -> Packet:
+    def _make_packet(self, cls, sink, logical) -> Packet:
         pid = self._next_packet_id
         self._next_packet_id += 1
-        return Packet(packet_id=pid, cls=cls, source=SOURCE,
-                      destination_sink=sink, lag_time=self.cfg.deadline,
-                      deadline=self.cfg.deadline,
+        return Packet(packet_id=pid, cls=cls, destination_sink=sink,
+                      lag_time=self.cfg.deadline, deadline=self.cfg.deadline,
                       payload_size=self.cfg.payload_bytes,
-                      creation_time=self.now, duplicate_of=duplicate_of,
-                      logical_id=logical, received_time=self.now)
+                      creation_time=self.now, logical_id=logical,
+                      received_time=self.now)
 
     # ---- queueing --------------------------------------------------------
 
@@ -730,40 +718,42 @@ class Simulation:
         self._begin_attempt(node, state)
 
     def _select(self, node: _Node, packet: Packet) -> NodeId:
+        """One view of the neighborhood per decision: the live records, read
+        once, the owner's distance `d_own` to the destination, and F1, the
+        favorable records with their own distances, filtered once. The
+        protocol's select method and the fallbacks below all read it."""
         dest = packet.destination_sink
         dest_pos = self.positions[dest]
         live = node.table.live_records(self.now)
         if any(r.neighbor == dest for r in live):
             return dest
-        f1 = [(r.neighbor, dist(node.pos, dest_pos) - dist(r.position, dest_pos))
-              for r in node.table.favorable_one_hop(node.pos, dest_pos, self.now)]
-        return self._protocol.select(self, node, packet, dest_pos, f1)
+        d_own = dist(node.pos, dest_pos)
+        f1 = node.table.favorable_one_hop(live, d_own, dest_pos)
+        return self._protocol.select(self, node, packet, dest_pos, d_own, live, f1)
 
-    def _select_greedy_geo(self, node, packet, dest_pos, f1) -> NodeId:
-        return route_regular(f1)
+    def _select_greedy_geo(self, node, packet, dest_pos, d_own, live, f1) -> NodeId:
+        return route_regular(_progress(d_own, f1))
 
-    def _select_tdthr(self, node, packet, dest_pos, f1) -> NodeId:
+    def _select_tdthr(self, node, packet, dest_pos, d_own, live, f1) -> NodeId:
         if packet.recovery_anchor is not None:
-            if dist(node.pos, dest_pos) < packet.recovery_anchor:
+            if d_own < packet.recovery_anchor:
                 packet.recovery_anchor = None  # escaped the dead-end region
             else:
-                return self._detour(node, packet, dest_pos)
+                return self._detour(node, packet, dest_pos, d_own, live)
         cls = packet.cls
         if cls is PacketClass.REGULAR:
-            return self._route_or_detour(node, packet, f1, dest_pos)
+            return self._route_or_detour(node, packet, dest_pos, d_own, live, f1)
         pairs = node.table.favorable_pairs(
-            node.pos, dest_pos, cls, node.delays.dq_for(cls), node.delays,
-            self._tx_cost_j, self.now)
+            f1, node.pos, dest_pos, d_own, cls, node.delays.dq_for(cls),
+            node.delays, self._tx_cost_j)
         if cls is PacketClass.RELIABILITY_RESPONSIVE:
-            fallback = [(r.neighbor, r.prr_xy)
-                        for r in node.table.favorable_one_hop(node.pos, dest_pos,
-                                                              self.now)]
+            fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
             try:
                 return route_reliability(pairs, fallback)
             except VoidRegion:
-                return self._detour(node, packet, dest_pos)
+                return self._detour(node, packet, dest_pos, d_own, live)
         # critical / delay-responsive: velocity-filtered two-hop selection
-        v_req = required_velocity(dist(node.pos, dest_pos), packet.lag_time)
+        v_req = required_velocity(d_own, packet.lag_time)
         try:
             return select_next_hop(pairs, v_req, cls,
                                    self.cfg.critical_prr_scope).y
@@ -771,15 +761,15 @@ class Simulation:
             if pairs:
                 self._miss_velocity(packet)
                 return best_effort_pair(pairs).y
-            return self._route_or_detour(node, packet, f1, dest_pos)
+            return self._route_or_detour(node, packet, dest_pos, d_own, live, f1)
 
-    def _route_or_detour(self, node, packet, f1, dest_pos) -> NodeId:
+    def _route_or_detour(self, node, packet, dest_pos, d_own, live, f1) -> NodeId:
         try:
-            return route_regular(f1)
+            return route_regular(_progress(d_own, f1))
         except VoidRegion:
-            return self._detour(node, packet, dest_pos)
+            return self._detour(node, packet, dest_pos, d_own, live)
 
-    def _detour(self, node: _Node, packet: Packet, dest_pos) -> NodeId:
+    def _detour(self, node: _Node, packet: Packet, dest_pos, d_own, live) -> NodeId:
         """Local-minimum escape: no live neighbor offers positive progress, so
         hand the packet to the neighbor closest to the destination that it has
         not visited yet. The packet stays in recovery mode until it gets
@@ -787,23 +777,23 @@ class Simulation:
         hop trace breaks routing loops and the deadline bounds the
         excursion."""
         if packet.recovery_anchor is None:
-            packet.recovery_anchor = dist(node.pos, dest_pos)
+            packet.recovery_anchor = d_own
         visited = {nid for nid, _ in packet.hop_trace}
         visited.add(node.id)
         candidates = [(dist(r.position, dest_pos), r.neighbor)
-                      for r in node.table.live_records(self.now)
-                      if r.neighbor not in visited]
+                      for r in live if r.neighbor not in visited]
         if not candidates:
             raise VoidRegion("no unvisited neighbor for detour")
         return min(candidates)[1]
 
-    def _select_one_hop_velocity(self, node, packet, dest_pos, f1) -> NodeId:
+    def _select_one_hop_velocity(self, node, packet, dest_pos, d_own, live,
+                                 f1) -> NodeId:
         if not f1:
             raise VoidRegion("no favorable one-hop forwarder")
         speeds = [(nid, progress / node.delays.dt_for(nid))
-                  for nid, progress in f1]
+                  for nid, progress in _progress(d_own, f1)]
         if packet.lag_time > 0:
-            v_req = required_velocity(dist(node.pos, dest_pos), packet.lag_time)
+            v_req = required_velocity(d_own, packet.lag_time)
             qualifying = [s for s in speeds if s[1] >= v_req]
         else:
             qualifying = []
@@ -835,14 +825,14 @@ class Simulation:
         self.metrics.data_attempts += 1
         seq = self._next_seq(node, peer)
         backoff = self.rng.uniform(0.0, cfg.backoff_window)
-        arrival = self.now + backoff + self._payload_ser + self._prop(node.id, peer)
-        delivered = self.rng.random() < self.link_prob[(node.id, peer)]
+        p, prop = self.links[node.id][peer]
+        arrival = self.now + backoff + self._payload_ser + prop
+        delivered = self.rng.random() < p
         self._log(node.id, "tx_attempt", packet.packet_id,
                   f"to={peer} n={state.attempts} seq={seq}")
         if delivered:
             self._schedule(arrival, self._ev_data_rx, peer, node.id, state, seq)
-        timeout = (arrival + self._ack_ser + self._prop(node.id, peer)
-                   + cfg.ack_timeout_guard)
+        timeout = arrival + self._ack_ser + prop + cfg.ack_timeout_guard
         self._schedule(timeout, self._ev_ack_timeout, node.id, state)
 
     def _ev_data_rx(self, receiver_id: NodeId, sender_id: NodeId,
@@ -861,8 +851,9 @@ class Simulation:
             receiver.seen_packets.add(packet.packet_id)
             self._log(receiver_id, "data_rx", packet.packet_id, f"from={sender_id}")
         # ACK back (control-plane energy, idle rate), subject to reverse loss
-        if self.rng.random() < self.link_prob[(receiver_id, sender_id)]:
-            ack_t = self.now + self._ack_ser + self._prop(receiver_id, sender_id)
+        p, prop = self.links[receiver_id][sender_id]
+        if self.rng.random() < p:
+            ack_t = self.now + self._ack_ser + prop
             self._schedule(ack_t, self._ev_ack_rx, sender_id, receiver_id, state)
         if not receiver.is_sink:
             self._charge(receiver, receiver.energy.cost_idle_nj)
@@ -874,7 +865,6 @@ class Simulation:
             self._log(receiver_id, "delivered", packet.packet_id,
                       f"class={packet.cls.value}")
             return
-        packet.hop_count += 1
         packet.received_time = self.now
         packet.hop_trace.append((receiver_id, self.now))
         self._accept_packet(receiver, packet)
@@ -959,6 +949,11 @@ PROTOCOLS = {
     "greedy_geo": RoutingProtocol(
         Simulation._select_greedy_geo, priority_queues=False, duplicates=False),
 }
+
+
+def _progress(d_own: float, f1) -> list:
+    """(neighbor, progress toward the destination) for each F1 entry."""
+    return [(r.neighbor, d_own - d_y) for r, d_y in f1]
 
 
 def run(cfg: SimConfig, trace=None) -> MetricsLedger:

@@ -88,12 +88,13 @@ def build_tables(positions: dict, tx_range: float,
     tables = {x: NeighborTable(x, expiry) for x in positions}
     for rnd, now in ((1, 0.0), (2, 1.0)):
         for sender in positions:
-            one_hop = []
+            one_hop = {}
             if rnd == 2:
-                one_hop = [
-                    TwoHopEntry(node=rec.neighbor, position=rec.position,
-                                dt_yz=dt_yz, prr_yz=rec.prr_xy)
-                    for rec in tables[sender].live_records(now)]
+                one_hop = {
+                    rec.neighbor: TwoHopEntry(node=rec.neighbor,
+                                              position=rec.position,
+                                              dt_yz=dt_yz, prr_yz=rec.prr_xy)
+                    for rec in tables[sender].live_records(now)}
             hello = HelloMessage(
                 sender=sender, position=positions[sender], energy=energy,
                 dq=dict(dq),
@@ -102,6 +103,37 @@ def build_tables(positions: dict, tx_range: float,
             for receiver in n1[sender]:
                 tables[receiver].process_hello(hello, now)
     return tables
+
+
+# ---- what a table shows, read the way the engine reads it -----------------
+
+def one_hop_set(table: NeighborTable, now: float) -> set:
+    return {r.neighbor for r in table.live_records(now)}
+
+
+def two_hop_set(table: NeighborTable, now: float) -> set:
+    out = set()
+    for r in table.live_records(now):
+        out.update(r.two_hop)
+    out.discard(table.owner)
+    return out
+
+
+def favorable_one_hop(table: NeighborTable, own_pos: Position,
+                      dest: Position, now: float) -> list:
+    """F1 as `Simulation._select` derives it: one read of the table, one
+    filter."""
+    return table.favorable_one_hop(table.live_records(now),
+                                   dist(own_pos, dest), dest)
+
+
+def favorable_pairs(table: NeighborTable, own_pos: Position, dest: Position,
+                    cls: PacketClass, dq_x: float, delays, tx_cost,
+                    now: float) -> list:
+    """The forwarder pairs over that F1."""
+    return table.favorable_pairs(favorable_one_hop(table, own_pos, dest, now),
+                                 own_pos, dest, dist(own_pos, dest), cls, dq_x,
+                                 delays, tx_cost)
 
 
 def brute_favorable_one_hop(positions, n1, x, dest: Position) -> set:
@@ -194,11 +226,11 @@ def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0):
     table.process_hello(HelloMessage(
         sender=2, position=Position(30.0, 0.0), energy=2.0, dq={cls: dq_y},
         reverse_prr={1: 0.9},
-        one_hop=[TwoHopEntry(node=3, position=Position(60.0, 0.0),
-                             dt_yz=dt_yz, prr_yz=0.9)]), 0.0)
-    return table.favorable_pairs(Position(0.0, 0.0), Position(200.0, 0.0), cls,
-                                 dq_x, DelayEstimator(dt_prior=dt_xy),
-                                 lambda d: 1.0, 0.0)
+        one_hop={3: TwoHopEntry(node=3, position=Position(60.0, 0.0),
+                                dt_yz=dt_yz, prr_yz=0.9)}), 0.0)
+    return favorable_pairs(table, Position(0.0, 0.0), Position(200.0, 0.0), cls,
+                           dq_x, DelayEstimator(dt_prior=dt_xy), lambda d: 1.0,
+                           0.0)
 
 
 def delay_estimator_with(dt: float, gamma: float = 0.5) -> DelayEstimator:

@@ -20,8 +20,9 @@ from tdthr.simkernel import SimConfig, Simulation
 
 from helpers import (brute_favorable_one_hop, brute_favorable_pairs,
                      brute_select, build_tables, desk_config,
-                     geometric_one_hop, line_pairs, random_pair_snapshot,
-                     random_positions)
+                     favorable_one_hop, favorable_pairs, geometric_one_hop,
+                     line_pairs, one_hop_set, random_pair_snapshot,
+                     random_positions, two_hop_set)
 from test_queueing import exercise_randomized_sequences
 
 SEEDS = list(range(1, 11))
@@ -123,13 +124,13 @@ def test_03_neighborhood_oracle():
             nodes += 1
             expected_two = set().union(*(n1[y] for y in n1[x])) - {x} \
                 if n1[x] else set()
-            favorable = {r.neighbor for r in
-                         tables[x].favorable_one_hop(positions[x], dest, 1.0)}
-            pairs = tables[x].favorable_pairs(
-                positions[x], dest, PacketClass.CRITICAL, 0.002, est,
+            favorable = {r.neighbor for r, _ in
+                         favorable_one_hop(tables[x], positions[x], dest, 1.0)}
+            pairs = favorable_pairs(
+                tables[x], positions[x], dest, PacketClass.CRITICAL, 0.002, est,
                 lambda d: 0.0522 * (d / tx_range) ** 2, 1.0)
-            if not (tables[x].one_hop_set(1.0) == n1[x]
-                    and tables[x].two_hop_set(1.0) == expected_two
+            if not (one_hop_set(tables[x], 1.0) == n1[x]
+                    and two_hop_set(tables[x], 1.0) == expected_two
                     and favorable == brute_favorable_one_hop(positions, n1,
                                                              x, dest)
                     and {(p.y, p.z) for p in pairs}

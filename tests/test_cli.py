@@ -66,6 +66,34 @@ def test_validate_rejects_missing_and_malformed_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["- just\n- a\n- list\n",
+                                  "warp: {factor: 9}\n",
+                                  "network: [1, 2]\n"],
+                         ids=["list_root", "unknown_section", "list_section"])
+def test_load_errors_name_the_file_once(tmp_path, capsys, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    for argv in (["validate", "--config", str(bad)],
+                 ["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]):
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.count(str(bad)) == 1
+    # a sweep over that file as its base config names the base file once
+    spec = tmp_path / "sp.yaml"
+    spec.write_text(yaml.safe_dump({"base_config": "bad.yaml",
+                                    "parameter": "critical_rate",
+                                    "values": [0.5]}))
+    assert main(["sweep", "--spec", str(spec),
+                 "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.count(str(bad)) == 1
+    # and an error in the spec itself names the spec once
+    spec.write_text(yaml.safe_dump({"base_config": "bad.yaml",
+                                    "parameter": "critical_rate"}))
+    assert main(["sweep", "--spec", str(spec),
+                 "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count(str(spec)) == 1 and "missing 'values'" in err
+
+
 # ---- run -----------------------------------------------------------------
 
 def test_run_writes_csv_and_respects_seed_flag(tmp_path):

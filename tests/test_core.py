@@ -81,7 +81,7 @@ def test_queue_priority_order():
 
 
 def _packet(**kw):
-    base = dict(packet_id=1, cls=PacketClass.REGULAR, source=2,
+    base = dict(packet_id=1, cls=PacketClass.REGULAR,
                 destination_sink=0, lag_time=0.3, deadline=0.3,
                 payload_size=150, creation_time=0.0)
     base.update(kw)

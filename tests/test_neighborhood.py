@@ -10,7 +10,9 @@ from tdthr.neighborhood import (HELLO_HEADER_BYTES, HELLO_NEIGHBOR_ENTRY_BYTES,
                                 NeighborTable, TwoHopEntry)
 
 from helpers import (brute_favorable_one_hop, brute_favorable_pairs,
-                     build_tables, geometric_one_hop, random_positions)
+                     build_tables, favorable_one_hop, favorable_pairs,
+                     geometric_one_hop, one_hop_set, random_positions,
+                     two_hop_set)
 
 TX_RANGE = 60.0
 
@@ -19,7 +21,7 @@ def _hello(sender, position, energy=2.0, one_hop=(), reverse_prr=None):
     return HelloMessage(sender=sender, position=position, energy=energy,
                         dq={cls: 0.0 for cls in PacketClass},
                         reverse_prr=reverse_prr or {},
-                        one_hop=list(one_hop))
+                        one_hop={e.node: e for e in one_hop})
 
 
 # ---- beacon processing ---------------------------------------------------
@@ -46,11 +48,21 @@ def test_repeat_hello_refreshes_fields():
 
 
 def test_two_hop_entries_exclude_owner():
+    # the record keeps the beacon's dict itself, owner included; the owner
+    # never becomes a second hop, being farther from the destination than
+    # any favorable first hop
     table = NeighborTable(owner=1, expiry=12.5)
-    entries = [TwoHopEntry(node=n, position=Position(n, 0), dt_yz=0.005,
-                           prr_yz=0.9) for n in (1, 3, 4)]
-    table.process_hello(_hello(2, Position(10, 0), one_hop=entries), 0.0)
-    assert set(table.records[2].two_hop) == {3, 4}
+    own_pos, dest = Position(0, 0), Position(200, 0)
+    entries = [TwoHopEntry(node=1, position=own_pos, dt_yz=0.005, prr_yz=0.9)]
+    entries += [TwoHopEntry(node=n, position=Position(10 * n, 0), dt_yz=0.005,
+                            prr_yz=0.9) for n in (3, 4)]
+    for now, one_hop in ((0.0, entries[1:]), (1.0, entries)):
+        hello = _hello(2, Position(10, 0), one_hop=one_hop)
+        table.process_hello(hello, now)
+        assert table.records[2].two_hop is hello.one_hop
+    pairs = favorable_pairs(table, own_pos, dest, PacketClass.CRITICAL, 0.0,
+                            DelayEstimator(dt_prior=0.005), lambda d: 0.01, 1.0)
+    assert [(p.y, p.z) for p in pairs] == [(2, 3), (2, 4)]
 
 
 def test_malformed_hello_counted_not_raised():
@@ -64,8 +76,8 @@ def test_malformed_hello_counted_not_raised():
 def test_silent_neighbor_is_evicted():
     table = NeighborTable(owner=1, expiry=12.5)
     table.process_hello(_hello(2, Position(10, 0)), 0.0)
-    assert table.one_hop_set(12.5) == {2}
-    assert table.one_hop_set(12.6) == set()
+    assert one_hop_set(table, 12.5) == {2}
+    assert one_hop_set(table, 12.6) == set()
     table.evict_stale(12.6)
     assert table.records == {}
 
@@ -95,23 +107,23 @@ def test_hello_wire_size():
 def test_line_topology_two_hop():
     positions = {0: Position(0, 0), 1: Position(50, 0), 2: Position(100, 0)}
     tables = build_tables(positions, TX_RANGE)
-    assert tables[0].one_hop_set(1.0) == {1}
-    assert tables[0].two_hop_set(1.0) == {2}
+    assert one_hop_set(tables[0], 1.0) == {1}
+    assert two_hop_set(tables[0], 1.0) == {2}
 
 
 def test_triangle_two_hop_includes_direct_neighbors():
     positions = {0: Position(0, 0), 1: Position(40, 0), 2: Position(20, 30)}
     tables = build_tables(positions, TX_RANGE)
-    assert tables[0].one_hop_set(1.0) == {1, 2}
+    assert one_hop_set(tables[0], 1.0) == {1, 2}
     # a node two hops away may also be one hop away; the sets overlap
-    assert tables[0].two_hop_set(1.0) == {1, 2}
+    assert two_hop_set(tables[0], 1.0) == {1, 2}
 
 
 def test_isolated_node_has_empty_sets():
     positions = {0: Position(0, 0), 1: Position(500, 500), 2: Position(510, 500)}
     tables = build_tables(positions, TX_RANGE)
-    assert tables[0].one_hop_set(1.0) == set()
-    assert tables[0].two_hop_set(1.0) == set()
+    assert one_hop_set(tables[0], 1.0) == set()
+    assert two_hop_set(tables[0], 1.0) == set()
 
 
 def test_destination_as_second_hop_is_ordinary():
@@ -119,9 +131,8 @@ def test_destination_as_second_hop_is_ordinary():
     positions = {0: Position(0, 0), 1: Position(50, 0), 2: Position(100, 0)}
     tables = build_tables(positions, TX_RANGE)
     est = DelayEstimator(dt_prior=0.005)
-    pairs = tables[0].favorable_pairs(positions[0], positions[2],
-                                      PacketClass.CRITICAL, 0.0, est,
-                                      lambda d: 0.01, 1.0)
+    pairs = favorable_pairs(tables[0], positions[0], positions[2],
+                            PacketClass.CRITICAL, 0.0, est, lambda d: 0.01, 1.0)
     assert [(p.y, p.z) for p in pairs] == [(1, 2)]
     assert pairs[0].progress == 100.0
 
@@ -130,7 +141,7 @@ def test_all_neighbors_behind_gives_empty_favorable_set():
     positions = {0: Position(0, 0), 1: Position(30, 0), 2: Position(40, 10)}
     tables = build_tables(positions, TX_RANGE)
     dest = Position(-200, 0)  # destination behind the owner
-    assert tables[0].favorable_one_hop(positions[0], dest, 1.0) == []
+    assert favorable_one_hop(tables[0], positions[0], dest, 1.0) == []
 
 
 # ---- brute-force oracle over random topologies ---------------------------
@@ -150,16 +161,15 @@ def _oracle_check(n_topologies: int, seed_base: int):
         dest = Position(rng.uniform(0, 250), rng.uniform(0, 250))
         est = DelayEstimator(dt_prior=0.005)
         for x in positions:
-            assert tables[x].one_hop_set(1.0) == n1[x]
+            assert one_hop_set(tables[x], 1.0) == n1[x]
             expected_two_hop = set().union(*(n1[y] for y in n1[x])) - {x} \
                 if n1[x] else set()
-            assert tables[x].two_hop_set(1.0) == expected_two_hop
-            favorable = {r.neighbor
-                         for r in tables[x].favorable_one_hop(positions[x],
-                                                              dest, 1.0)}
+            assert two_hop_set(tables[x], 1.0) == expected_two_hop
+            favorable = {r.neighbor for r, _ in
+                         favorable_one_hop(tables[x], positions[x], dest, 1.0)}
             assert favorable == brute_favorable_one_hop(positions, n1, x, dest)
-            pairs = tables[x].favorable_pairs(
-                positions[x], dest, PacketClass.CRITICAL, 0.002, est,
+            pairs = favorable_pairs(
+                tables[x], positions[x], dest, PacketClass.CRITICAL, 0.002, est,
                 lambda d: 0.0522 * (d / TX_RANGE) ** 2, 1.0)
             assert ({(p.y, p.z) for p in pairs}
                     == brute_favorable_pairs(positions, n1, x, dest))

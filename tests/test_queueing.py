@@ -11,7 +11,7 @@ CLASSES = (PacketClass.CRITICAL, PacketClass.DELAY_RESPONSIVE,
 
 
 def _packet(pid, cls, now=0.0):
-    return Packet(packet_id=pid, cls=cls, source=2, destination_sink=0,
+    return Packet(packet_id=pid, cls=cls, destination_sink=0,
                   lag_time=0.3, deadline=0.3, payload_size=150,
                   creation_time=now)
 

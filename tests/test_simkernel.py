@@ -11,7 +11,7 @@ import yaml
 
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash
-from tdthr.core import PacketClass, Position, dist
+from tdthr.core import LIGHT_SPEED, PacketClass, Position, dist
 from tdthr.neighborhood import NeighborTable
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, delivery_probability,
@@ -183,28 +183,25 @@ def test_connected_agrees_with_bfs_on_accepted_and_rejected_placements():
 # ---- adjacency and link truth against all pairs ---------------------------
 
 def _all_pairs(positions, cfg):
-    """Adjacency and link probabilities from a plain double loop."""
-    adjacency, link_prob = {}, {}
+    """Adjacency, link probabilities and propagation delays from a plain
+    double loop, as (x, [(y, (link_prob, delay))]) in id order."""
+    links = []
     for x in sorted(positions):
-        adjacency[x] = []
+        peers = []
         for y in sorted(positions):
             if x != y:
                 d = dist(positions[x], positions[y])
                 if d <= cfg.tx_range:
-                    adjacency[x].append(y)
-                    link_prob[(x, y)] = delivery_probability(d, cfg)
-    return adjacency, link_prob
+                    peers.append((y, (delivery_probability(d, cfg),
+                                      d / LIGHT_SPEED)))
+        links.append((x, peers))
+    return links
 
 
 def _assert_matches_all_pairs(sim):
-    adjacency, link_prob = _all_pairs(sim.positions, sim.cfg)
-    assert sim.adjacency == adjacency
-    assert list(sim.link_prob.items()) == list(link_prob.items())
-    # the per-edge table a beacon's fan-out reads: same edges in the same
-    # order, same probabilities, same propagation delays
-    assert sim._links == {
-        x: [(y, link_prob[(x, y)], sim._prop(x, y)) for y in ys]
-        for x, ys in adjacency.items()}
+    # same edges in the same order, same probabilities, same delays
+    assert ([(x, list(peers.items())) for x, peers in sim.links.items()]
+            == _all_pairs(sim.positions, sim.cfg))
 
 
 def _default_config():
@@ -249,7 +246,7 @@ def test_adjacency_matches_all_pairs_on_cell_boundaries(monkeypatch, tx_range):
     sim = Simulation(_field_config(len(positions), side, tx_range))
     _assert_matches_all_pairs(sim)
     if tx_range == 100.0:   # the three distances are exact in binary
-        assert {3, 4, 5} <= set(sim.adjacency[PRIMARY_SINK])
+        assert {3, 4, 5} <= set(sim.links[PRIMARY_SINK])
 
 
 def test_adjacency_matches_all_pairs_on_the_shipped_full_scale_field():
@@ -348,6 +345,27 @@ def test_behaviour_fingerprint(protocol):
                           cfg.critical_rate, cfg.duration)
     trace_sha = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert (trace_sha, row) == _FINGERPRINTS[protocol]
+
+
+@pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
+def test_one_decision_reads_the_table_once(monkeypatch, protocol):
+    # each forwarding decision and each beacon reads its node's table once
+    calls = {"live_records": 0, "_select": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(NeighborTable, "live_records")
+    counted(Simulation, "_select")
+    sim = Simulation(_congested_config(protocol))
+    sim.run()
+    assert calls["_select"] > 100
+    assert calls["live_records"] == calls["_select"] + sim.metrics.hello_sent
 
 
 def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
@@ -461,10 +479,11 @@ def test_full_scale_default_config_builds_and_runs(seed):
     cfg.duration = 6.0            # one HELLO round
     cfg.energy_initial = 1000.0   # so no node dies
     sim = Simulation(cfg)
-    edges = {(x, y) for x, ys in sim.adjacency.items() for y in ys}
-    assert edges == {(y, x) for x, y in edges}
-    assert set(sim.link_prob) == edges
-    assert all(cfg.min_delivery_prob <= p <= 1 for p in sim.link_prob.values())
+    edges = {(x, y): link for x, peers in sim.links.items()
+             for y, link in peers.items()}
+    assert set(edges) == {(y, x) for x, y in edges}
+    assert all(cfg.min_delivery_prob <= p <= 1 for p, _ in edges.values())
+    assert all(edges[(x, y)] == edges[(y, x)] for x, y in edges)
     ledger = sim.run()
     assert ledger.first_death_time is None
     assert ledger.accounting_closed()
