@@ -1,6 +1,7 @@
 """Traffic-differentiated two-hop QoS routing for wireless sensor networks,
 with a deterministic discrete-event simulator and baseline protocols."""
 
+from .config import SimConfig
 from .core import NodeId, Packet, PacketClass, Position, dist, tx_power_cost
 from .estimators import DelayEstimator, PrrEstimator
 from .forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
@@ -8,7 +9,7 @@ from .forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
 from .metrics import MetricsLedger
 from .neighborhood import ForwarderPair, HelloMessage, NeighborTable
 from .queueing import QueueBank
-from .simkernel import SimConfig, Simulation, generate_topology, run
+from .simkernel import Simulation, generate_topology, run
 
 __all__ = [
     "NodeId", "Packet", "PacketClass", "Position", "dist", "tx_power_cost",

@@ -18,7 +18,8 @@ from pathlib import Path
 import yaml
 
 from . import metrics as metrics_mod
-from .simkernel import SimConfig, Simulation
+from .config import SimConfig
+from .simkernel import Simulation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

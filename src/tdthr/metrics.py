@@ -34,7 +34,6 @@ class MetricsLedger:
         self.missed_velocity = 0
         self.duplicates_generated = 0
         self.hello_sent = 0
-        self.data_attempts = 0
         # logical_id -> set of outstanding copy packet_ids
         self._outstanding: dict[int, set] = {}
         self._meta: dict[int, tuple] = {}      # logical_id -> (class, creation)
@@ -108,10 +107,6 @@ class MetricsLedger:
         ordered = sorted(c.delays)
         idx = min(len(ordered) - 1, int(0.95 * len(ordered)))
         return ordered[idx]
-
-    def max_delay(self, cls: PacketClass):
-        c = self.per_class[cls]
-        return max(c.delays) if c.delays else None
 
     @property
     def total_energy_j(self) -> float:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
+from .config import PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig
 from .core import (LIGHT_SPEED, EnergyBudget, NodeId, Packet, PacketClass,
                    Position, dist, tx_power_cost)
 from .estimators import DelayEstimator, PrrEstimator
@@ -38,226 +39,7 @@ class RoutingProtocol:
 # Iterating a tuple is cheaper than iterating the Enum class.
 _PACKET_CLASSES = tuple(PacketClass)
 
-PRIMARY_SINK: NodeId = 0
-SECONDARY_SINK: NodeId = 1
-SOURCE: NodeId = 2
-
 _TOPOLOGY_RETRIES = 50
-
-
-@dataclass
-class SimConfig:
-    # network
-    node_count: int = 900
-    field_width: float = 1800.0
-    field_height: float = 1800.0
-    node_density: float = 0.00027
-    sink_inset: float = 0.0
-    tx_range: float = 100.0
-    # traffic
-    rate_bytes_per_s: float = 1000.0
-    payload_bytes: int = 150
-    traffic_start: float = 0.0
-    critical_rate: float = 0.0
-    delay_responsive_rate: float = 0.0
-    reliability_responsive_rate: float = 0.0
-    deadline: float = 0.3
-    # energy (joules, Table-like per-event constants)
-    energy_initial: float = 2.0
-    energy_tx: float = 0.0522
-    energy_rx: float = 0.0591
-    energy_sleep: float = 0.00006    # validated, pinned by test 9, never charged
-    energy_idle: float = 0.000003
-    path_loss_alpha: float = 2.0
-    # estimators
-    prr_window: int = 30
-    prr_beta: float = 0.6
-    delay_gamma: float = 0.5
-    # protocol
-    protocol: str = "tdthr"
-    hello_period: float = 5.0
-    neighbor_expiry_factor: float = 2.5
-    critical_prr_scope: str = "two_hop"
-    duplicate_critical: bool = True
-    duplicate_reliability: bool = True
-    promotion_floor: float = 0.010
-    promotion_fraction: float = 0.5
-    queue_capacity: int = 64
-    # mac / channel
-    bandwidth_bps: float = 250000.0
-    backoff_window: float = 0.008
-    max_retries: int = 3
-    ack_bytes: int = 12
-    ack_timeout_guard: float = 0.001
-    loss_exponent: float = 4.0
-    min_delivery_prob: float = 0.1
-    # run
-    duration: float = 120.0
-    rng_seed: int = 1
-    audit_period: float = 1.0
-    stop_when_partitioned: bool = True
-    stop_at_first_death: bool = False
-    stop_energy_fraction: float = 0.0
-    lifetime_metric: str = "first_death"
-    drain_window: float = 0.5
-
-    _SECTIONS = {
-        "network": ("node_count", "field_width", "field_height", "node_density",
-                    "sink_inset",
-                    "tx_range"),
-        "traffic": ("rate_bytes_per_s", "payload_bytes", "traffic_start",
-                    "critical_rate", "delay_responsive_rate",
-                    "reliability_responsive_rate", "deadline"),
-        "energy": ("energy_initial", "energy_tx", "energy_rx", "energy_sleep",
-                   "energy_idle", "path_loss_alpha"),
-        "estimators": ("prr_window", "prr_beta", "delay_gamma"),
-        "protocol": ("protocol", "hello_period", "neighbor_expiry_factor",
-                     "critical_prr_scope", "duplicate_critical",
-                     "duplicate_reliability", "promotion_floor",
-                     "promotion_fraction", "queue_capacity"),
-        "mac": ("bandwidth_bps", "backoff_window", "max_retries", "ack_bytes",
-                "ack_timeout_guard", "loss_exponent", "min_delivery_prob"),
-        "run": ("duration", "rng_seed", "audit_period", "stop_when_partitioned",
-                "stop_at_first_death", "stop_energy_fraction", "drain_window",
-                "lifetime_metric"),
-    }
-
-    @staticmethod
-    def _attr_name(section: str, key: str) -> str:
-        # YAML uses short names inside the energy section (energy.tx etc.)
-        if section == "energy" and key != "path_loss_alpha":
-            return f"energy_{key}"
-        return key
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        kwargs = {}
-        for section, entries in data.items():
-            if section not in cls._SECTIONS:
-                raise ValueError(f"unknown config section {section!r}")
-            if not isinstance(entries, dict):
-                raise ValueError(f"config section {section!r} must be a mapping")
-            for key, value in entries.items():
-                attr = cls._attr_name(section, key)
-                if attr not in cls._SECTIONS[section]:
-                    raise ValueError(f"unknown config field {section}.{key}")
-                kwargs[attr] = value
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        out = {}
-        for section, names in self._SECTIONS.items():
-            sec = {}
-            for name in names:
-                key = name[len("energy_"):] if name.startswith("energy_") else name
-                sec[key] = getattr(self, name)
-            out[section] = sec
-        return out
-
-    def validate(self) -> list[str]:
-        # Types first, since the range checks below assume them. A bool is
-        # not an int, and an int is accepted where a float is expected.
-        section_of = {n: s for s, names in self._SECTIONS.items() for n in names}
-        errors = []
-        for f in fields(self):
-            value, want = getattr(self, f.name), type(f.default)
-            accepted = (int, float) if want is float else want
-            if (isinstance(value, bool) != (want is bool)
-                    or not isinstance(value, accepted)):
-                errors.append(f"{section_of[f.name]}.{f.name} must be "
-                              f"{want.__name__}, got {value!r}")
-        if errors:
-            return errors
-
-        def check(cond, msg):
-            if not cond:
-                errors.append(msg)
-
-        check(self.node_count >= 4, "network.node_count: need at least 4 nodes "
-              "(two sinks, a source, a relay)")
-        check(self.field_width > 0 and self.field_height > 0,
-              "network.field dimensions must be positive")
-        check(self.tx_range > 0, "network.tx_range must be positive")
-        expected = self.node_count / (self.field_width * self.field_height)
-        check(abs(expected - self.node_density) <= 0.2 * max(expected, 1e-12),
-              f"network.node_density {self.node_density} inconsistent with "
-              f"count/area ({expected:.6g}) by more than 20%")
-        check(self.rate_bytes_per_s > 0, "traffic.rate_bytes_per_s must be positive")
-        check(self.payload_bytes > 0, "traffic.payload_bytes must be positive")
-        check(self.traffic_start >= 0, "traffic.traffic_start must be >= 0")
-        for name in ("critical_rate", "delay_responsive_rate",
-                     "reliability_responsive_rate"):
-            v = getattr(self, name)
-            check(0.0 <= v <= 1.0, f"traffic.{name} must lie in [0, 1], got {v}")
-        mix = (self.critical_rate + self.delay_responsive_rate
-               + self.reliability_responsive_rate)
-        check(mix <= 1.0 + 1e-9, f"traffic class rates sum to {mix:.6g} > 1")
-        check(self.deadline > 0, "traffic.deadline must be positive")
-        for name in ("energy_initial", "energy_tx", "energy_rx", "energy_sleep",
-                     "energy_idle"):
-            check(getattr(self, name) > 0, f"energy.{name} must be positive")
-        check(self.path_loss_alpha >= 2, "energy.path_loss_alpha must be >= 2")
-        check(self.prr_window >= 1, "estimators.prr_window must be >= 1")
-        check(0.0 <= self.prr_beta <= 1.0, "estimators.prr_beta must lie in [0, 1]")
-        check(0.0 <= self.delay_gamma <= 1.0,
-              "estimators.delay_gamma must lie in [0, 1]")
-        check(self.protocol in PROTOCOLS,
-              f"protocol.protocol must be one of {tuple(PROTOCOLS)}")
-        check(self.hello_period > 0, "protocol.hello_period must be positive")
-        check(self.neighbor_expiry_factor > 1,
-              "protocol.neighbor_expiry_factor must exceed 1")
-        check(self.critical_prr_scope in ("one_hop", "two_hop"),
-              "protocol.critical_prr_scope must be one_hop or two_hop")
-        check(self.promotion_floor > 0, "protocol.promotion_floor must be positive")
-        check(0 < self.promotion_fraction <= 1,
-              "protocol.promotion_fraction must lie in (0, 1]")
-        check(self.queue_capacity >= 1, "protocol.queue_capacity must be >= 1")
-        check(self.bandwidth_bps > 0, "mac.bandwidth_bps must be positive")
-        check(self.backoff_window >= 0, "mac.backoff_window must be >= 0")
-        check(self.max_retries >= 0, "mac.max_retries must be >= 0")
-        check(self.ack_bytes > 0, "mac.ack_bytes must be positive")
-        check(self.loss_exponent > 0, "mac.loss_exponent must be positive")
-        check(0 < self.min_delivery_prob <= 1,
-              "mac.min_delivery_prob must lie in (0, 1]")
-        check(self.duration >= 0, "run.duration must be >= 0")
-        check(self.drain_window >= 0, "run.drain_window must be >= 0")
-        check(0 <= self.stop_energy_fraction < 1,
-              "run.stop_energy_fraction must lie in [0, 1)")
-        check(self.lifetime_metric in ("first_death", "partition"),
-              "run.lifetime_metric must be first_death or partition")
-        check(self.audit_period > 0, "run.audit_period must be positive")
-        check(0 <= self.sink_inset < min(self.field_width, self.field_height) / 2,
-              "network.sink_inset must be >= 0 and less than half the shorter "
-              "field side")
-        # sinks live on the field diagonal (corners by default); source at center
-        sinks = self.sink_positions
-        for name, pos in (("primary sink", (sinks[PRIMARY_SINK].x,
-                                            sinks[PRIMARY_SINK].y)),
-                          ("secondary sink", (sinks[SECONDARY_SINK].x,
-                                              sinks[SECONDARY_SINK].y)),
-                          ("source", (self.field_width / 2, self.field_height / 2))):
-            ok = 0 <= pos[0] <= self.field_width and 0 <= pos[1] <= self.field_height
-            check(ok, f"{name} position {pos} lies outside the field")
-        return errors
-
-    @property
-    def sink_positions(self) -> dict:
-        inset = self.sink_inset
-        return {PRIMARY_SINK: Position(inset, inset),
-                SECONDARY_SINK: Position(self.field_width - inset,
-                                         self.field_height - inset)}
-
-    @property
-    def source_position(self) -> Position:
-        return Position(self.field_width / 2, self.field_height / 2)
-
-    @property
-    def neighbor_expiry(self) -> float:
-        return self.neighbor_expiry_factor * self.hello_period
-
-    @property
-    def cbr_interval(self) -> float:
-        return self.payload_bytes / self.rate_bytes_per_s
 
 
 def delivery_probability(d: float, cfg: SimConfig) -> float:
@@ -822,7 +604,6 @@ class Simulation:
                 return
             self._charge(node, cost)
         state.attempts += 1
-        self.metrics.data_attempts += 1
         seq = self._next_seq(node, peer)
         backoff = self.rng.uniform(0.0, cfg.backoff_window)
         p, prop = self.links[node.id][peer]

@@ -39,22 +39,61 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
     assert "prr_beta" in capsys.readouterr().err
 
 
+def _assert_rejected(tmp_path, capsys, section, key, value, message,
+                     commands=("validate", "run")):
+    """`section.key: value` on a fast config exits 1 with `message`, no
+    traceback and no CSV."""
+    data = _fast_cfg().to_dict()
+    data[section][key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(data))
+    argvs = {"validate": ["validate", "--config", str(path)],
+             "run": ["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]}
+    for command in commands:
+        assert main(argvs[command]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("network", "node_count", "100"),
     ("mac", "max_retries", 2.5),
     ("protocol", "duplicate_critical", "no"),
+    ("energy", "tx", "x"),
 ])
 def test_validate_rejects_mistyped_values(tmp_path, capsys, section, key, value):
-    data = _fast_cfg().to_dict()
-    data[section][key] = value
-    path = tmp_path / "typo.yaml"
-    path.write_text(yaml.safe_dump(data))
-    for argv in (["validate", "--config", str(path)],
-                 ["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]):
-        assert main(argv) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert f"{section}.{key} must be" in err and "Traceback" not in err
-    assert not (tmp_path / "x.csv").exists()
+    _assert_rejected(tmp_path, capsys, section, key, value,
+                     f"{section}.{key} must be")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("mac", "ack_timeout_guard", -1.0),   # the ACK timeout fired in the past
+    ("mac", "ack_timeout_guard", 0.0),    # and at 0 tied with the ACK
+    ("energy", "initial", -1.0),
+    ("network", "field_width", 0.0),      # the density check divided by it
+    ("network", "field_height", 0.0),
+])
+def test_validate_rejects_out_of_range_values(tmp_path, capsys, section, key,
+                                              value):
+    _assert_rejected(tmp_path, capsys, section, key, value,
+                     f"{section}.{key} must be positive, got {value}")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("traffic", "rate_bytes_per_s", float("inf")),  # a zero CBR interval
+    ("traffic", "deadline", float("inf")),
+    ("network", "tx_range", float("inf")),
+    ("protocol", "hello_period", float("inf")),
+    ("run", "audit_period", float("inf")),
+    ("energy", "tx", float("-inf")),
+    ("run", "duration", float("nan")),
+])
+def test_validate_rejects_non_finite_values(tmp_path, capsys, section, key,
+                                            value):
+    # validate only: a run with some of these values never ends
+    _assert_rejected(tmp_path, capsys, section, key, value,
+                     f"{section}.{key} must be finite", commands=("validate",))
 
 
 def test_validate_rejects_missing_and_malformed_files(tmp_path, capsys):
