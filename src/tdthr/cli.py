@@ -30,9 +30,17 @@ EXIT_RUNTIME = 2
 LOAD_ERRORS = (OSError, ValueError, yaml.YAMLError)
 
 
-def load_config(path) -> SimConfig:
+def _load_yaml(path):
+    # PyYAML's errors name the file; the ValueError of an overlong int does not
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            return yaml.safe_load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_config(path) -> SimConfig:
+    data = _load_yaml(path)
     try:
         if not isinstance(data, dict):
             raise ValueError("config root must be a mapping")
@@ -96,8 +104,7 @@ def cmd_validate(args) -> int:
 # ---- sweeps --------------------------------------------------------------
 
 def load_sweep_spec(path) -> dict:
-    with open(path) as fh:
-        spec = yaml.safe_load(fh)
+    spec = _load_yaml(path)
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: sweep spec must be a mapping")
     for key in ("base_config", "parameter", "values"):
@@ -111,54 +118,53 @@ def load_sweep_spec(path) -> dict:
         spec["seeds"] = list(range(1, spec["seeds"] + 1))
     if not spec["seeds"]:
         raise ValueError(f"{path}: need at least one seed per point")
-    base = load_config(Path(path).parent / spec["base_config"])
+    spec["_base"] = load_config(Path(path).parent / spec["base_config"])
     parameter = spec["parameter"]
     if parameter not in {f.name for f in dataclasses.fields(SimConfig)}:
         raise ValueError(f"{path}: unknown swept parameter {parameter!r}")
-    # Every point is validated here, so a bad value or protocol fails the
-    # sweep before it starts (exit 1), not each of its runs (exit 2).
-    for value in spec["values"]:
-        for proto in spec["protocols"] or [base.protocol]:
-            point = dataclasses.replace(base, **{parameter: value,
-                                                 "protocol": proto})
-            errors = point.validate()
-            if errors:
-                raise ValueError(f"{path}: {parameter}={value!r} "
-                                 f"protocol={proto}: " + "; ".join(errors))
-    spec["_base"] = base
+    own_key = {"protocol": "protocols", "rng_seed": "seeds"}.get(parameter)
+    if own_key:  # each run's config sets these two from their own keys
+        raise ValueError(f"{path}: sweep {parameter!r} through '{own_key}:'")
+    # Every run's config is validated here, so a bad value, protocol or seed
+    # fails the sweep before it starts (exit 1), not each of its runs (exit 2).
+    for cfg in _sweep_configs(spec):
+        errors = cfg.validate()
+        if errors:
+            raise ValueError(f"{path}: {parameter}={getattr(cfg, parameter)!r} "
+                             f"protocol={cfg.protocol} seed={cfg.rng_seed!r}: "
+                             + "; ".join(errors))
     return spec
 
 
-def _sweep_point(job):
-    cfg_dict, parameter, value, seed, protocol = job
-    cfg = SimConfig.from_dict(cfg_dict)
-    setattr(cfg, parameter, value)
-    cfg.rng_seed = seed
-    cfg.protocol = protocol
-    return execute_run(cfg)
+def _sweep_configs(spec: dict) -> list:
+    """The config of each run, in (value, seed, protocol) order."""
+    base: SimConfig = spec["_base"]
+    return [dataclasses.replace(base, **{spec["parameter"]: value,
+                                         "protocol": proto, "rng_seed": seed})
+            for value in spec["values"]
+            for seed in spec["seeds"]
+            for proto in spec["protocols"] or [base.protocol]]
 
 
 def run_sweep(spec: dict, out_dir, jobs: int = 1):
     """Runs all (value, seed, protocol) combinations. Returns (rows,
     failures); failures are (job-description, error) pairs."""
-    base: SimConfig = spec["_base"]
-    protocols = spec["protocols"] or [base.protocol]
-    work = [(base.to_dict(), spec["parameter"], value, seed, proto)
-            for value in spec["values"]
-            for seed in spec["seeds"]
-            for proto in protocols]
-    rows, failures = [], []
+    parameter = spec["parameter"]
+    configs = _sweep_configs(spec)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_guarded_point, work)
+            results = pool.map(_guarded_run, configs)
     else:
-        results = map(_guarded_point, work)
-    for job, (row, err) in zip(work, results):
-        desc = f"{job[1]}={job[2]} seed={job[3]} protocol={job[4]}"
+        results = map(_guarded_run, configs)
+    rows, failures, plotted = [], [], []
+    for cfg, (row, err) in zip(configs, results):
+        value = getattr(cfg, parameter)
         if err is not None:
-            failures.append((desc, err))
+            failures.append((f"{parameter}={value} seed={cfg.rng_seed} "
+                             f"protocol={cfg.protocol}", err))
         else:
             rows.append(row)
+            plotted.append((value, row))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(
@@ -166,13 +172,13 @@ def run_sweep(spec: dict, out_dir, jobs: int = 1):
     if failures:
         (out / "failures.txt").write_text(
             "".join(f"{desc}: {err}\n" for desc, err in failures))
-    _write_plot_data(rows, spec["parameter"], out)
+    _write_plot_data(plotted, parameter, out)
     return rows, failures
 
 
-def _guarded_point(job):
+def _guarded_run(cfg: SimConfig):
     try:
-        return _sweep_point(job), None
+        return execute_run(cfg), None
     except Exception as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -183,22 +189,22 @@ PLOT_METRICS = ("prr_regular", "prr_critical", "prr_delay_responsive",
                 "ecpp", "lifetime")
 
 
-def _write_plot_data(rows, parameter, out_dir: Path):
-    """Per-metric plot files: swept value, protocol, mean/min/max over seeds."""
+def _write_plot_data(plotted, parameter, out_dir: Path):
+    """Per-metric plot files: swept value, protocol, mean/min/max over seeds.
+    `plotted` holds a (swept value, CSV row) pair per completed run."""
     cols = metrics_mod.CSV_COLUMNS
-    parsed = [dict(zip(cols, row.split(","))) for row in rows]
-    value_col = parameter if parameter in cols else "critical_rate"
+    parsed = [(value, dict(zip(cols, row.split(",")))) for value, row in plotted]
     for metric in PLOT_METRICS:
         groups = {}
-        for rec in parsed:
+        for value, rec in parsed:
             if rec[metric] == "":
                 continue
-            key = (rec["protocol"], float(rec[value_col]))
-            groups.setdefault(key, []).append(float(rec[metric]))
-        lines = [f"{value_col},protocol,mean,min,max"]
-        for (proto, value) in sorted(groups, key=lambda k: (k[0], k[1])):
+            groups.setdefault((rec["protocol"], value), []).append(float(rec[metric]))
+        lines = [f"{parameter},protocol,mean,min,max"]
+        for (proto, value) in sorted(groups):
             vals = groups[(proto, value)]
-            lines.append(f"{value:.6g},{proto},{sum(vals) / len(vals):.6g},"
+            shown = f"{value:.6g}" if isinstance(value, float) else value
+            lines.append(f"{shown},{proto},{sum(vals) / len(vals):.6g},"
                          f"{min(vals):.6g},{max(vals):.6g}")
         (out_dir / f"plot_{metric}.csv").write_text("\n".join(lines) + "\n")
 

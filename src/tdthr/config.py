@@ -198,10 +198,17 @@ def _problem(f, value):
     accepted = (int, float) if want is float else want
     if (isinstance(value, bool) != (want is bool)
             or not isinstance(value, accepted)):
-        return f"must be {want.__name__}, got {value!r}"
+        return f"must be {want.__name__}, got {_shown(value)}"
     if want is not str and not abs(value) <= _FLOAT_MAX:  # exact for ints
-        return f"must be finite, got {value!r}"
+        return f"must be finite, got {_shown(value)}"
     rule = f.metadata["rule"]
     if rule is not None and not rule[0](value):
         return f"{rule[1]}, got {value!r}"
     return None
+
+
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # an int with more digits than str() will convert
+        return f"an int of over {sys.get_int_max_str_digits()} digits"

@@ -73,7 +73,7 @@ class Packet:
     creation_time: float
     logical_id: int = -1       # shared across duplicates of one logical packet
     received_time: float = 0.0  # when the current holder received it
-    hop_trace: list = field(default_factory=list)
+    hop_trace: list = field(default_factory=list)  # relay ids, in order
     recovery_anchor: float | None = None  # distance-to-sink where a detour began
 
     def __post_init__(self):

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 from .core import NodeId, PacketClass
 
+_DQ_ZERO = dict.fromkeys(PacketClass, 0.0)  # copied, never shared
+
 
 @dataclass
 class PrrEstimator:
@@ -56,16 +58,13 @@ class DelayEstimator:
 
     Transmission delay is sampled from acknowledgment timing:
     sample = t_ack - ack_bits / bandwidth - t_s, which folds in contention,
-    backoff and propagation, so nodal delay is simply dq + dt.
+    backoff and propagation, so nodal delay is simply dq + dt. HELLOs and
+    ACKs carry `dq` itself, so `dq_update` replaces the dict, never mutates it.
     """
     gamma: float = 0.5
-    dq_prior: float = 0.0
     dt_prior: float = 0.0
-    dq: dict = field(default_factory=dict)   # PacketClass -> seconds
+    dq: dict = field(default_factory=_DQ_ZERO.copy)  # PacketClass -> seconds
     dt: dict = field(default_factory=dict)   # NodeId -> seconds
-
-    def dq_for(self, cls: PacketClass) -> float:
-        return self.dq.get(cls, self.dq_prior)
 
     def dt_for(self, neighbor: NodeId) -> float:
         return self.dt.get(neighbor, self.dt_prior)
@@ -73,8 +72,8 @@ class DelayEstimator:
     def dq_update(self, cls: PacketClass, sample: float) -> float:
         if sample < 0:
             raise ValueError(f"queue-wait sample must be non-negative, got {sample}")
-        new = self.gamma * self.dq_for(cls) + (1.0 - self.gamma) * sample
-        self.dq[cls] = new
+        new = self.gamma * self.dq[cls] + (1.0 - self.gamma) * sample
+        self.dq = {**self.dq, cls: new}
         return new
 
     def dt_update(self, neighbor: NodeId, t_s: float, t_ack: float,

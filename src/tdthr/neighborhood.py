@@ -50,9 +50,9 @@ class NeighborRecord:
     neighbor: NodeId
     position: Position
     prr_xy: float            # as last reported by the neighbor (receiver side)
-    # The neighbor's per-class queuing estimates: the very dict of the HELLO
-    # or ACK that last refreshed the record, shared with every other
-    # receiver of that message. It is only ever replaced, never mutated.
+    # The neighbor's per-class queuing estimates: its own `DelayEstimator.dq`
+    # as of the HELLO or ACK that last refreshed the record, shared with every
+    # other receiver of that message. It is only ever replaced, never mutated.
     dq: dict
     energy: float
     last_heard: float
@@ -118,8 +118,8 @@ class NeighborTable:
 
     def process_ack_info(self, sender: NodeId, position: Position, energy: float,
                          dq: dict, prr_xy: float | None, now: float) -> None:
-        """ACK piggyback: refresh the ACKing node's own fields only. The
-        record keeps `dq` itself, so the caller passes a dict of its own."""
+        """ACK piggyback: refresh the ACKing node's own fields only. The record
+        keeps `dq` itself: the ACKing node's `DelayEstimator.dq`, never mutated."""
         rec = self.records.get(sender)
         if rec is None:
             rec = NeighborRecord(neighbor=sender, position=position,

@@ -36,9 +36,6 @@ class RoutingProtocol:
     expire_in_network: frozenset = frozenset()  # classes dropped once late
 
 
-# Iterating a tuple is cheaper than iterating the Enum class.
-_PACKET_CLASSES = tuple(PacketClass)
-
 _TOPOLOGY_RETRIES = 50
 
 
@@ -138,12 +135,13 @@ class _Node:
         self.pos = pos
         self.is_sink = is_sink
         self.alive = True
-        self.energy = None if is_sink else EnergyBudget.from_joules(
+        # a sink's budget is never charged: see `Simulation._charge`
+        self.energy = EnergyBudget.from_joules(
             cfg.energy_initial, cfg.energy_tx, cfg.energy_rx,
             cfg.energy_sleep, cfg.energy_idle)
         self.table = NeighborTable(nid, cfg.neighbor_expiry)
         self.delays = DelayEstimator(
-            gamma=cfg.delay_gamma, dq_prior=0.0,
+            gamma=cfg.delay_gamma,
             dt_prior=cfg.payload_bytes * 8 / cfg.bandwidth_bps)
         self.prr_in = {}       # sender -> PrrEstimator (receiver-side)
         self.seq_out = {}      # receiver -> last sequence number sent
@@ -246,9 +244,11 @@ class Simulation:
     # ---- energy / death --------------------------------------------------
 
     def _charge(self, node: _Node, cost_nj: int) -> int:
-        """Deduct from a non-sink `node`; sinks are mains-powered. Returns
-        the amount deducted: less than `cost_nj` exactly when the node could
-        not afford it."""
+        """Deduct `cost_nj` from `node`. Returns the amount deducted: less
+        than `cost_nj` exactly when the node could not afford it. Sinks are
+        mains-powered: they always afford it, and nothing is recorded."""
+        if node.is_sink:
+            return cost_nj
         actual = node.energy.deduct(cost_nj)
         self.metrics.record_energy(actual)
         if (self.cfg.stop_energy_fraction > 0 and self._drain_until is None
@@ -259,8 +259,8 @@ class Simulation:
         return actual
 
     def _spend(self, node: _Node, cost_nj: int) -> bool:
-        """Pay or die: charge a non-sink `node`, then kill it if it could not
-        afford the cost. Returns whether it could."""
+        """Pay or die: charge `node`, then kill it if it could not afford the
+        cost. Returns whether it could."""
         affordable = self._charge(node, cost_nj) == cost_nj
         if not affordable:
             self._die(node)
@@ -339,7 +339,7 @@ class Simulation:
             return
         cfg = self.cfg
         node.table.evict_stale(self.now)
-        if not node.is_sink and not self._spend(node, node.energy.cost_idle_nj):
+        if not self._spend(node, node.energy.cost_idle_nj):
             return
         hello = self._build_hello(node)
         self.metrics.hello_sent += 1
@@ -355,15 +355,15 @@ class Simulation:
 
     def _build_hello(self, node: _Node) -> HelloMessage:
         """One snapshot per beacon, shared by every receiver: tables keep
-        references to its `dq` dict and its entries, so nothing may mutate
-        them once built."""
+        references to its entries, so nothing may mutate them once built.
+        `dq` is the estimator's own dict, which `dq_update` replaces."""
         dt_for = node.delays.dt_for
         one_hop = {rec.neighbor: TwoHopEntry(rec.neighbor, rec.position,
                                              dt_for(rec.neighbor), rec.prr_xy)
                    for rec in node.table.live_records(self.now)}
         return HelloMessage(
             sender=node.id, position=node.pos, energy=node.reported_energy,
-            dq={cls: node.delays.dq_for(cls) for cls in _PACKET_CLASSES},
+            dq=node.delays.dq,
             reverse_prr={s: est.prr for s, est in sorted(node.prr_in.items())},
             one_hop=one_hop)
 
@@ -372,7 +372,7 @@ class Simulation:
         node = self.nodes[receiver_id]
         if not node.alive:
             return
-        if not node.is_sink and not self._spend(node, node.energy.cost_idle_nj):
+        if not self._spend(node, node.energy.cost_idle_nj):
             return
         self._note_reception(node, sender_id, seq)
         node.table.process_hello(hello, self.now)
@@ -523,32 +523,26 @@ class Simulation:
             else:
                 return self._detour(node, packet, dest_pos, d_own, live)
         cls = packet.cls
-        if cls is PacketClass.REGULAR:
-            return self._route_or_detour(node, packet, dest_pos, d_own, live, f1)
-        pairs = node.table.favorable_pairs(
-            f1, node.pos, dest_pos, d_own, cls, node.delays.dq_for(cls),
-            node.delays, self._tx_cost_j)
-        if cls is PacketClass.RELIABILITY_RESPONSIVE:
-            fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
-            try:
+        try:
+            if cls is PacketClass.REGULAR:
+                return route_regular(_progress(d_own, f1))
+            pairs = node.table.favorable_pairs(
+                f1, node.pos, dest_pos, d_own, cls, node.delays.dq[cls],
+                node.delays, self._tx_cost_j)
+            if cls is PacketClass.RELIABILITY_RESPONSIVE:
+                fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
                 return route_reliability(pairs, fallback)
-            except VoidRegion:
-                return self._detour(node, packet, dest_pos, d_own, live)
-        # critical / delay-responsive: velocity-filtered two-hop selection
-        v_req = required_velocity(d_own, packet.lag_time)
-        try:
-            return select_next_hop(pairs, v_req, cls,
-                                   self.cfg.critical_prr_scope).y
-        except NoQualifyingPair:
-            if pairs:
-                self._miss_velocity(packet)
-                return best_effort_pair(pairs).y
-            return self._route_or_detour(node, packet, dest_pos, d_own, live, f1)
-
-    def _route_or_detour(self, node, packet, dest_pos, d_own, live, f1) -> NodeId:
-        try:
-            return route_regular(_progress(d_own, f1))
-        except VoidRegion:
+            # critical / delay-responsive: velocity-filtered two-hop selection
+            v_req = required_velocity(d_own, packet.lag_time)
+            try:
+                return select_next_hop(pairs, v_req, cls,
+                                       self.cfg.critical_prr_scope).y
+            except NoQualifyingPair:
+                if pairs:
+                    self._miss_velocity(packet)
+                    return best_effort_pair(pairs).y
+                return route_regular(_progress(d_own, f1))
+        except VoidRegion:  # every void of a class rule enters recovery here
             return self._detour(node, packet, dest_pos, d_own, live)
 
     def _detour(self, node: _Node, packet: Packet, dest_pos, d_own, live) -> NodeId:
@@ -560,8 +554,7 @@ class Simulation:
         excursion."""
         if packet.recovery_anchor is None:
             packet.recovery_anchor = d_own
-        visited = {nid for nid, _ in packet.hop_trace}
-        visited.add(node.id)
+        visited = {node.id, *packet.hop_trace}
         candidates = [(dist(r.position, dest_pos), r.neighbor)
                       for r in live if r.neighbor not in visited]
         if not candidates:
@@ -594,15 +587,13 @@ class Simulation:
         cfg = self.cfg
         packet = state.packet
         peer = state.next_hop
-        d = dist(node.pos, self.positions[peer])
-        if not node.is_sink:
-            cost = self._tx_cost_nj(node, d)
-            if not node.energy.can_afford(cost):
-                self._die(node)
-                if not state.delivered_any:
-                    self._drop(packet, "dead_node", node.id)
-                return
-            self._charge(node, cost)
+        cost = self._tx_cost_nj(node, dist(node.pos, self.positions[peer]))
+        if not node.energy.can_afford(cost):
+            self._die(node)
+            if not state.delivered_any:
+                self._drop(packet, "dead_node", node.id)
+            return
+        self._charge(node, cost)
         state.attempts += 1
         seq = self._next_seq(node, peer)
         backoff = self.rng.uniform(0.0, cfg.backoff_window)
@@ -621,8 +612,7 @@ class Simulation:
         receiver = self.nodes[receiver_id]
         if not receiver.alive:
             return
-        if not receiver.is_sink and not self._spend(receiver,
-                                                    receiver.energy.cost_rx_nj):
+        if not self._spend(receiver, receiver.energy.cost_rx_nj):
             return
         self._note_reception(receiver, sender_id, seq)
         state.delivered_any = True
@@ -636,8 +626,7 @@ class Simulation:
         if self.rng.random() < p:
             ack_t = self.now + self._ack_ser + prop
             self._schedule(ack_t, self._ev_ack_rx, sender_id, receiver_id, state)
-        if not receiver.is_sink:
-            self._charge(receiver, receiver.energy.cost_idle_nj)
+        self._charge(receiver, receiver.energy.cost_idle_nj)
         if not fresh:
             return
         if receiver.is_sink:
@@ -647,15 +636,14 @@ class Simulation:
                       f"class={packet.cls.value}")
             return
         packet.received_time = self.now
-        packet.hop_trace.append((receiver_id, self.now))
+        packet.hop_trace.append(receiver_id)
         self._accept_packet(receiver, packet)
 
     def _ev_ack_rx(self, sender_id: NodeId, receiver_id: NodeId, state: _TxState):
         node = self.nodes[sender_id]
         if not node.alive or state.done:
             return
-        if not node.is_sink:
-            self._charge(node, node.energy.cost_idle_nj)
+        self._charge(node, node.energy.cost_idle_nj)
         state.done = True
         peer = self.nodes[receiver_id]
         node.delays.dt_update(receiver_id, state.t_s, self.now,
@@ -664,7 +652,7 @@ class Simulation:
         rev = peer.prr_in.get(sender_id)
         node.table.process_ack_info(
             receiver_id, peer.pos, peer.reported_energy,
-            {cls: peer.delays.dq_for(cls) for cls in _PACKET_CLASSES},
+            peer.delays.dq,
             rev.prr if rev is not None else None, self.now)
         self._log(sender_id, "ack_rx", state.packet.packet_id, f"from={receiver_id}")
         self._finish_tx(node)
@@ -696,7 +684,7 @@ class Simulation:
     def _ev_audit(self):
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
-            if not node.is_sink and node.alive:
+            if node.alive:
                 self._spend(node, node.energy.cost_idle_nj)
         if self._drain_until is None:
             self._schedule(self.now + self.cfg.audit_period, self._ev_audit)
@@ -709,13 +697,11 @@ class Simulation:
     # ---- verification hooks ----------------------------------------------
 
     def energy_spent_by_nodes_nj(self) -> int:
-        return sum(self.nodes[nid].energy.spent_nj
-                   for nid in sorted(self.nodes) if not self.nodes[nid].is_sink)
+        return sum(node.energy.spent_nj for node in self.nodes.values())
 
     def initial_minus_residual_nj(self) -> int:
-        return sum(self.nodes[nid].energy.initial_nj
-                   - self.nodes[nid].energy.residual_nj
-                   for nid in sorted(self.nodes) if not self.nodes[nid].is_sink)
+        return sum(node.energy.initial_nj - node.energy.residual_nj
+                   for node in self.nodes.values())
 
 
 # Adding a protocol takes one entry here and one select method above.

@@ -107,8 +107,11 @@ def test_validate_rejects_missing_and_malformed_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["- just\n- a\n- list\n",
                                   "warp: {factor: 9}\n",
-                                  "network: [1, 2]\n"],
-                         ids=["list_root", "unknown_section", "list_section"])
+                                  "network: [1, 2]\n",
+                                  # too long for PyYAML to convert
+                                  "network: {node_count: 1%s}\n" % ("0" * 5000)],
+                         ids=["list_root", "unknown_section", "list_section",
+                              "int_of_5001_digits"])
 def test_load_errors_name_the_file_once(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
@@ -218,6 +221,24 @@ def test_sweep_runs_grid_and_writes_outputs(tmp_path, capsys):
     assert len(plot) == 1 + 4  # one line per (protocol, value)
 
 
+def test_sweep_plots_group_by_the_swept_parameter(tmp_path, capsys):
+    # `deadline` is no CSV column: each value still gets its own plot row
+    _write_config(tmp_path / "base.yaml", _fast_cfg(duration=20.0))
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(yaml.safe_dump({"base_config": "base.yaml",
+                                    "parameter": "deadline",
+                                    "values": [0.5, 0.1],
+                                    "protocols": ["greedy_geo"]}))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec),
+                 "--out", str(out_dir)]) == EXIT_OK
+    capsys.readouterr()
+    plot = (out_dir / "plot_prr_regular.csv").read_text().splitlines()
+    assert plot[0] == "deadline,protocol,mean,min,max"
+    assert [line.split(",")[:2] for line in plot[1:]] == [
+        ["0.1", "greedy_geo"], ["0.5", "greedy_geo"]]
+
+
 def test_sweep_spec_validation(tmp_path):
     spec = tmp_path / "spec.yaml"
     spec.write_text(yaml.safe_dump({"parameter": "critical_rate",
@@ -255,6 +276,11 @@ def test_sweep_reports_runtime_failures(tmp_path, capsys):
     ({"parameter": "critical_rate", "values": [0.5],
       "protocols": ["tdthr", "flooding"]}, "protocol.protocol"),
     ({"parameter": "critical_rate", "values": 0.5}, "non-empty list"),
+    ({"parameter": "protocol", "values": ["greedy_geo", "one_hop_velocity"]},
+     "'protocols:'"),
+    ({"parameter": "rng_seed", "values": [1, 2]}, "'seeds:'"),
+    ({"parameter": "critical_rate", "values": [0.5], "seeds": [1, "x"]},
+     "run.rng_seed"),
 ])
 def test_sweep_rejects_invalid_points_at_load(tmp_path, capsys, point, field):
     _write_config(tmp_path / "base.yaml", _fast_cfg())

@@ -94,6 +94,8 @@ OVERRIDES = st.lists(st.one_of(*[st.tuples(st.just(f.name), _values(f))
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(OVERRIDES)
 @example([("field_width", 0.0)])
+@example([("node_count", 10**5000)])  # too long for repr
+@example([("protocol", 10**5000)])
 def test_validate_never_raises_and_accepted_configs_round_trip(overrides):
     cfg = SimConfig(**dict(overrides))
     errors = cfg.validate()

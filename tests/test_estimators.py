@@ -97,8 +97,22 @@ def test_queue_delay_rejects_negative_samples():
 def test_queue_delay_classes_are_isolated():
     est = DelayEstimator(gamma=0.5)
     est.dq_update(PacketClass.CRITICAL, 0.100)
-    assert est.dq_for(PacketClass.REGULAR) == 0.0
-    assert est.dq_for(PacketClass.DELAY_RESPONSIVE) == 0.0
+    assert est.dq[PacketClass.REGULAR] == 0.0
+    assert est.dq[PacketClass.DELAY_RESPONSIVE] == 0.0
+
+
+def test_queue_delay_update_replaces_the_sent_snapshot():
+    # HELLOs and ACKs carry `dq` itself, and tables keep it by reference,
+    # so an update must leave every dict already handed out unchanged.
+    est = DelayEstimator(gamma=0.5)
+    sent = est.dq
+    before = dict(sent)
+    assert before == dict.fromkeys(PacketClass, 0.0)
+    est.dq_update(PacketClass.CRITICAL, 0.100)
+    assert est.dq is not sent and sent == before
+    assert est.dq == {**before, PacketClass.CRITICAL: 0.050}
+    assert list(est.dq) == list(PacketClass)
+    assert DelayEstimator().dq is not DelayEstimator().dq
 
 
 # ---- transmission delay --------------------------------------------------
@@ -154,4 +168,4 @@ def test_long_run_convergence_to_constant_sample():
     est = DelayEstimator(gamma=0.5)
     for _ in range(60):
         est.dq_update(PacketClass.CRITICAL, 0.030 + rng.uniform(-1e-9, 1e-9))
-    assert abs(est.dq_for(PacketClass.CRITICAL) - 0.030) < 1e-6
+    assert abs(est.dq[PacketClass.CRITICAL] - 0.030) < 1e-6

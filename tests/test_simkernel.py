@@ -11,7 +11,7 @@ import yaml
 
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash
-from tdthr.core import LIGHT_SPEED, PacketClass, Position, dist
+from tdthr.core import LIGHT_SPEED, Position, dist
 from tdthr.neighborhood import NeighborTable
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, delivery_probability,
@@ -406,8 +406,7 @@ def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
         assert rec.dq == last[(nid, rec.neighbor)]
     # queues built up, and estimates moved after they were sent
     assert sum(any(v > 0 for v in rec.dq.values()) for _, rec in records) > 100
-    current = {nid: {cls: node.delays.dq_for(cls) for cls in PacketClass}
-               for nid, node in sim.nodes.items()}
+    current = {nid: node.delays.dq for nid, node in sim.nodes.items()}
     assert sum(rec.dq != current[rec.neighbor] for _, rec in records) > 50
 
 
@@ -425,9 +424,16 @@ def test_sinks_never_spend_energy():
     cfg = mini_config(rng_seed=7)
     sim = Simulation(cfg)
     sim.run()
-    assert sim.nodes[PRIMARY_SINK].energy is None
-    assert sim.nodes[SECONDARY_SINK].energy is None
+    sinks = [sim.nodes[PRIMARY_SINK], sim.nodes[SECONDARY_SINK]]
+    assert sim.metrics.delivered_total > 0
+    assert [sink.energy.spent_nj for sink in sinks] == [0, 0]
     assert sim.nodes[SOURCE].energy.spent_nj > 0
+    # mains power: a sink affords any cost, and the ledger does not move
+    total = sim.metrics.total_energy_nj
+    for sink in sinks:
+        assert sim._spend(sink, sink.energy.initial_nj + 1) is True
+        assert sink.alive and sink.energy.spent_nj == 0
+    assert sim.metrics.total_energy_nj == total
 
 
 def test_unaffordable_cost_is_charged_then_kills():
