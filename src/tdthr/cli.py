@@ -112,12 +112,17 @@ def load_sweep_spec(path) -> dict:
             raise ValueError(f"{path}: sweep spec missing {key!r}")
     if not isinstance(spec["values"], list) or not spec["values"]:
         raise ValueError(f"{path}: sweep values must be a non-empty list")
-    spec.setdefault("seeds", [1])
-    spec.setdefault("protocols", None)
-    if isinstance(spec["seeds"], int):
-        spec["seeds"] = list(range(1, spec["seeds"] + 1))
-    if not spec["seeds"]:
-        raise ValueError(f"{path}: need at least one seed per point")
+    # list entries are checked with each run's config below; a bool is no count
+    seeds = spec.setdefault("seeds", [1])
+    if type(seeds) is int and seeds > 0:
+        spec["seeds"] = list(range(1, seeds + 1))
+    elif not (isinstance(seeds, list) and seeds):
+        raise ValueError(f"{path}: seeds must be a positive int or a non-empty "
+                         f"list of ints, got {seeds!r}")
+    protocols = spec.setdefault("protocols", None)
+    if not (protocols is None or isinstance(protocols, list)):
+        raise ValueError(f"{path}: protocols must be a list of protocol names, "
+                         f"got {protocols!r}")
     spec["_base"] = load_config(Path(path).parent / spec["base_config"])
     parameter = spec["parameter"]
     if parameter not in {f.name for f in dataclasses.fields(SimConfig)}:

@@ -19,6 +19,8 @@ class PacketClass(Enum):
     DELAY_RESPONSIVE = "delay_responsive"
     CRITICAL = "critical"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's is Python code
+
     @property
     def queue_priority(self) -> int:
         """Scheduling rank: 0 is served first. Reliability-responsive and
@@ -49,17 +51,23 @@ def dist(a: Position, b: Position) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
+def path_loss_factor(d: float, tx_range: float, alpha: float) -> float:
+    """(d / tx_range)**alpha: the cost of one transmission over distance d
+    as a share of a full-range one, so that a link's cost can be fixed once."""
+    if d <= 0:
+        raise ValueError(f"transmission distance must be positive, got {d}")
+    if d > tx_range:
+        raise ValueError(f"distance {d} m exceeds transmission range {tx_range} m")
+    return (d / tx_range) ** alpha
+
+
 def tx_power_cost(d: float, tx_range: float, alpha: float, cost_tx: float) -> float:
     """Energy cost in joules of one transmission over distance d.
 
     Free-space model: cost_tx * (d / tx_range)**alpha, so a full-range
     transmission costs exactly the nominal per-packet value.
     """
-    if d <= 0:
-        raise ValueError(f"transmission distance must be positive, got {d}")
-    if d > tx_range:
-        raise ValueError(f"distance {d} m exceeds transmission range {tx_range} m")
-    return cost_tx * (d / tx_range) ** alpha
+    return cost_tx * path_loss_factor(d, tx_range, alpha)
 
 
 @dataclass
@@ -121,7 +129,8 @@ class EnergyBudget:
     def deduct(self, cost_nj: int) -> int:
         """Deduct cost, clamped at zero residual. Returns the amount
         actually deducted (for the conservation ledger)."""
-        actual = min(cost_nj, self.residual_nj)
+        residual = self.initial_nj - self.spent_nj
+        actual = cost_nj if cost_nj <= residual else residual
         self.spent_nj += actual
         return actual
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import NodeId, PacketClass, Position, dist
+from .core import NodeId, PacketClass, Position
 
 # Simulated wire sizes (bytes) for energy/overhead accounting.
 HELLO_HEADER_BYTES = 4 + 8 + 4 + 16      # sender id, position, energy, 4x dq
@@ -146,39 +146,41 @@ class NeighborTable:
     def live_records(self, now: float):
         return [r for r in self.records.values() if now - r.last_heard <= self.expiry]
 
-    def favorable_one_hop(self, live, d_own: float, dest_pos: Position):
+    def favorable_one_hop(self, live, d_own: float, to_dest):
         """F1: (record, its distance to the destination) for each of the
         `live` records strictly closer to the destination than the owner,
-        which lies `d_own` from it."""
+        which lies `d_own` from it. `to_dest` maps every node id to its
+        distance to the destination."""
         return [(r, d_y) for r in live
-                if d_own - (d_y := dist(r.position, dest_pos)) > 0]
+                if d_own - (d_y := to_dest[r.neighbor]) > 0]
 
-    def favorable_pairs(self, f1, own_pos: Position, dest_pos: Position,
-                        d_own: float, cls: PacketClass, dq_x: float, delays,
-                        tx_cost):
+    def favorable_pairs(self, f1, to_dest, d_own: float, cls: PacketClass,
+                        dq_x: float, delays, links, cost_tx: float):
         """All (y, z) forwarder pairs with positive progress at both hops,
         over F1 as `favorable_one_hop` returns it.
 
-        `delays` supplies dt_for(neighbor); `tx_cost(distance)` prices the
-        first-hop transmission for the power score. The owner, which y may
-        list, fails the second-hop test: its distance `d_own` exceeds y's.
+        `delays` supplies dt_for(neighbor). `links[y]` is the owner's link to
+        y, whose third field is its path-loss factor: the first-hop cost for
+        the power score is `cost_tx` times it. The owner, which y may list,
+        fails the second-hop test: its distance `d_own` exceeds y's.
         """
         pairs = []
         for rec, d_y in f1:
-            dt_xy = delays.dt_for(rec.neighbor)
-            cost_y = tx_cost(dist(own_pos, rec.position))
-            dq_y = rec.dq.get(cls, 0.0)
+            y = rec.neighbor
+            cost_y = cost_tx * links[y][2]
+            # dq_x + dt_xy + dq_y + dt_yz, summed left to right
+            partial = dq_x + delays.dt_for(y) + rec.dq.get(cls, 0.0)
             for z, entry in rec.two_hop.items():
-                d_z = dist(entry.position, dest_pos)
+                d_z = to_dest[z]
                 if d_y - d_z <= 0:
                     continue
                 progress = d_own - d_z
-                denom = dq_x + dt_xy + dq_y + entry.dt_yz
+                denom = partial + entry.dt_yz
                 if denom <= 0:
                     raise ZeroDivisionError(
-                        f"zero delay denominator for pair ({rec.neighbor},{z})")
+                        f"zero delay denominator for pair ({y},{z})")
                 pairs.append(ForwarderPair(
-                    y=rec.neighbor, z=z, progress=progress, denominator=denom,
+                    y=y, z=z, progress=progress, denominator=denom,
                     velocity=progress / denom, prr_xy=rec.prr_xy,
                     prr_yz=entry.prr_yz, energy_y=rec.energy, tx_cost_y=cost_y))
         return pairs

@@ -17,7 +17,7 @@ from typing import Callable
 
 from .config import PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig
 from .core import (LIGHT_SPEED, EnergyBudget, NodeId, Packet, PacketClass,
-                   Position, dist, tx_power_cost)
+                   Position, dist, path_loss_factor)
 from .estimators import DelayEstimator, PrrEstimator
 from .forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
                          best_effort_pair, required_velocity, route_regular,
@@ -100,26 +100,26 @@ class _Grid:
         self._side = tx_range * (1 + 1e-9)
         self._tx_range = tx_range
         self._positions = positions
-        self._cells = {}
+        self._cells = {}   # cell -> [(id, x, y)]
         for nid, p in positions.items():
-            self._cells.setdefault(self._cell(p), []).append(nid)
+            self._cells.setdefault(self._cell(p), []).append((nid, p.x, p.y))
 
     def _cell(self, p):
         return math.floor(p.x / self._side), math.floor(p.y / self._side)
 
     def in_range(self, x) -> list:
         """(y, dist) for every other node y within tx_range of x, y ascending."""
-        positions, tx_range, hypot = self._positions, self._tx_range, math.hypot
-        px = positions[x]
+        tx_range, hypot = self._tx_range, math.hypot
+        px = self._positions[x]
+        x0, y0 = px.x, px.y
         cx, cy = self._cell(px)
         found = []
         for i in (cx - 1, cx, cx + 1):
             for j in (cy - 1, cy, cy + 1):
-                for y in self._cells.get((i, j), ()):
+                for y, qx, qy in self._cells.get((i, j), ()):
                     if y != x:
                         # dist(px, q) inlined: set-up's hottest line
-                        q = positions[y]
-                        d = hypot(px.x - q.x, px.y - q.y)
+                        d = hypot(x0 - qx, y0 - qy)
                         if d <= tx_range:
                             found.append((y, d))
         found.sort()
@@ -130,15 +130,14 @@ class _Node:
     __slots__ = ("id", "pos", "is_sink", "alive", "energy", "table", "delays",
                  "prr_in", "seq_out", "seq_seen", "queues", "busy", "seen_packets")
 
-    def __init__(self, nid, pos, is_sink, cfg: SimConfig, priority_queues: bool):
+    def __init__(self, nid, pos, is_sink, cfg: SimConfig, priority_queues: bool,
+                 budget: EnergyBudget):
         self.id = nid
         self.pos = pos
         self.is_sink = is_sink
         self.alive = True
-        # a sink's budget is never charged: see `Simulation._charge`
-        self.energy = EnergyBudget.from_joules(
-            cfg.energy_initial, cfg.energy_tx, cfg.energy_rx,
-            cfg.energy_sleep, cfg.energy_idle)
+        # a full copy of the run's budget; a sink's is never charged (`_charge`)
+        self.energy = EnergyBudget(**vars(budget))
         self.table = NeighborTable(nid, cfg.neighbor_expiry)
         self.delays = DelayEstimator(
             gamma=cfg.delay_gamma,
@@ -158,7 +157,7 @@ class _Node:
 
 class _TxState:
     __slots__ = ("packet", "next_hop", "t_s", "attempts", "done",
-                 "delivered_any")
+                 "delivered_any", "timeout")
 
     def __init__(self, packet, next_hop, t_s):
         self.packet = packet
@@ -167,6 +166,7 @@ class _TxState:
         self.attempts = 0
         self.done = False
         self.delivered_any = False
+        self.timeout = 0.0   # when the current attempt's ACK timer fires
 
 
 class Simulation:
@@ -181,16 +181,30 @@ class Simulation:
         self._protocol = PROTOCOLS[cfg.protocol]
         self.rng = random.Random(f"run:{cfg.rng_seed}")
         self.positions = generate_topology(cfg, cfg.rng_seed)
+        budget = EnergyBudget.from_joules(
+            cfg.energy_initial, cfg.energy_tx, cfg.energy_rx,
+            cfg.energy_sleep, cfg.energy_idle)
         self.nodes = {
             nid: _Node(nid, pos, nid in (PRIMARY_SINK, SECONDARY_SINK), cfg,
-                       self._protocol.priority_queues)
+                       self._protocol.priority_queues, budget)
             for nid, pos in sorted(self.positions.items())}
+        # Positions never move: sink -> {nid: distance to that sink}, fixed here.
+        self.sink_distance = {sink: {nid: dist(pos, self.positions[sink])
+                                     for nid, pos in self.positions.items()}
+                              for sink in (PRIMARY_SINK, SECONDARY_SINK)}
         # The hidden link truth, one entry per directed edge: nid -> {peer:
-        # (delivery probability, propagation delay)}, peers ascending.
+        # (delivery probability, propagation delay, path-loss factor)}, peers
+        # ascending. A transmission costs its nominal cost times the factor.
+        # An edge's two directions share one tuple, their `hypot` distances
+        # being equal bit for bit; nodes ascend, so the lower end's exists.
         grid = _Grid(self.positions, cfg.tx_range)
-        self.links = {x: {y: (delivery_probability(d, cfg), d / LIGHT_SPEED)
-                          for y, d in grid.in_range(x)}
-                      for x in self.nodes}
+        tx_range, alpha = cfg.tx_range, cfg.path_loss_alpha
+        links = self.links = {}
+        for x in self.nodes:
+            links[x] = {y: links[y][x] if y < x else
+                        (delivery_probability(d, cfg), d / LIGHT_SPEED,
+                         path_loss_factor(d, tx_range, alpha))
+                        for y, d in grid.in_range(x)}
         self.metrics = MetricsLedger()
         self.metrics.lifetime_metric = cfg.lifetime_metric
         self.trace = trace                     # file-like or None
@@ -202,6 +216,7 @@ class Simulation:
         self._drain_until = None
         self._payload_ser = cfg.payload_bytes * 8 / cfg.bandwidth_bps
         self._ack_ser = cfg.ack_bytes * 8 / cfg.bandwidth_bps
+        self._stop_fraction = cfg.stop_energy_fraction   # 0: no low-energy stop
         self._schedule_initial()
 
     # ---- event plumbing --------------------------------------------------
@@ -249,11 +264,11 @@ class Simulation:
         mains-powered: they always afford it, and nothing is recorded."""
         if node.is_sink:
             return cost_nj
-        actual = node.energy.deduct(cost_nj)
+        energy = node.energy
+        actual = energy.deduct(cost_nj)
         self.metrics.record_energy(actual)
-        if (self.cfg.stop_energy_fraction > 0 and self._drain_until is None
-                and node.energy.residual_nj
-                < self.cfg.stop_energy_fraction * node.energy.initial_nj):
+        if (self._stop_fraction and self._drain_until is None
+                and energy.residual_nj < self._stop_fraction * energy.initial_nj):
             self._log(node.id, "energy_low")
             self._begin_drain()
         return actual
@@ -305,14 +320,6 @@ class Simulation:
             frontier = nxt
         return False
 
-    def _tx_cost_nj(self, node: _Node, d: float) -> int:
-        return round(tx_power_cost(d, self.cfg.tx_range, self.cfg.path_loss_alpha,
-                                   node.energy.cost_tx_nj))
-
-    def _tx_cost_j(self, d: float) -> float:
-        return tx_power_cost(d, self.cfg.tx_range, self.cfg.path_loss_alpha,
-                             self.cfg.energy_tx)
-
     # ---- sequence-number reception accounting ----------------------------
 
     def _note_reception(self, receiver: _Node, sender: NodeId, seq: int):
@@ -346,7 +353,7 @@ class Simulation:
         sent = self.now + hello.size_bytes * 8 / cfg.bandwidth_bps
         draw = self.rng.random
         receive = self._ev_hello_rx
-        for peer, (p, prop) in self.links[nid].items():
+        for peer, (p, prop, _) in self.links[nid].items():
             seq = self._next_seq(node, peer)
             if draw() < p:
                 self._schedule(sent + prop, receive, peer, nid, hello, seq)
@@ -385,9 +392,8 @@ class Simulation:
         if not source.alive or self._drain_until is not None:
             return
         cls = self._draw_class()
-        sinks = cfg.sink_positions
-        d_primary = dist(self.positions[SOURCE], sinks[PRIMARY_SINK])
-        d_secondary = dist(self.positions[SOURCE], sinks[SECONDARY_SINK])
+        d_primary = self.sink_distance[PRIMARY_SINK][SOURCE]
+        d_secondary = self.sink_distance[SECONDARY_SINK][SOURCE]
         if abs(d_primary - d_secondary) < 1e-9:
             # exactly equidistant (centered source): alternate to spread load
             nearest = PRIMARY_SINK if self._next_logical_id % 2 == 0 else SECONDARY_SINK
@@ -505,30 +511,30 @@ class Simulation:
         favorable records with their own distances, filtered once. The
         protocol's select method and the fallbacks below all read it."""
         dest = packet.destination_sink
-        dest_pos = self.positions[dest]
         live = node.table.live_records(self.now)
         if any(r.neighbor == dest for r in live):
             return dest
-        d_own = dist(node.pos, dest_pos)
-        f1 = node.table.favorable_one_hop(live, d_own, dest_pos)
-        return self._protocol.select(self, node, packet, dest_pos, d_own, live, f1)
+        to_dest = self.sink_distance[dest]
+        d_own = to_dest[node.id]
+        f1 = node.table.favorable_one_hop(live, d_own, to_dest)
+        return self._protocol.select(self, node, packet, to_dest, d_own, live, f1)
 
-    def _select_greedy_geo(self, node, packet, dest_pos, d_own, live, f1) -> NodeId:
+    def _select_greedy_geo(self, node, packet, to_dest, d_own, live, f1) -> NodeId:
         return route_regular(_progress(d_own, f1))
 
-    def _select_tdthr(self, node, packet, dest_pos, d_own, live, f1) -> NodeId:
+    def _select_tdthr(self, node, packet, to_dest, d_own, live, f1) -> NodeId:
         if packet.recovery_anchor is not None:
             if d_own < packet.recovery_anchor:
                 packet.recovery_anchor = None  # escaped the dead-end region
             else:
-                return self._detour(node, packet, dest_pos, d_own, live)
+                return self._detour(node, packet, to_dest, d_own, live)
         cls = packet.cls
         try:
             if cls is PacketClass.REGULAR:
                 return route_regular(_progress(d_own, f1))
             pairs = node.table.favorable_pairs(
-                f1, node.pos, dest_pos, d_own, cls, node.delays.dq[cls],
-                node.delays, self._tx_cost_j)
+                f1, to_dest, d_own, cls, node.delays.dq[cls], node.delays,
+                self.links[node.id], self.cfg.energy_tx)
             if cls is PacketClass.RELIABILITY_RESPONSIVE:
                 fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
                 return route_reliability(pairs, fallback)
@@ -543,9 +549,9 @@ class Simulation:
                     return best_effort_pair(pairs).y
                 return route_regular(_progress(d_own, f1))
         except VoidRegion:  # every void of a class rule enters recovery here
-            return self._detour(node, packet, dest_pos, d_own, live)
+            return self._detour(node, packet, to_dest, d_own, live)
 
-    def _detour(self, node: _Node, packet: Packet, dest_pos, d_own, live) -> NodeId:
+    def _detour(self, node: _Node, packet: Packet, to_dest, d_own, live) -> NodeId:
         """Local-minimum escape: no live neighbor offers positive progress, so
         hand the packet to the neighbor closest to the destination that it has
         not visited yet. The packet stays in recovery mode until it gets
@@ -555,13 +561,13 @@ class Simulation:
         if packet.recovery_anchor is None:
             packet.recovery_anchor = d_own
         visited = {node.id, *packet.hop_trace}
-        candidates = [(dist(r.position, dest_pos), r.neighbor)
+        candidates = [(to_dest[r.neighbor], r.neighbor)
                       for r in live if r.neighbor not in visited]
         if not candidates:
             raise VoidRegion("no unvisited neighbor for detour")
         return min(candidates)[1]
 
-    def _select_one_hop_velocity(self, node, packet, dest_pos, d_own, live,
+    def _select_one_hop_velocity(self, node, packet, to_dest, d_own, live,
                                  f1) -> NodeId:
         if not f1:
             raise VoidRegion("no favorable one-hop forwarder")
@@ -587,7 +593,8 @@ class Simulation:
         cfg = self.cfg
         packet = state.packet
         peer = state.next_hop
-        cost = self._tx_cost_nj(node, dist(node.pos, self.positions[peer]))
+        p, prop, loss = self.links[node.id][peer]
+        cost = round(node.energy.cost_tx_nj * loss)
         if not node.energy.can_afford(cost):
             self._die(node)
             if not state.delivered_any:
@@ -597,22 +604,23 @@ class Simulation:
         state.attempts += 1
         seq = self._next_seq(node, peer)
         backoff = self.rng.uniform(0.0, cfg.backoff_window)
-        p, prop = self.links[node.id][peer]
         arrival = self.now + backoff + self._payload_ser + prop
         delivered = self.rng.random() < p
         self._log(node.id, "tx_attempt", packet.packet_id,
                   f"to={peer} n={state.attempts} seq={seq}")
+        # An ACK timer is armed only where the exchange fails: here if the
+        # data is lost, else in `_ev_data_rx`. An ACK beats its timer.
+        state.timeout = arrival + self._ack_ser + prop + cfg.ack_timeout_guard
         if delivered:
             self._schedule(arrival, self._ev_data_rx, peer, node.id, state, seq)
-        timeout = arrival + self._ack_ser + prop + cfg.ack_timeout_guard
-        self._schedule(timeout, self._ev_ack_timeout, node.id, state)
+        else:
+            self._schedule(state.timeout, self._ev_ack_timeout, node.id, state)
 
     def _ev_data_rx(self, receiver_id: NodeId, sender_id: NodeId,
                     state: _TxState, seq: int):
         receiver = self.nodes[receiver_id]
-        if not receiver.alive:
-            return
-        if not self._spend(receiver, receiver.energy.cost_rx_nj):
+        if not (receiver.alive and self._spend(receiver, receiver.energy.cost_rx_nj)):
+            self._schedule(state.timeout, self._ev_ack_timeout, sender_id, state)
             return
         self._note_reception(receiver, sender_id, seq)
         state.delivered_any = True
@@ -622,10 +630,12 @@ class Simulation:
             receiver.seen_packets.add(packet.packet_id)
             self._log(receiver_id, "data_rx", packet.packet_id, f"from={sender_id}")
         # ACK back (control-plane energy, idle rate), subject to reverse loss
-        p, prop = self.links[receiver_id][sender_id]
+        p, prop, _ = self.links[receiver_id][sender_id]
         if self.rng.random() < p:
             ack_t = self.now + self._ack_ser + prop
             self._schedule(ack_t, self._ev_ack_rx, sender_id, receiver_id, state)
+        else:
+            self._schedule(state.timeout, self._ev_ack_timeout, sender_id, state)
         self._charge(receiver, receiver.energy.cost_idle_nj)
         if not fresh:
             return
@@ -641,7 +651,8 @@ class Simulation:
 
     def _ev_ack_rx(self, sender_id: NodeId, receiver_id: NodeId, state: _TxState):
         node = self.nodes[sender_id]
-        if not node.alive or state.done:
+        if not node.alive:
+            # no timer follows: the exchange delivered, so there is no drop
             return
         self._charge(node, node.energy.cost_idle_nj)
         state.done = True
@@ -658,8 +669,6 @@ class Simulation:
         self._finish_tx(node)
 
     def _ev_ack_timeout(self, sender_id: NodeId, state: _TxState):
-        if state.done:
-            return
         node = self.nodes[sender_id]
         if not node.alive:
             state.done = True

@@ -119,21 +119,32 @@ def two_hop_set(table: NeighborTable, now: float) -> set:
     return out
 
 
-def favorable_one_hop(table: NeighborTable, own_pos: Position,
-                      dest: Position, now: float) -> list:
+def distances_to(positions: dict, dest: Position) -> dict:
+    """Each node's distance to `dest`: the table the kernel fixes per sink."""
+    return {nid: dist(pos, dest) for nid, pos in positions.items()}
+
+
+def favorable_one_hop(table: NeighborTable, positions: dict, dest: Position,
+                      now: float) -> list:
     """F1 as `Simulation._select` derives it: one read of the table, one
     filter."""
+    to_dest = distances_to(positions, dest)
     return table.favorable_one_hop(table.live_records(now),
-                                   dist(own_pos, dest), dest)
+                                   to_dest[table.owner], to_dest)
 
 
-def favorable_pairs(table: NeighborTable, own_pos: Position, dest: Position,
-                    cls: PacketClass, dq_x: float, delays, tx_cost,
-                    now: float) -> list:
-    """The forwarder pairs over that F1."""
-    return table.favorable_pairs(favorable_one_hop(table, own_pos, dest, now),
-                                 own_pos, dest, dist(own_pos, dest), cls, dq_x,
-                                 delays, tx_cost)
+def favorable_pairs(table: NeighborTable, positions: dict, dest: Position,
+                    cls: PacketClass, dq_x: float, delays, now: float,
+                    tx_range: float = 100.0, cost_tx: float = 0.0522) -> list:
+    """The forwarder pairs over that F1. The owner's links carry the
+    path-loss factor (d / tx_range)**2 of each first hop, as the kernel's do."""
+    to_dest = distances_to(positions, dest)
+    own = positions[table.owner]
+    links = {y: (1.0, 0.0, (dist(own, pos) / tx_range) ** 2)
+             for y, pos in positions.items()}
+    return table.favorable_pairs(favorable_one_hop(table, positions, dest, now),
+                                 to_dest, to_dest[table.owner], cls, dq_x,
+                                 delays, links, cost_tx)
 
 
 def brute_favorable_one_hop(positions, n1, x, dest: Position) -> set:
@@ -222,15 +233,16 @@ def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0):
     second hop 3 at x=60, so progress is 60 m. The delays are the four terms
     of the offered-velocity denominator."""
     cls = PacketClass.CRITICAL
+    positions = {1: Position(0.0, 0.0), 2: Position(30.0, 0.0),
+                 3: Position(60.0, 0.0)}
     table = NeighborTable(owner=1, expiry=10.0)
     table.process_hello(HelloMessage(
-        sender=2, position=Position(30.0, 0.0), energy=2.0, dq={cls: dq_y},
+        sender=2, position=positions[2], energy=2.0, dq={cls: dq_y},
         reverse_prr={1: 0.9},
-        one_hop={3: TwoHopEntry(node=3, position=Position(60.0, 0.0),
+        one_hop={3: TwoHopEntry(node=3, position=positions[3],
                                 dt_yz=dt_yz, prr_yz=0.9)}), 0.0)
-    return favorable_pairs(table, Position(0.0, 0.0), Position(200.0, 0.0), cls,
-                           dq_x, DelayEstimator(dt_prior=dt_xy), lambda d: 1.0,
-                           0.0)
+    return favorable_pairs(table, positions, Position(200.0, 0.0), cls, dq_x,
+                           DelayEstimator(dt_prior=dt_xy), 0.0)
 
 
 def delay_estimator_with(dt: float, gamma: float = 0.5) -> DelayEstimator:

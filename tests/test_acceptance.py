@@ -125,10 +125,10 @@ def test_03_neighborhood_oracle():
             expected_two = set().union(*(n1[y] for y in n1[x])) - {x} \
                 if n1[x] else set()
             favorable = {r.neighbor for r, _ in
-                         favorable_one_hop(tables[x], positions[x], dest, 1.0)}
+                         favorable_one_hop(tables[x], positions, dest, 1.0)}
             pairs = favorable_pairs(
-                tables[x], positions[x], dest, PacketClass.CRITICAL, 0.002, est,
-                lambda d: 0.0522 * (d / tx_range) ** 2, 1.0)
+                tables[x], positions, dest, PacketClass.CRITICAL, 0.002, est,
+                1.0, tx_range=tx_range)
             if not (one_hop_set(tables[x], 1.0) == n1[x]
                     and two_hop_set(tables[x], 1.0) == expected_two
                     and favorable == brute_favorable_one_hop(positions, n1,

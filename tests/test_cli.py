@@ -281,6 +281,12 @@ def test_sweep_reports_runtime_failures(tmp_path, capsys):
     ({"parameter": "rng_seed", "values": [1, 2]}, "'seeds:'"),
     ({"parameter": "critical_rate", "values": [0.5], "seeds": [1, "x"]},
      "run.rng_seed"),
+    ({"parameter": "critical_rate", "values": [0.5], "seeds": 2.5},
+     "seeds must be a positive int"),
+    ({"parameter": "critical_rate", "values": [0.5], "seeds": True},
+     "seeds must be a positive int"),
+    ({"parameter": "critical_rate", "values": [0.5], "protocols": "tdthr"},
+     "protocols must be a list"),
 ])
 def test_sweep_rejects_invalid_points_at_load(tmp_path, capsys, point, field):
     _write_config(tmp_path / "base.yaml", _fast_cfg())
@@ -289,7 +295,9 @@ def test_sweep_rejects_invalid_points_at_load(tmp_path, capsys, point, field):
     out_dir = tmp_path / "out"
     assert main(["sweep", "--spec", str(spec),
                  "--out", str(out_dir)]) == EXIT_VALIDATION
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert field in err
+    assert err.count(str(spec)) == 1
     assert not out_dir.exists()
 
 

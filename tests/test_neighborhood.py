@@ -52,16 +52,17 @@ def test_two_hop_entries_exclude_owner():
     # never becomes a second hop, being farther from the destination than
     # any favorable first hop
     table = NeighborTable(owner=1, expiry=12.5)
-    own_pos, dest = Position(0, 0), Position(200, 0)
-    entries = [TwoHopEntry(node=1, position=own_pos, dt_yz=0.005, prr_yz=0.9)]
-    entries += [TwoHopEntry(node=n, position=Position(10 * n, 0), dt_yz=0.005,
-                            prr_yz=0.9) for n in (3, 4)]
+    positions = {1: Position(0, 0), 2: Position(10, 0), 3: Position(30, 0),
+                 4: Position(40, 0)}
+    dest = Position(200, 0)
+    entries = [TwoHopEntry(node=n, position=positions[n], dt_yz=0.005,
+                           prr_yz=0.9) for n in (1, 3, 4)]
     for now, one_hop in ((0.0, entries[1:]), (1.0, entries)):
-        hello = _hello(2, Position(10, 0), one_hop=one_hop)
+        hello = _hello(2, positions[2], one_hop=one_hop)
         table.process_hello(hello, now)
         assert table.records[2].two_hop is hello.one_hop
-    pairs = favorable_pairs(table, own_pos, dest, PacketClass.CRITICAL, 0.0,
-                            DelayEstimator(dt_prior=0.005), lambda d: 0.01, 1.0)
+    pairs = favorable_pairs(table, positions, dest, PacketClass.CRITICAL, 0.0,
+                            DelayEstimator(dt_prior=0.005), 1.0)
     assert [(p.y, p.z) for p in pairs] == [(2, 3), (2, 4)]
 
 
@@ -131,8 +132,8 @@ def test_destination_as_second_hop_is_ordinary():
     positions = {0: Position(0, 0), 1: Position(50, 0), 2: Position(100, 0)}
     tables = build_tables(positions, TX_RANGE)
     est = DelayEstimator(dt_prior=0.005)
-    pairs = favorable_pairs(tables[0], positions[0], positions[2],
-                            PacketClass.CRITICAL, 0.0, est, lambda d: 0.01, 1.0)
+    pairs = favorable_pairs(tables[0], positions, positions[2],
+                            PacketClass.CRITICAL, 0.0, est, 1.0)
     assert [(p.y, p.z) for p in pairs] == [(1, 2)]
     assert pairs[0].progress == 100.0
 
@@ -141,7 +142,7 @@ def test_all_neighbors_behind_gives_empty_favorable_set():
     positions = {0: Position(0, 0), 1: Position(30, 0), 2: Position(40, 10)}
     tables = build_tables(positions, TX_RANGE)
     dest = Position(-200, 0)  # destination behind the owner
-    assert favorable_one_hop(tables[0], positions[0], dest, 1.0) == []
+    assert favorable_one_hop(tables[0], positions, dest, 1.0) == []
 
 
 # ---- brute-force oracle over random topologies ---------------------------
@@ -166,11 +167,11 @@ def _oracle_check(n_topologies: int, seed_base: int):
                 if n1[x] else set()
             assert two_hop_set(tables[x], 1.0) == expected_two_hop
             favorable = {r.neighbor for r, _ in
-                         favorable_one_hop(tables[x], positions[x], dest, 1.0)}
+                         favorable_one_hop(tables[x], positions, dest, 1.0)}
             assert favorable == brute_favorable_one_hop(positions, n1, x, dest)
             pairs = favorable_pairs(
-                tables[x], positions[x], dest, PacketClass.CRITICAL, 0.002, est,
-                lambda d: 0.0522 * (d / TX_RANGE) ** 2, 1.0)
+                tables[x], positions, dest, PacketClass.CRITICAL, 0.002, est,
+                1.0, tx_range=TX_RANGE)
             assert ({(p.y, p.z) for p in pairs}
                     == brute_favorable_pairs(positions, n1, x, dest))
             d_x = dist(positions[x], dest)

@@ -1,6 +1,7 @@
 """Simulation-engine tests: configuration handling, topology generation, the
 hidden link model, and end-to-end run invariants on a small field."""
 
+import enum
 import hashlib
 import io
 import math
@@ -11,7 +12,7 @@ import yaml
 
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash
-from tdthr.core import LIGHT_SPEED, Position, dist
+from tdthr.core import LIGHT_SPEED, Position, dist, tx_power_cost
 from tdthr.neighborhood import NeighborTable
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, delivery_probability,
@@ -200,8 +201,24 @@ def _all_pairs(positions, cfg):
 
 def _assert_matches_all_pairs(sim):
     # same edges in the same order, same probabilities, same delays
-    assert ([(x, list(peers.items())) for x, peers in sim.links.items()]
-            == _all_pairs(sim.positions, sim.cfg))
+    cfg = sim.cfg
+    assert ([(x, [(y, link[:2]) for y, link in peers.items()])
+             for x, peers in sim.links.items()]
+            == _all_pairs(sim.positions, cfg))
+    # the geometry fixed at set-up is exactly what `dist` and
+    # `tx_power_cost` give, in joules and, rounded, in nanojoules
+    for sink in (PRIMARY_SINK, SECONDARY_SINK):
+        assert sim.sink_distance[sink] == {
+            nid: dist(pos, sim.positions[sink])
+            for nid, pos in sim.positions.items()}
+    for x, peers in sim.links.items():
+        cost_tx_nj = sim.nodes[x].energy.cost_tx_nj
+        for y, (_, _, loss) in peers.items():
+            d = dist(sim.positions[x], sim.positions[y])
+            assert cfg.energy_tx * loss == tx_power_cost(
+                d, cfg.tx_range, cfg.path_loss_alpha, cfg.energy_tx)
+            assert round(cost_tx_nj * loss) == round(tx_power_cost(
+                d, cfg.tx_range, cfg.path_loss_alpha, cost_tx_nj))
 
 
 def _default_config():
@@ -232,6 +249,7 @@ def test_adjacency_matches_all_pairs_on_cell_boundaries(monkeypatch, tx_range):
     # Sinks on the corners of a field six ranges wide and the source at its
     # centre; three nodes exactly tx_range from the primary sink, relays on
     # every multiple of tx_range, and random points snapped to half ranges.
+    # Each point is placed once: coincident nodes are rejected at set-up.
     side = 6 * tx_range
     at_range = [(tx_range, 0.0), (0.0, tx_range),
                 (3 * tx_range / 5, 4 * tx_range / 5)]
@@ -240,6 +258,7 @@ def test_adjacency_matches_all_pairs_on_cell_boundaries(monkeypatch, tx_range):
     rng = random.Random(tx_range)
     points += [(rng.randint(0, 12) * tx_range / 2, rng.randint(0, 12) * tx_range / 2)
                for _ in range(30)]
+    points = list(dict.fromkeys(points))
     positions = {nid: Position(x, y) for nid, (x, y) in enumerate(points)}
     monkeypatch.setattr(simkernel, "generate_topology",
                         lambda cfg, seed: dict(positions))
@@ -247,6 +266,19 @@ def test_adjacency_matches_all_pairs_on_cell_boundaries(monkeypatch, tx_range):
     _assert_matches_all_pairs(sim)
     if tx_range == 100.0:   # the three distances are exact in binary
         assert {3, 4, 5} <= set(sim.links[PRIMARY_SINK])
+
+
+def test_coincident_nodes_rejected_at_construction(monkeypatch):
+    # a zero-length link has no transmit cost: it fails at set-up, not at
+    # the first transmission over it
+    cfg = _field_config(5, 300.0, 100.0)
+    positions = {0: Position(0.0, 0.0), 1: Position(300.0, 300.0),
+                 2: Position(150.0, 150.0), 3: Position(150.0, 150.0),
+                 4: Position(75.0, 75.0)}
+    monkeypatch.setattr(simkernel, "generate_topology",
+                        lambda cfg, seed: dict(positions))
+    with pytest.raises(ValueError, match="must be positive"):
+        Simulation(cfg)
 
 
 def test_adjacency_matches_all_pairs_on_the_shipped_full_scale_field():
@@ -410,6 +442,39 @@ def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
     assert sum(rec.dq != current[rec.neighbor] for _, rec in records) > 50
 
 
+@pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
+def test_every_ack_timer_can_act(monkeypatch, protocol):
+    # a timer is armed only for an exchange that failed, so none finds its
+    # exchange already acknowledged or abandoned
+    found_done = []
+    timeout = Simulation._ev_ack_timeout
+
+    def watched(self, sender_id, state):
+        found_done.append(state.done)
+        timeout(self, sender_id, state)
+
+    monkeypatch.setattr(Simulation, "_ev_ack_timeout", watched)
+    Simulation(_congested_config(protocol)).run()
+    assert len(found_done) > 50
+    assert not any(found_done)
+
+
+def test_a_run_never_hashes_through_enum(monkeypatch):
+    # PacketClass members hash by identity; Enum.__hash__ is a Python
+    # function and would run on every per-class dict lookup
+    calls = []
+    enum_hash = enum.Enum.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return enum_hash(self)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", counted)
+    ledger = Simulation(_congested_config("tdthr")).run()
+    assert ledger.delivered_total > 0
+    assert calls == []
+
+
 def test_duplication_only_for_loss_averse_classes():
     base = dict(critical_rate=0.5, reliability_responsive_rate=0.25,
                 delay_responsive_rate=0.25, rng_seed=6, duration=25.0)
@@ -488,7 +553,7 @@ def test_full_scale_default_config_builds_and_runs(seed):
     edges = {(x, y): link for x, peers in sim.links.items()
              for y, link in peers.items()}
     assert set(edges) == {(y, x) for x, y in edges}
-    assert all(cfg.min_delivery_prob <= p <= 1 for p, _ in edges.values())
+    assert all(cfg.min_delivery_prob <= p <= 1 for p, *_ in edges.values())
     assert all(edges[(x, y)] == edges[(y, x)] for x, y in edges)
     ledger = sim.run()
     assert ledger.first_death_time is None
