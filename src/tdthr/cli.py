@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -54,6 +53,16 @@ def config_hash(cfg: SimConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _output_path(path, directory=False) -> Path:
+    """Create the directory that writing `path` needs before any run starts,
+    so that a bad output path fails at once, not once the work is done."""
+    path = Path(path)
+    (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
+    if not directory and path.is_dir():
+        raise ValueError(f"{path}: is a directory")
+    return path
+
+
 def execute_run(cfg: SimConfig, trace_path=None) -> str:
     """One simulation; returns the metrics CSV row."""
     with open(trace_path, "w") if trace_path else nullcontext() as trace:
@@ -69,9 +78,10 @@ def cmd_run(args) -> int:
             cfg.rng_seed = args.seed
         errors = cfg.validate()
         if errors:
-            for err in errors:
-                print(f"{args.config}: {err}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError("\n".join(f"{args.config}: {e}" for e in errors))
+        out = _output_path(args.out)
+        if args.trace:
+            _output_path(args.trace)
     except LOAD_ERRORS as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
@@ -80,8 +90,6 @@ def cmd_run(args) -> int:
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(metrics_mod.csv_header() + "\n" + row + "\n")
     return EXIT_OK
 
@@ -89,13 +97,11 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     try:
         cfg = load_config(args.config)
+        errors = cfg.validate()
+        if errors:
+            raise ValueError("\n".join(f"{args.config}: {e}" for e in errors))
     except LOAD_ERRORS as exc:
         print(exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    errors = cfg.validate()
-    if errors:
-        for err in errors:
-            print(f"{args.config}: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     print(yaml.safe_dump(cfg.to_dict(), sort_keys=False), end="")
     return EXIT_OK
@@ -170,8 +176,7 @@ def run_sweep(spec: dict, out_dir, jobs: int = 1):
         else:
             rows.append(row)
             plotted.append((value, row))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_path(out_dir, directory=True)
     (out / "sweep.csv").write_text(
         metrics_mod.csv_header() + "\n" + "".join(r + "\n" for r in sorted(rows)))
     if failures:
@@ -216,13 +221,14 @@ def _write_plot_data(plotted, parameter, out_dir: Path):
 
 def cmd_sweep(args) -> int:
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         spec = load_sweep_spec(args.spec)
+        out_dir = _output_path(args.out, directory=True)
     except LOAD_ERRORS as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
-    out_dir = args.out or os.environ.get("TDTHR_OUT_DIR", "sweep_out")
-    jobs = args.jobs or int(os.environ.get("TDTHR_JOBS", "1"))
-    rows, failures = run_sweep(spec, out_dir, jobs=jobs)
+    rows, failures = run_sweep(spec, out_dir, jobs=args.jobs)
     print(f"{len(rows)} runs completed, {len(failures)} failed -> {out_dir}")
     for desc, err in failures:
         print(f"  failed: {desc}: {err}", file=sys.stderr)
@@ -244,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     p_sweep.add_argument("--spec", required=True)
-    p_sweep.add_argument("--out", default=None, help="output directory")
-    p_sweep.add_argument("--jobs", type=int, default=None)
+    p_sweep.add_argument("--out", default="sweep_out", help="output directory")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="validate and echo a config")

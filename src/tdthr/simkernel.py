@@ -46,12 +46,12 @@ def delivery_probability(d: float, cfg: SimConfig) -> float:
     return min(1.0, max(cfg.min_delivery_prob, p))
 
 
-def generate_topology(cfg: SimConfig, seed: int) -> dict:
+def generate_topology(cfg: SimConfig, seed: int) -> tuple:
     """Random uniform node placement with fixed sink/source positions.
 
     Ids 0 and 1 are the primary and secondary sinks, id 2 the source, the
     rest are relays. Regenerates (bounded) until the source can reach both
-    sinks over the range graph.
+    sinks over the range graph; returns the positions and that graph.
     """
     for attempt in range(_TOPOLOGY_RETRIES):
         rng = random.Random(f"topology:{seed}:{attempt}")
@@ -60,70 +60,62 @@ def generate_topology(cfg: SimConfig, seed: int) -> dict:
         for nid in range(3, cfg.node_count):
             positions[nid] = Position(rng.uniform(0.0, cfg.field_width),
                                       rng.uniform(0.0, cfg.field_height))
-        if _connected(positions, cfg.tx_range, SOURCE,
-                      {PRIMARY_SINK, SECONDARY_SINK}):
-            return positions
+        neighbours = _neighbours(positions, cfg.tx_range)
+        if _connected(neighbours, SOURCE, {PRIMARY_SINK, SECONDARY_SINK}):
+            return positions, neighbours
     raise ValueError(
         f"could not generate a topology connecting the source to both sinks "
         f"after {_TOPOLOGY_RETRIES} attempts (seed {seed}); increase density "
         f"or range")
 
 
-def _connected(positions, tx_range, start, targets) -> bool:
-    grid = _Grid(positions, tx_range)
+def _neighbours(positions, tx_range) -> dict:
+    """The range graph: nid -> [(peer, distance)] for every other node within
+    tx_range, peers ascending. Positions are bucketed into square cells about
+    tx_range wide, so a node's neighbours lie in its own cell or the eight
+    around it and the build costs O(n * degree) instead of O(n^2)."""
+    # The cell side is a hair wider than tx_range so that two points
+    # exactly tx_range apart never land two cells apart once x / side is
+    # rounded: that rounding is a few ulps of x / side, far below the
+    # 1e-9 slack on any field under ~10^6 ranges across. A 3x3 scan
+    # then finds every neighbour.
+    side = tx_range * (1 + 1e-9)
+    floor, hypot = math.floor, math.hypot
+    cells = {}   # cell -> [(id, x, y)]
+    for nid, p in positions.items():
+        cells.setdefault((floor(p.x / side), floor(p.y / side)), []).append(
+            (nid, p.x, p.y))
+    graph = {}
+    for (cx, cy), members in cells.items():
+        around = [q for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
+                  for q in cells.get((i, j), ())]
+        for x, x0, y0 in members:
+            found = []
+            for y, qx, qy in around:
+                if y != x:
+                    # dist(p, q) inlined: set-up's hottest line
+                    d = hypot(x0 - qx, y0 - qy)
+                    if d <= tx_range:
+                        found.append((y, d))
+            found.sort()
+            graph[x] = found
+    return graph
+
+
+def _connected(neighbours, start, targets) -> bool:
     frontier = [start]
     seen = {start}
     remaining = set(targets)
     while frontier and remaining:
         nxt = []
         for x in frontier:
-            for y, _ in grid.in_range(x):
+            for y, _ in neighbours[x]:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
                     remaining.discard(y)
         frontier = nxt
     return not remaining
-
-
-class _Grid:
-    """Positions bucketed into square cells about `tx_range` wide, so that a
-    node's in-range neighbours lie in its own cell or the eight around it and
-    set-up costs O(n * degree) instead of O(n^2)."""
-
-    def __init__(self, positions, tx_range):
-        # The cell side is a hair wider than tx_range so that two points
-        # exactly tx_range apart never land two cells apart once x / side is
-        # rounded: that rounding is a few ulps of x / side, far below the
-        # 1e-9 slack on any field under ~10^6 ranges across. A 3x3 scan
-        # then finds every neighbour.
-        self._side = tx_range * (1 + 1e-9)
-        self._tx_range = tx_range
-        self._positions = positions
-        self._cells = {}   # cell -> [(id, x, y)]
-        for nid, p in positions.items():
-            self._cells.setdefault(self._cell(p), []).append((nid, p.x, p.y))
-
-    def _cell(self, p):
-        return math.floor(p.x / self._side), math.floor(p.y / self._side)
-
-    def in_range(self, x) -> list:
-        """(y, dist) for every other node y within tx_range of x, y ascending."""
-        tx_range, hypot = self._tx_range, math.hypot
-        px = self._positions[x]
-        x0, y0 = px.x, px.y
-        cx, cy = self._cell(px)
-        found = []
-        for i in (cx - 1, cx, cx + 1):
-            for j in (cy - 1, cy, cy + 1):
-                for y, qx, qy in self._cells.get((i, j), ()):
-                    if y != x:
-                        # dist(px, q) inlined: set-up's hottest line
-                        d = hypot(x0 - qx, y0 - qy)
-                        if d <= tx_range:
-                            found.append((y, d))
-        found.sort()
-        return found
 
 
 class _Node:
@@ -180,7 +172,7 @@ class Simulation:
         self.cfg = cfg
         self._protocol = PROTOCOLS[cfg.protocol]
         self.rng = random.Random(f"run:{cfg.rng_seed}")
-        self.positions = generate_topology(cfg, cfg.rng_seed)
+        self.positions, neighbours = generate_topology(cfg, cfg.rng_seed)
         budget = EnergyBudget.from_joules(
             cfg.energy_initial, cfg.energy_tx, cfg.energy_rx,
             cfg.energy_sleep, cfg.energy_idle)
@@ -197,14 +189,13 @@ class Simulation:
         # ascending. A transmission costs its nominal cost times the factor.
         # An edge's two directions share one tuple, their `hypot` distances
         # being equal bit for bit; nodes ascend, so the lower end's exists.
-        grid = _Grid(self.positions, cfg.tx_range)
         tx_range, alpha = cfg.tx_range, cfg.path_loss_alpha
         links = self.links = {}
         for x in self.nodes:
             links[x] = {y: links[y][x] if y < x else
                         (delivery_probability(d, cfg), d / LIGHT_SPEED,
                          path_loss_factor(d, tx_range, alpha))
-                        for y, d in grid.in_range(x)}
+                        for y, d in neighbours[x]}
         self.metrics = MetricsLedger()
         self.metrics.lifetime_metric = cfg.lifetime_metric
         self.trace = trace                     # file-like or None
@@ -231,9 +222,11 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, handler, payload))
 
-    def _log(self, node, kind, packet_id="-", detail=""):
+    def _log(self, node, kind, packet_id="-", detail="", *args):
+        # `detail` is formatted only for a trace that is written
         if self.trace is not None:
-            self.trace.write(f"{self.now:.9f} {node} {kind} {packet_id} {detail}\n")
+            self.trace.write(f"{self.now:.9f} {node} {kind} {packet_id} "
+                             f"{detail.format(*args)}\n")
 
     def _schedule_initial(self):
         cfg = self.cfg
@@ -606,8 +599,8 @@ class Simulation:
         backoff = self.rng.uniform(0.0, cfg.backoff_window)
         arrival = self.now + backoff + self._payload_ser + prop
         delivered = self.rng.random() < p
-        self._log(node.id, "tx_attempt", packet.packet_id,
-                  f"to={peer} n={state.attempts} seq={seq}")
+        self._log(node.id, "tx_attempt", packet.packet_id, "to={} n={} seq={}",
+                  peer, state.attempts, seq)
         # An ACK timer is armed only where the exchange fails: here if the
         # data is lost, else in `_ev_data_rx`. An ACK beats its timer.
         state.timeout = arrival + self._ack_ser + prop + cfg.ack_timeout_guard
@@ -628,7 +621,7 @@ class Simulation:
         fresh = packet.packet_id not in receiver.seen_packets
         if fresh:
             receiver.seen_packets.add(packet.packet_id)
-            self._log(receiver_id, "data_rx", packet.packet_id, f"from={sender_id}")
+            self._log(receiver_id, "data_rx", packet.packet_id, "from={}", sender_id)
         # ACK back (control-plane energy, idle rate), subject to reverse loss
         p, prop, _ = self.links[receiver_id][sender_id]
         if self.rng.random() < p:
@@ -642,8 +635,8 @@ class Simulation:
         if receiver.is_sink:
             self.metrics.record_delivery(packet.logical_id, packet.packet_id,
                                          self.now, packet.deadline)
-            self._log(receiver_id, "delivered", packet.packet_id,
-                      f"class={packet.cls.value}")
+            self._log(receiver_id, "delivered", packet.packet_id, "class={}",
+                      packet.cls.value)
             return
         packet.received_time = self.now
         packet.hop_trace.append(receiver_id)
@@ -665,7 +658,7 @@ class Simulation:
             receiver_id, peer.pos, peer.reported_energy,
             peer.delays.dq,
             rev.prr if rev is not None else None, self.now)
-        self._log(sender_id, "ack_rx", state.packet.packet_id, f"from={receiver_id}")
+        self._log(sender_id, "ack_rx", state.packet.packet_id, "from={}", receiver_id)
         self._finish_tx(node)
 
     def _ev_ack_timeout(self, sender_id: NodeId, state: _TxState):
@@ -677,8 +670,8 @@ class Simulation:
             return
         if state.attempts > self.cfg.max_retries:
             state.done = True
-            self._log(sender_id, "hop_failed", state.packet.packet_id,
-                      f"to={state.next_hop}")
+            self._log(sender_id, "hop_failed", state.packet.packet_id, "to={}",
+                      state.next_hop)
             # unreachable-neighbor detection: a hop that never ACKed is
             # dropped from the table until its next HELLO revives it
             node.table.records.pop(state.next_hop, None)

@@ -4,7 +4,7 @@ sweep harness."""
 import pytest
 import yaml
 
-from tdthr import metrics
+from tdthr import cli, metrics
 from tdthr.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, config_hash,
                        load_config, load_sweep_spec, main)
 from tdthr.simkernel import SimConfig
@@ -174,6 +174,39 @@ def test_run_propagates_validation_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _no_runs(monkeypatch):
+    """Record each simulation the CLI would start, and start none."""
+    started = []
+    monkeypatch.setattr(cli, "execute_run",
+                        lambda cfg, trace_path=None: started.append(cfg))
+    return started
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_run_rejects_a_directory_as_output_before_running(tmp_path, capsys,
+                                                         monkeypatch, flag):
+    path = _write_config(tmp_path / "cfg.yaml", _fast_cfg())
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    out = taken if flag == "--out" else tmp_path / "x.csv"
+    started = _no_runs(monkeypatch)
+    argv = ["run", "--config", path, "--out", str(out)]
+    if flag == "--trace":
+        argv += ["--trace", str(taken)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count(str(taken)) == 1 and "Traceback" not in err
+    assert started == [] and not (tmp_path / "x.csv").exists()
+
+
+def test_run_creates_the_trace_directory(tmp_path):
+    path = _write_config(tmp_path / "cfg.yaml", _fast_cfg())
+    trace = tmp_path / "new" / "dir" / "run.trace"
+    assert main(["run", "--config", path, "--out", str(tmp_path / "x.csv"),
+                 "--trace", str(trace)]) == EXIT_OK
+    assert trace.stat().st_size > 1000
+
+
 # ---- config hashing ------------------------------------------------------
 
 def test_config_hash_tracks_content():
@@ -299,6 +332,51 @@ def test_sweep_rejects_invalid_points_at_load(tmp_path, capsys, point, field):
     assert field in err
     assert err.count(str(spec)) == 1
     assert not out_dir.exists()
+
+
+def _small_spec(tmp_path):
+    _write_config(tmp_path / "base.yaml", _fast_cfg(duration=20.0))
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump({"base_config": "base.yaml",
+                                    "parameter": "critical_rate",
+                                    "values": [0.5],
+                                    "protocols": ["greedy_geo"]}))
+    return str(spec)
+
+
+def test_sweep_rejects_a_file_as_output_directory_before_running(
+        tmp_path, capsys, monkeypatch):
+    spec = _small_spec(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    started = _no_runs(monkeypatch)
+    assert main(["sweep", "--spec", spec, "--out", str(taken)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count(str(taken)) == 1 and "Traceback" not in err
+    assert started == [] and taken.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
+    spec = _small_spec(tmp_path)
+    started = _no_runs(monkeypatch)
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "o"),
+                 "--jobs", jobs]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"--jobs must be at least 1, got {jobs}" in err
+    assert started == [] and not (tmp_path / "o").exists()
+
+
+def test_sweep_reads_no_environment_knobs(tmp_path, capsys, monkeypatch):
+    # the options' defaults hold whatever the environment says
+    spec = _small_spec(tmp_path)
+    monkeypatch.setenv("TDTHR_JOBS", "abc")
+    monkeypatch.setenv("TDTHR_OUT_DIR", str(tmp_path / "from_env"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--spec", spec]) == EXIT_OK
+    capsys.readouterr()
+    assert len((tmp_path / "sweep_out" / "sweep.csv").read_text().splitlines()) == 2
+    assert not (tmp_path / "from_env").exists()
 
 
 def test_sweep_seed_list_normalization(tmp_path):

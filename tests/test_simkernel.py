@@ -15,8 +15,8 @@ from tdthr.cli import config_hash
 from tdthr.core import LIGHT_SPEED, Position, dist, tx_power_cost
 from tdthr.neighborhood import NeighborTable
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
-                             Simulation, _connected, delivery_probability,
-                             generate_topology, run)
+                             Simulation, _connected, _neighbours,
+                             delivery_probability, generate_topology, run)
 
 from helpers import mini_config
 
@@ -119,10 +119,10 @@ def test_delivery_probability_shape():
 
 def test_topology_is_deterministic_and_in_bounds():
     cfg = mini_config()
-    a = generate_topology(cfg, seed=5)
-    b = generate_topology(cfg, seed=5)
-    assert a == b
-    assert a != generate_topology(cfg, seed=6)
+    a, graph = generate_topology(cfg, seed=5)
+    assert generate_topology(cfg, seed=5) == (a, graph)
+    assert a != generate_topology(cfg, seed=6)[0]
+    assert graph == _neighbours(a, cfg.tx_range)
     assert len(a) == cfg.node_count
     for pos in a.values():
         assert 0 <= pos.x <= cfg.field_width and 0 <= pos.y <= cfg.field_height
@@ -133,7 +133,7 @@ def test_topology_is_deterministic_and_in_bounds():
 def test_topology_guarantees_source_to_sink_paths():
     cfg = mini_config()
     for seed in range(1, 6):
-        positions = generate_topology(cfg, seed)
+        positions, _ = generate_topology(cfg, seed)
         for sink in (PRIMARY_SINK, SECONDARY_SINK):
             assert _bfs_reachable(positions, cfg.tx_range, SOURCE, sink)
 
@@ -176,35 +176,38 @@ def test_connected_agrees_with_bfs_on_accepted_and_rejected_placements():
         targets = {PRIMARY_SINK, SECONDARY_SINK}
         expected = all(_bfs_reachable(positions, tx_range, SOURCE, t)
                        for t in targets)
-        assert _connected(positions, tx_range, SOURCE, targets) == expected
+        graph = _neighbours(positions, tx_range)
+        assert _connected(graph, SOURCE, targets) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
 
 
 # ---- adjacency and link truth against all pairs ---------------------------
 
-def _all_pairs(positions, cfg):
-    """Adjacency, link probabilities and propagation delays from a plain
-    double loop, as (x, [(y, (link_prob, delay))]) in id order."""
-    links = []
-    for x in sorted(positions):
-        peers = []
-        for y in sorted(positions):
-            if x != y:
-                d = dist(positions[x], positions[y])
-                if d <= cfg.tx_range:
-                    peers.append((y, (delivery_probability(d, cfg),
-                                      d / LIGHT_SPEED)))
-        links.append((x, peers))
-    return links
+def _all_pairs(positions, tx_range):
+    """The range graph from a plain double loop: x -> [(y, distance)] for
+    every other node y within tx_range, y ascending."""
+    return {x: [(y, dist(positions[x], positions[y])) for y in sorted(positions)
+                if y != x and dist(positions[x], positions[y]) <= tx_range]
+            for x in sorted(positions)}
+
+
+def _placed(positions, cfg):
+    """What `generate_topology` returns for the fixed placement `positions`."""
+    return dict(positions), _neighbours(positions, cfg.tx_range)
 
 
 def _assert_matches_all_pairs(sim):
-    # same edges in the same order, same probabilities, same delays
+    # the range graph, built directly, has the same edges in the same order
+    # and the same distances as the double loop
     cfg = sim.cfg
+    graph = _all_pairs(sim.positions, cfg.tx_range)
+    assert _neighbours(sim.positions, cfg.tx_range) == graph
+    # the links: same edges in the same order, same probabilities, same delays
     assert ([(x, [(y, link[:2]) for y, link in peers.items()])
              for x, peers in sim.links.items()]
-            == _all_pairs(sim.positions, cfg))
+            == [(x, [(y, (delivery_probability(d, cfg), d / LIGHT_SPEED))
+                     for y, d in peers]) for x, peers in graph.items()])
     # the geometry fixed at set-up is exactly what `dist` and
     # `tx_power_cost` give, in joules and, rounded, in nanojoules
     for sink in (PRIMARY_SINK, SECONDARY_SINK):
@@ -261,7 +264,7 @@ def test_adjacency_matches_all_pairs_on_cell_boundaries(monkeypatch, tx_range):
     points = list(dict.fromkeys(points))
     positions = {nid: Position(x, y) for nid, (x, y) in enumerate(points)}
     monkeypatch.setattr(simkernel, "generate_topology",
-                        lambda cfg, seed: dict(positions))
+                        lambda cfg, seed: _placed(positions, cfg))
     sim = Simulation(_field_config(len(positions), side, tx_range))
     _assert_matches_all_pairs(sim)
     if tx_range == 100.0:   # the three distances are exact in binary
@@ -276,7 +279,7 @@ def test_coincident_nodes_rejected_at_construction(monkeypatch):
                  2: Position(150.0, 150.0), 3: Position(150.0, 150.0),
                  4: Position(75.0, 75.0)}
     monkeypatch.setattr(simkernel, "generate_topology",
-                        lambda cfg, seed: dict(positions))
+                        lambda cfg, seed: _placed(positions, cfg))
     with pytest.raises(ValueError, match="must be positive"):
         Simulation(cfg)
 
@@ -284,6 +287,32 @@ def test_coincident_nodes_rejected_at_construction(monkeypatch):
 def test_adjacency_matches_all_pairs_on_the_shipped_full_scale_field():
     # default.yaml puts the sinks on the corners of a field 18 ranges wide
     _assert_matches_all_pairs(Simulation(_default_config()))
+
+
+def test_set_up_builds_one_range_graph_per_placement(monkeypatch):
+    # Each placement attempt buckets its positions into cells once, in
+    # `_neighbours`, and the accepted placement's graph is the one the links
+    # are built from: cell indices are counted by their `math.floor` calls,
+    # two per node, so a second index anywhere in set-up shows here.
+    calls = {"_neighbours": 0, "_connected": 0, "floor": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("_neighbours", "_connected"):
+        monkeypatch.setattr(simkernel, name,
+                            counted(name, getattr(simkernel, name)))
+    monkeypatch.setattr(math, "floor", counted("floor", math.floor))
+    cfg = _default_config()
+    sim = Simulation(cfg)
+    assert calls["_connected"] >= 1
+    assert calls["_neighbours"] == calls["_connected"]
+    assert calls["floor"] == 2 * cfg.node_count * calls["_connected"]
+    assert not hasattr(simkernel, "_Grid")
+    assert len(sim.links) == cfg.node_count
 
 
 # ---- end-to-end run invariants -------------------------------------------
@@ -377,6 +406,22 @@ def test_behaviour_fingerprint(protocol):
                           cfg.critical_rate, cfg.duration)
     trace_sha = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert (trace_sha, row) == _FINGERPRINTS[protocol]
+
+
+@pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
+def test_traced_and_untraced_runs_agree(protocol):
+    # writing the trace changes nothing the run computes: details are
+    # formatted only for a trace that is written
+    cfg = _congested_config(protocol)
+    untraced = Simulation(cfg).run()
+    buf = io.StringIO()
+    traced = Simulation(cfg, trace=buf).run()
+    assert buf.getvalue().count("tx_attempt") > 100
+    assert vars(traced) == vars(untraced)
+    rows = [metrics.csv_row(ledger, config_hash(cfg), cfg.rng_seed,
+                            cfg.protocol, cfg.critical_rate, cfg.duration)
+            for ledger in (untraced, traced)]
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
