@@ -2,7 +2,7 @@
 with a deterministic discrete-event simulator and baseline protocols."""
 
 from .config import SimConfig
-from .core import NodeId, Packet, PacketClass, Position, dist, tx_power_cost
+from .core import NodeId, Packet, PacketClass, Position, dist
 from .estimators import DelayEstimator, PrrEstimator
 from .forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
                          required_velocity, select_next_hop, update_lag_time)
@@ -12,7 +12,7 @@ from .queueing import QueueBank
 from .simkernel import Simulation, generate_topology, run
 
 __all__ = [
-    "NodeId", "Packet", "PacketClass", "Position", "dist", "tx_power_cost",
+    "NodeId", "Packet", "PacketClass", "Position", "dist",
     "DelayEstimator", "PrrEstimator",
     "DeadlineExpired", "NoQualifyingPair", "VoidRegion",
     "required_velocity", "select_next_hop", "update_lag_time",

@@ -1,6 +1,7 @@
 """Command-line front end: single runs, parameter sweeps, config validation.
 
-Exit codes: 0 success, 1 validation failure, 2 runtime failure.
+Exit codes: 0 success, 1 validation failure (a bad config, spec or command
+line), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -261,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse: 2 after a usage error, 0 after --help
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     return args.func(args)
 
 

@@ -61,15 +61,6 @@ def path_loss_factor(d: float, tx_range: float, alpha: float) -> float:
     return (d / tx_range) ** alpha
 
 
-def tx_power_cost(d: float, tx_range: float, alpha: float, cost_tx: float) -> float:
-    """Energy cost in joules of one transmission over distance d.
-
-    Free-space model: cost_tx * (d / tx_range)**alpha, so a full-range
-    transmission costs exactly the nominal per-packet value.
-    """
-    return cost_tx * path_loss_factor(d, tx_range, alpha)
-
-
 @dataclass
 class Packet:
     packet_id: int

@@ -1,10 +1,12 @@
 """One- and two-hop neighbor tables maintained from HELLO beacons and
 ACK piggybacking, plus the favorable-forwarder set computations.
 
-A node x learns about neighbor y from y's periodic HELLO: y's position,
-residual energy, per-class queuing-delay estimates, the reliability y
-measured on the link x->y, and y's own one-hop list (which gives x its
-two-hop view). ACKs refresh the ACKing node's own fields between HELLOs.
+A node x learns about neighbor y from y's periodic HELLO: y's residual
+energy, per-class queuing-delay estimates, the reliability y measured on the
+link x->y, and y's own one-hop list (which gives x its two-hop view). ACKs
+refresh the ACKing node's own fields between HELLOs. Positions are not
+carried: the geometry is fixed, and distances are read by node id from the
+kernel (`Simulation.sink_distance`, `Simulation.positions`).
 """
 
 from __future__ import annotations
@@ -12,19 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import NodeId, PacketClass, Position
+from .core import NodeId, PacketClass
 
-# Simulated wire sizes (bytes) for energy/overhead accounting.
+# Simulated wire sizes (bytes) for energy/overhead accounting. The header
+# still counts 8 bytes of position, which a deployed node would send: HELLO
+# airtime sets the arrival times in the event trace.
 HELLO_HEADER_BYTES = 4 + 8 + 4 + 16      # sender id, position, energy, 4x dq
 HELLO_PRR_ENTRY_BYTES = 6
 HELLO_NEIGHBOR_ENTRY_BYTES = 26
 
 
 class TwoHopEntry(NamedTuple):
-    """What neighbor y reports about its own neighbor z. Immutable: one
-    beacon's entries are shared by every table that hears it."""
-    node: NodeId
-    position: Position
+    """What neighbor y reports about its own neighbor z, keyed by z in the
+    beacon's `one_hop`. Immutable: one beacon's entries are shared by every
+    table that hears it."""
     dt_yz: float             # y's transmission-delay estimate toward z
     prr_yz: float            # reliability of link y->z as reported to y
 
@@ -32,7 +35,6 @@ class TwoHopEntry(NamedTuple):
 @dataclass
 class HelloMessage:
     sender: NodeId
-    position: Position
     energy: float
     dq: dict                           # sender's per-class queuing estimates
     reverse_prr: dict                  # NodeId -> prr of link (that node -> sender)
@@ -48,7 +50,6 @@ class HelloMessage:
 @dataclass
 class NeighborRecord:
     neighbor: NodeId
-    position: Position
     prr_xy: float            # as last reported by the neighbor (receiver side)
     # The neighbor's per-class queuing estimates: its own `DelayEstimator.dq`
     # as of the HELLO or ACK that last refreshed the record, shared with every
@@ -99,44 +100,33 @@ class NeighborTable:
         if not self._well_formed(hello):
             self.malformed_dropped += 1
             return
-        rec = self.records.get(hello.sender)
-        if rec is None:
-            rec = NeighborRecord(
-                neighbor=hello.sender, position=hello.position,
-                prr_xy=hello.reverse_prr.get(self.owner, 1.0),
-                dq=hello.dq, energy=hello.energy, last_heard=now,
-                two_hop=hello.one_hop)
-            self.records[hello.sender] = rec
-        else:
-            rec.position = hello.position
-            rec.dq = hello.dq
-            rec.energy = hello.energy
-            rec.last_heard = now
-            rec.two_hop = hello.one_hop
-            if self.owner in hello.reverse_prr:
-                rec.prr_xy = hello.reverse_prr[self.owner]
+        rec = self._refresh(hello.sender, hello.energy, hello.dq,
+                            hello.reverse_prr.get(self.owner), now)
+        rec.two_hop = hello.one_hop
 
-    def process_ack_info(self, sender: NodeId, position: Position, energy: float,
-                         dq: dict, prr_xy: float | None, now: float) -> None:
-        """ACK piggyback: refresh the ACKing node's own fields only. The record
-        keeps `dq` itself: the ACKing node's `DelayEstimator.dq`, never mutated."""
+    def process_ack_info(self, sender: NodeId, energy: float, dq: dict,
+                         prr_xy: float | None, now: float) -> None:
+        """ACK piggyback: refresh the ACKing node's own fields only."""
+        self._refresh(sender, energy, dq, prr_xy, now)
+
+    def _refresh(self, sender: NodeId, energy: float, dq: dict,
+                 prr_xy: float | None, now: float) -> NeighborRecord:
+        """Create or refresh `sender`'s record from a HELLO or an ACK. A
+        message that reports no reliability (`prr_xy` None) leaves the old
+        value, or 1.0 in a new record. The record keeps `dq` itself."""
         rec = self.records.get(sender)
         if rec is None:
-            rec = NeighborRecord(neighbor=sender, position=position,
-                                 prr_xy=prr_xy if prr_xy is not None else 1.0,
-                                 dq=dq, energy=energy, last_heard=now)
-            self.records[sender] = rec
-            return
-        rec.energy = energy
+            rec = self.records[sender] = NeighborRecord(sender, 1.0, dq,
+                                                        energy, now)
         rec.dq = dq
+        rec.energy = energy
         rec.last_heard = now
         if prr_xy is not None:
             rec.prr_xy = prr_xy
+        return rec
 
     def _well_formed(self, hello) -> bool:
-        return (isinstance(hello, HelloMessage)
-                and hello.sender != self.owner
-                and hello.position is not None)
+        return isinstance(hello, HelloMessage) and hello.sender != self.owner
 
     def evict_stale(self, now: float) -> None:
         stale = [n for n, r in self.records.items() if now - r.last_heard > self.expiry]

@@ -119,13 +119,12 @@ def _connected(neighbours, start, targets) -> bool:
 
 
 class _Node:
-    __slots__ = ("id", "pos", "is_sink", "alive", "energy", "table", "delays",
+    __slots__ = ("id", "is_sink", "alive", "energy", "table", "delays",
                  "prr_in", "seq_out", "seq_seen", "queues", "busy", "seen_packets")
 
-    def __init__(self, nid, pos, is_sink, cfg: SimConfig, priority_queues: bool,
+    def __init__(self, nid, is_sink, cfg: SimConfig, priority_queues: bool,
                  budget: EnergyBudget):
         self.id = nid
-        self.pos = pos
         self.is_sink = is_sink
         self.alive = True
         # a full copy of the run's budget; a sink's is never charged (`_charge`)
@@ -177,9 +176,9 @@ class Simulation:
             cfg.energy_initial, cfg.energy_tx, cfg.energy_rx,
             cfg.energy_sleep, cfg.energy_idle)
         self.nodes = {
-            nid: _Node(nid, pos, nid in (PRIMARY_SINK, SECONDARY_SINK), cfg,
+            nid: _Node(nid, nid in (PRIMARY_SINK, SECONDARY_SINK), cfg,
                        self._protocol.priority_queues, budget)
-            for nid, pos in sorted(self.positions.items())}
+            for nid in sorted(self.positions)}
         # Positions never move: sink -> {nid: distance to that sink}, fixed here.
         self.sink_distance = {sink: {nid: dist(pos, self.positions[sink])
                                      for nid, pos in self.positions.items()}
@@ -358,13 +357,11 @@ class Simulation:
         references to its entries, so nothing may mutate them once built.
         `dq` is the estimator's own dict, which `dq_update` replaces."""
         dt_for = node.delays.dt_for
-        one_hop = {rec.neighbor: TwoHopEntry(rec.neighbor, rec.position,
-                                             dt_for(rec.neighbor), rec.prr_xy)
+        one_hop = {rec.neighbor: TwoHopEntry(dt_for(rec.neighbor), rec.prr_xy)
                    for rec in node.table.live_records(self.now)}
         return HelloMessage(
-            sender=node.id, position=node.pos, energy=node.reported_energy,
-            dq=node.delays.dq,
-            reverse_prr={s: est.prr for s, est in sorted(node.prr_in.items())},
+            sender=node.id, energy=node.reported_energy, dq=node.delays.dq,
+            reverse_prr={s: est.prr for s, est in node.prr_in.items()},
             one_hop=one_hop)
 
     def _ev_hello_rx(self, receiver_id: NodeId, sender_id: NodeId,
@@ -587,13 +584,10 @@ class Simulation:
         packet = state.packet
         peer = state.next_hop
         p, prop, loss = self.links[node.id][peer]
-        cost = round(node.energy.cost_tx_nj * loss)
-        if not node.energy.can_afford(cost):
-            self._die(node)
+        if not self._spend(node, round(node.energy.cost_tx_nj * loss)):
             if not state.delivered_any:
                 self._drop(packet, "dead_node", node.id)
             return
-        self._charge(node, cost)
         state.attempts += 1
         seq = self._next_seq(node, peer)
         backoff = self.rng.uniform(0.0, cfg.backoff_window)
@@ -655,8 +649,7 @@ class Simulation:
         # piggybacked state of the ACKing node
         rev = peer.prr_in.get(sender_id)
         node.table.process_ack_info(
-            receiver_id, peer.pos, peer.reported_energy,
-            peer.delays.dq,
+            receiver_id, peer.reported_energy, peer.delays.dq,
             rev.prr if rev is not None else None, self.now)
         self._log(sender_id, "ack_rx", state.packet.packet_id, "from={}", receiver_id)
         self._finish_tx(node)

@@ -79,7 +79,7 @@ def build_tables(positions: dict, tx_range: float,
                  expiry: float = 1e9) -> dict:
     """Populate one table per node via two loss-free beacon rounds.
 
-    Round one distributes positions (empty neighbor lists); round two
+    Round one fills the one-hop tables (empty neighbor lists); round two
     carries each sender's freshly learned one-hop list, which becomes the
     receivers' two-hop view — exactly how the live protocol converges.
     """
@@ -91,13 +91,10 @@ def build_tables(positions: dict, tx_range: float,
             one_hop = {}
             if rnd == 2:
                 one_hop = {
-                    rec.neighbor: TwoHopEntry(node=rec.neighbor,
-                                              position=rec.position,
-                                              dt_yz=dt_yz, prr_yz=rec.prr_xy)
+                    rec.neighbor: TwoHopEntry(dt_yz=dt_yz, prr_yz=rec.prr_xy)
                     for rec in tables[sender].live_records(now)}
             hello = HelloMessage(
-                sender=sender, position=positions[sender], energy=energy,
-                dq=dict(dq),
+                sender=sender, energy=energy, dq=dict(dq),
                 reverse_prr={peer: prr_value for peer in n1[sender]},
                 one_hop=one_hop)
             for receiver in n1[sender]:
@@ -237,10 +234,8 @@ def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0):
                  3: Position(60.0, 0.0)}
     table = NeighborTable(owner=1, expiry=10.0)
     table.process_hello(HelloMessage(
-        sender=2, position=positions[2], energy=2.0, dq={cls: dq_y},
-        reverse_prr={1: 0.9},
-        one_hop={3: TwoHopEntry(node=3, position=positions[3],
-                                dt_yz=dt_yz, prr_yz=0.9)}), 0.0)
+        sender=2, energy=2.0, dq={cls: dq_y}, reverse_prr={1: 0.9},
+        one_hop={3: TwoHopEntry(dt_yz=dt_yz, prr_yz=0.9)}), 0.0)
     return favorable_pairs(table, positions, Position(200.0, 0.0), cls, dq_x,
                            DelayEstimator(dt_prior=dt_xy), 0.0)
 

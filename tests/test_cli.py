@@ -367,6 +367,28 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys, monkeypatch, jobs):
     assert started == [] and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--spec", "x.yaml", "--jobs", "abc"],
+     "argument --jobs: invalid int value: 'abc'"),
+    (["run", "--config", "configs/desk.yaml"],
+     "the following arguments are required: --out"),
+    (["simulate"], "invalid choice: 'simulate'"),
+], ids=["invalid_int", "missing_option", "unknown_command"])
+def test_usage_errors_exit_1(capsys, monkeypatch, argv, message):
+    # a mistyped command line is a validation failure, not a runtime one
+    started = _no_runs(monkeypatch)
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert message in err and err.startswith("usage: tdthr")
+    assert out == "" and started == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: tdthr")
+
+
 def test_sweep_reads_no_environment_knobs(tmp_path, capsys, monkeypatch):
     # the options' defaults hold whatever the environment says
     spec = _small_spec(tmp_path)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tdthr.core import (EnergyBudget, Packet, PacketClass, Position, dist,
-                        joules_to_nj, tx_power_cost)
+                        joules_to_nj, path_loss_factor)
 
 EPS = 1e-12
 
@@ -40,22 +40,24 @@ def test_position_rejects_non_finite():
 
 
 # ---- transmission power cost ---------------------------------------------
+# A transmission over distance d costs its nominal cost times
+# path_loss_factor(d, tx_range, alpha), fixed once per link at set-up.
 
 def test_tx_power_cost_full_range():
-    assert abs(tx_power_cost(100.0, 100.0, 2.0, 0.0522) - 0.0522) <= EPS
+    assert path_loss_factor(100.0, 100.0, 2.0) == 1.0
 
 
 def test_tx_power_cost_half_range_quarter_cost():
-    full = tx_power_cost(100.0, 100.0, 2.0, 0.0522)
-    half = tx_power_cost(50.0, 100.0, 2.0, 0.0522)
+    full = path_loss_factor(100.0, 100.0, 2.0)
+    half = path_loss_factor(50.0, 100.0, 2.0)
     assert abs(half - full / 4) <= EPS
 
 
 def test_tx_power_cost_rejects_degenerate_distances():
     with pytest.raises(ValueError):
-        tx_power_cost(0.0, 100.0, 2.0, 0.0522)
+        path_loss_factor(0.0, 100.0, 2.0)
     with pytest.raises(ValueError):
-        tx_power_cost(100.1, 100.0, 2.0, 0.0522)
+        path_loss_factor(100.1, 100.0, 2.0)
 
 
 def test_tx_power_cost_monotone():
@@ -64,11 +66,11 @@ def test_tx_power_cost_monotone():
         d1 = rng.uniform(1, 99)
         d2 = rng.uniform(d1, 100)
         alpha = rng.uniform(2, 4)
-        assert (tx_power_cost(d1, 100.0, alpha, 0.0522)
-                <= tx_power_cost(d2, 100.0, alpha, 0.0522) + EPS)
+        assert (path_loss_factor(d1, 100.0, alpha)
+                <= path_loss_factor(d2, 100.0, alpha) + EPS)
         # below full range, a steeper exponent can only make the hop cheaper
-        assert (tx_power_cost(d1, 100.0, alpha + 1, 0.0522)
-                <= tx_power_cost(d1, 100.0, alpha, 0.0522) + EPS)
+        assert (path_loss_factor(d1, 100.0, alpha + 1)
+                <= path_loss_factor(d1, 100.0, alpha) + EPS)
 
 
 # ---- packet classes and packets ------------------------------------------

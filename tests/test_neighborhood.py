@@ -17,32 +17,28 @@ from helpers import (brute_favorable_one_hop, brute_favorable_pairs,
 TX_RANGE = 60.0
 
 
-def _hello(sender, position, energy=2.0, one_hop=(), reverse_prr=None):
-    return HelloMessage(sender=sender, position=position, energy=energy,
+def _hello(sender, energy=2.0, one_hop=None, reverse_prr=None):
+    return HelloMessage(sender=sender, energy=energy,
                         dq={cls: 0.0 for cls in PacketClass},
-                        reverse_prr=reverse_prr or {},
-                        one_hop={e.node: e for e in one_hop})
+                        reverse_prr=reverse_prr or {}, one_hop=one_hop or {})
 
 
 # ---- beacon processing ---------------------------------------------------
 
 def test_first_hello_inserts_record():
     table = NeighborTable(owner=1, expiry=12.5)
-    table.process_hello(_hello(2, Position(10, 0), reverse_prr={1: 0.8}), 0.0)
+    table.process_hello(_hello(2, reverse_prr={1: 0.8}), 0.0)
     rec = table.records[2]
-    assert rec.position == Position(10, 0)
     assert rec.prr_xy == 0.8
     assert rec.last_heard == 0.0
 
 
 def test_repeat_hello_refreshes_fields():
     table = NeighborTable(owner=1, expiry=12.5)
-    table.process_hello(_hello(2, Position(10, 0), energy=2.0), 0.0)
-    table.process_hello(_hello(2, Position(12, 0), energy=1.5,
-                               reverse_prr={1: 0.7}), 5.0)
+    table.process_hello(_hello(2, energy=2.0), 0.0)
+    table.process_hello(_hello(2, energy=1.5, reverse_prr={1: 0.7}), 5.0)
     rec = table.records[2]
     assert rec.energy == 1.5
-    assert rec.position == Position(12, 0)
     assert rec.prr_xy == 0.7
     assert rec.last_heard == 5.0
 
@@ -55,10 +51,10 @@ def test_two_hop_entries_exclude_owner():
     positions = {1: Position(0, 0), 2: Position(10, 0), 3: Position(30, 0),
                  4: Position(40, 0)}
     dest = Position(200, 0)
-    entries = [TwoHopEntry(node=n, position=positions[n], dt_yz=0.005,
-                           prr_yz=0.9) for n in (1, 3, 4)]
-    for now, one_hop in ((0.0, entries[1:]), (1.0, entries)):
-        hello = _hello(2, positions[2], one_hop=one_hop)
+    entries = {n: TwoHopEntry(dt_yz=0.005, prr_yz=0.9) for n in (1, 3, 4)}
+    without_owner = {n: e for n, e in entries.items() if n != 1}
+    for now, one_hop in ((0.0, without_owner), (1.0, entries)):
+        hello = _hello(2, one_hop=one_hop)
         table.process_hello(hello, now)
         assert table.records[2].two_hop is hello.one_hop
     pairs = favorable_pairs(table, positions, dest, PacketClass.CRITICAL, 0.0,
@@ -69,14 +65,14 @@ def test_two_hop_entries_exclude_owner():
 def test_malformed_hello_counted_not_raised():
     table = NeighborTable(owner=1, expiry=12.5)
     table.process_hello("not a hello", 0.0)
-    table.process_hello(_hello(1, Position(0, 0)), 0.0)  # own echo
+    table.process_hello(_hello(1), 0.0)  # own echo
     assert table.records == {}
     assert table.malformed_dropped == 2
 
 
 def test_silent_neighbor_is_evicted():
     table = NeighborTable(owner=1, expiry=12.5)
-    table.process_hello(_hello(2, Position(10, 0)), 0.0)
+    table.process_hello(_hello(2), 0.0)
     assert one_hop_set(table, 12.5) == {2}
     assert one_hop_set(table, 12.6) == set()
     table.evict_stale(12.6)
@@ -85,20 +81,36 @@ def test_silent_neighbor_is_evicted():
 
 def test_ack_info_refreshes_without_touching_two_hop():
     table = NeighborTable(owner=1, expiry=12.5)
-    entries = [TwoHopEntry(node=3, position=Position(20, 0), dt_yz=0.005,
-                           prr_yz=0.9)]
-    table.process_hello(_hello(2, Position(10, 0), one_hop=entries), 0.0)
-    table.process_ack_info(2, Position(10, 0), energy=1.2,
-                           dq={PacketClass.REGULAR: 0.01}, prr_xy=0.6, now=3.0)
+    entries = {3: TwoHopEntry(dt_yz=0.005, prr_yz=0.9)}
+    table.process_hello(_hello(2, one_hop=entries), 0.0)
+    table.process_ack_info(2, energy=1.2, dq={PacketClass.REGULAR: 0.01},
+                           prr_xy=0.6, now=3.0)
     rec = table.records[2]
     assert rec.energy == 1.2 and rec.prr_xy == 0.6 and rec.last_heard == 3.0
     assert set(rec.two_hop) == {3}
 
 
+def test_unreported_reliability_keeps_the_last_value():
+    # HELLOs and ACKs share one rule: a new record starts at prr_xy 1.0 when
+    # the message reports none, and a later message without one keeps it
+    table = NeighborTable(owner=1, expiry=12.5)
+    dq = {cls: 0.0 for cls in PacketClass}
+    table.process_ack_info(2, energy=1.0, dq=dq, prr_xy=None, now=0.0)
+    table.process_hello(_hello(3, reverse_prr={4: 0.3}), 0.0)
+    assert table.records[2].prr_xy == 1.0 and table.records[3].prr_xy == 1.0
+    assert table.records[2].two_hop == {}
+    table.process_hello(_hello(2, reverse_prr={1: 0.4}), 1.0)
+    table.process_ack_info(3, energy=1.0, dq=dq, prr_xy=0.5, now=1.0)
+    table.process_ack_info(2, energy=0.9, dq=dq, prr_xy=None, now=2.0)
+    table.process_hello(_hello(3, energy=0.8), 2.0)
+    assert table.records[2].prr_xy == 0.4 and table.records[3].prr_xy == 0.5
+    assert table.records[2].energy == 0.9 and table.records[3].energy == 0.8
+    assert table.records[2].last_heard == table.records[3].last_heard == 2.0
+
+
 def test_hello_wire_size():
-    hello = _hello(2, Position(0, 0), reverse_prr={1: 0.9, 3: 0.8},
-                   one_hop=[TwoHopEntry(node=3, position=Position(1, 1),
-                                        dt_yz=0.005, prr_yz=0.9)])
+    hello = _hello(2, reverse_prr={1: 0.9, 3: 0.8},
+                   one_hop={3: TwoHopEntry(dt_yz=0.005, prr_yz=0.9)})
     assert hello.size_bytes == (HELLO_HEADER_BYTES + 2 * HELLO_PRR_ENTRY_BYTES
                                 + HELLO_NEIGHBOR_ENTRY_BYTES)
 

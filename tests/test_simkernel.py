@@ -12,7 +12,7 @@ import yaml
 
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash
-from tdthr.core import LIGHT_SPEED, Position, dist, tx_power_cost
+from tdthr.core import LIGHT_SPEED, Position, dist
 from tdthr.neighborhood import NeighborTable
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _neighbours,
@@ -208,20 +208,16 @@ def _assert_matches_all_pairs(sim):
              for x, peers in sim.links.items()]
             == [(x, [(y, (delivery_probability(d, cfg), d / LIGHT_SPEED))
                      for y, d in peers]) for x, peers in graph.items()])
-    # the geometry fixed at set-up is exactly what `dist` and
-    # `tx_power_cost` give, in joules and, rounded, in nanojoules
+    # the geometry fixed at set-up is exactly what `dist` and the path-loss
+    # law (d / tx_range) ** alpha give
     for sink in (PRIMARY_SINK, SECONDARY_SINK):
         assert sim.sink_distance[sink] == {
             nid: dist(pos, sim.positions[sink])
             for nid, pos in sim.positions.items()}
     for x, peers in sim.links.items():
-        cost_tx_nj = sim.nodes[x].energy.cost_tx_nj
         for y, (_, _, loss) in peers.items():
             d = dist(sim.positions[x], sim.positions[y])
-            assert cfg.energy_tx * loss == tx_power_cost(
-                d, cfg.tx_range, cfg.path_loss_alpha, cfg.energy_tx)
-            assert round(cost_tx_nj * loss) == round(tx_power_cost(
-                d, cfg.tx_range, cfg.path_loss_alpha, cost_tx_nj))
+            assert loss == (d / cfg.tx_range) ** cfg.path_loss_alpha
 
 
 def _default_config():
@@ -380,7 +376,7 @@ _FINGERPRINTS = {
         "1bbd4dd3c4fd1455e2839b6f78d2fc95e219a053415bf1ed8bbaae817a084d4c",
         "7b8f6fe8a896,1,one_hop_velocity,0.25,0.6,0.4,0.538462,0.625,0.111197,"
         "0.109084,0.0982245,0.0798591,0.119673,0.114864,0.132523,0.116329,"
-        "0.516129,0.633037,11.5962,10.7616,13,0,0,0,1,31,17,0,68"),
+        "0.516129,0.633807,11.5962,10.7747,13,0,0,0,1,31,17,0,68"),
     "greedy_geo": (
         "a9b311a7b487206a933b7db37ca4a1ba67ccd991006cd16e1093f146c953dede",
         "bba43bf58891,1,greedy_geo,0.25,0.833333,0.75,0.714286,1,0.101355,"
@@ -449,25 +445,37 @@ def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
     # Tables share each HELLO's dq dict, and keep each ACK's, by reference.
     # Every dict is copied when it is built; at the end of a congested run
     # each record's dq must still equal the copy from the last HELLO or ACK
-    # its neighbour sent, so a dict mutated in place fails here.
-    sent = {}   # id(hello) -> (hello, dq as built)
-    last = {}   # (owner, neighbour) -> dq of the last message processed
+    # its neighbour sent, so a dict mutated in place fails here. The record's
+    # energy is that message's, and so is its prr_xy where the message
+    # reports one; where it does not, the record keeps the value it had, or
+    # 1.0 if the message created it.
+    sent = {}   # id(hello) -> (hello, dq, energy, reverse_prr as built)
+    last = {}   # (owner, neighbour) -> (dq, energy, prr_xy, kind) expected
     build_hello = Simulation._build_hello
     process_hello = NeighborTable.process_hello
     process_ack_info = NeighborTable.process_ack_info
 
     def built(self, node):
         hello = build_hello(self, node)
-        sent[id(hello)] = (hello, dict(hello.dq))
+        sent[id(hello)] = (hello, dict(hello.dq), hello.energy,
+                           dict(hello.reverse_prr))
         return hello
 
+    def expect(table, sender, dq, energy, prr_xy, kind):
+        rec = table.records.get(sender)
+        if prr_xy is None:
+            prr_xy = 1.0 if rec is None else rec.prr_xy
+        last[(table.owner, sender)] = (dq, energy, prr_xy, kind)
+
     def hello_heard(self, hello, now):
-        last[(self.owner, hello.sender)] = sent[id(hello)][1]
+        _, dq, energy, reverse_prr = sent[id(hello)]
+        expect(self, hello.sender, dq, energy, reverse_prr.get(self.owner),
+               "hello")
         process_hello(self, hello, now)
 
-    def ack_heard(self, sender, position, energy, dq, prr_xy, now):
-        last[(self.owner, sender)] = dict(dq)
-        process_ack_info(self, sender, position, energy, dq, prr_xy, now)
+    def ack_heard(self, sender, energy, dq, prr_xy, now):
+        expect(self, sender, dict(dq), energy, prr_xy, "ack")
+        process_ack_info(self, sender, energy, dq, prr_xy, now)
 
     monkeypatch.setattr(Simulation, "_build_hello", built)
     monkeypatch.setattr(NeighborTable, "process_hello", hello_heard)
@@ -480,7 +488,13 @@ def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
                for rec in node.table.records.values()]
     assert len(records) > 5 * len(sim.nodes)
     for nid, rec in records:
-        assert rec.dq == last[(nid, rec.neighbor)]
+        assert (rec.dq, rec.energy, rec.prr_xy) == last[(nid, rec.neighbor)][:3]
+    # both kinds of message have the last word somewhere, and the checked
+    # fields are not all at their defaults
+    kinds = {last[(nid, rec.neighbor)][3] for nid, rec in records}
+    assert kinds == {"hello", "ack"}
+    assert sum(rec.prr_xy < 1.0 for _, rec in records) > 10
+    assert len({rec.energy for _, rec in records}) > 50
     # queues built up, and estimates moved after they were sent
     assert sum(any(v > 0 for v in rec.dq.values()) for _, rec in records) > 100
     current = {nid: node.delays.dq for nid, node in sim.nodes.items()}
@@ -557,6 +571,22 @@ def test_unaffordable_cost_is_charged_then_kills():
     assert sim.metrics.total_energy_nj == 10
     kinds = [line.split()[2] for line in buf.getvalue().splitlines()]
     assert kinds[:2] == ["energy_low", "death"]
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_a_node_that_dies_transmitting_pays_what_it_had(seed):
+    # small batteries and no stop rule: relays and the source die, some while
+    # transmitting, and each pays its last nanojoules before it dies
+    cfg = mini_config(energy_initial=0.3, stop_energy_fraction=0.0,
+                      stop_when_partitioned=False, duration=60.0, rng_seed=seed)
+    sim = Simulation(cfg)
+    ledger = sim.run()
+    dead = [node for node in sim.nodes.values()
+            if not node.alive and not node.is_sink]
+    assert dead
+    assert [node.energy.residual_nj for node in dead] == [0] * len(dead)
+    assert ledger.total_energy_nj == sim.initial_minus_residual_nj()
+    assert ledger.total_energy_nj == sim.energy_spent_by_nodes_nj()
 
 
 def test_first_death_ends_the_run_after_drain():
