@@ -79,15 +79,16 @@ def select_next_hop(pairs, v_req: float, cls: PacketClass,
         return s_req[0]
     if cls is PacketClass.DELAY_RESPONSIVE:
         return min(s_req, key=_energy_key)
-    # critical: maximize reliability, then power
+    # critical: maximize reliability (computed once per survivor; the
+    # two-hop product is `prr_path`), then power
     if critical_prr_scope == "one_hop":
-        prr_of = lambda p: p.prr_xy
+        prrs = [p.prr_xy for p in s_req]
     elif critical_prr_scope == "two_hop":
-        prr_of = lambda p: p.prr_path
+        prrs = [p.prr_xy * p.prr_yz for p in s_req]
     else:
         raise ValueError(f"unknown critical_prr_scope {critical_prr_scope!r}")
-    best = max(prr_of(p) for p in s_req)
-    s_c = [p for p in s_req if prr_of(p) == best]
+    best = max(prrs)
+    s_c = [p for p, prr in zip(s_req, prrs) if prr == best]
     if len(s_c) == 1:
         return s_c[0]
     return min(s_c, key=_efficiency_key)

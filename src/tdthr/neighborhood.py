@@ -32,7 +32,7 @@ class TwoHopEntry(NamedTuple):
     prr_yz: float            # reliability of link y->z as reported to y
 
 
-@dataclass
+@dataclass(slots=True)
 class HelloMessage:
     sender: NodeId
     energy: float
@@ -63,9 +63,10 @@ class NeighborRecord:
     two_hop: dict = field(default_factory=dict)   # NodeId -> TwoHopEntry
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwarderPair:
-    """A candidate (first hop y, second hop z) with its routing metrics."""
+    """A candidate (first hop y, second hop z) with its routing metrics.
+    `favorable_pairs` builds one per pair, positionally, in field order."""
     y: NodeId
     z: NodeId
     progress: float          # dist(x, D) - dist(z, D), meters
@@ -155,22 +156,22 @@ class NeighborTable:
         fails the second-hop test: its distance `d_own` exceeds y's.
         """
         pairs = []
+        append, dt_for = pairs.append, delays.dt_for
         for rec, d_y in f1:
             y = rec.neighbor
+            prr_xy, energy_y = rec.prr_xy, rec.energy
             cost_y = cost_tx * links[y][2]
             # dq_x + dt_xy + dq_y + dt_yz, summed left to right
-            partial = dq_x + delays.dt_for(y) + rec.dq.get(cls, 0.0)
-            for z, entry in rec.two_hop.items():
+            partial = dq_x + dt_for(y) + rec.dq.get(cls, 0.0)
+            for z, (dt_yz, prr_yz) in rec.two_hop.items():
                 d_z = to_dest[z]
                 if d_y - d_z <= 0:
                     continue
                 progress = d_own - d_z
-                denom = partial + entry.dt_yz
+                denom = partial + dt_yz
                 if denom <= 0:
                     raise ZeroDivisionError(
                         f"zero delay denominator for pair ({y},{z})")
-                pairs.append(ForwarderPair(
-                    y=y, z=z, progress=progress, denominator=denom,
-                    velocity=progress / denom, prr_xy=rec.prr_xy,
-                    prr_yz=entry.prr_yz, energy_y=rec.energy, tx_cost_y=cost_y))
+                append(ForwarderPair(y, z, progress, denom, progress / denom,
+                                     prr_xy, prr_yz, energy_y, cost_y))
         return pairs

@@ -17,7 +17,7 @@ RELIABILITY_Q = "reliability"
 _QUEUE_ORDER = (CRITICAL_Q, DELAY_Q, RELIABILITY_Q)
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueEntry:
     packet: Packet
     enqueue_time: float
@@ -31,7 +31,9 @@ class QueueBank:
     def __init__(self, capacity: int = 64, single_queue: bool = False):
         self.capacity = capacity
         self.single_queue = single_queue
-        self.queues = {name: deque() for name in _QUEUE_ORDER}
+        # the three FIFOs in priority order, and by name
+        self._by_priority = (deque(), deque(), deque())
+        self.queues = dict(zip(_QUEUE_ORDER, self._by_priority))
         # packet_id -> entry, for every entry whose promotion timer is armed,
         # so that a timer that lost the race to a dequeue costs one lookup.
         # A packet sits in a bank at most once at a time.
@@ -61,8 +63,7 @@ class QueueBank:
         realized queue wait (the packet's queuing-delay sample). The
         promotion timer, if still armed, is implicitly cancelled because the
         packet leaves the bank."""
-        for name in _QUEUE_ORDER:
-            q = self.queues[name]
+        for q in self._by_priority:
             if q:
                 entry = q.popleft()
                 if entry.timer_deadline is not None:
@@ -89,8 +90,7 @@ class QueueBank:
         """Empties every queue and returns the stranded packets (a node
         going down takes its backlog with it)."""
         stranded = []
-        for name in _QUEUE_ORDER:
-            q = self.queues[name]
+        for q in self._by_priority:
             stranded.extend(entry.packet for entry in q)
             q.clear()
         self._armed.clear()

@@ -134,7 +134,10 @@ class _Node:
             gamma=cfg.delay_gamma,
             dt_prior=cfg.payload_bytes * 8 / cfg.bandwidth_bps)
         self.prr_in = {}       # sender -> PrrEstimator (receiver-side)
-        self.seq_out = {}      # receiver -> last sequence number sent
+        # receiver -> last sequence number sent. Every frame to a peer, HELLO
+        # or data attempt, takes the next number: `seq_out.get(peer, 0) + 1`,
+        # bumped inline where it is sent (no call per peer in a fan-out).
+        self.seq_out = {}
         self.seq_seen = {}     # sender -> last sequence number observed
         self.queues = QueueBank(capacity=cfg.queue_capacity,
                                 single_queue=not priority_queues)
@@ -320,15 +323,14 @@ class Simulation:
             est = PrrEstimator(window=self.cfg.prr_window, beta=self.cfg.prr_beta)
             receiver.prr_in[sender] = est
         last = receiver.seq_seen.get(sender, 0)
-        for _ in range(max(0, seq - last - 1)):
-            est.record(False)
+        if seq == last + 1:   # in order, the common case
+            receiver.seq_seen[sender] = seq
+        else:
+            # each number skipped is a lost frame; a late one moves no mark
+            for _ in range(max(0, seq - last - 1)):
+                est.record(False)
+            receiver.seq_seen[sender] = max(last, seq)
         est.record(True)
-        receiver.seq_seen[sender] = max(last, seq)
-
-    def _next_seq(self, sender: _Node, receiver: NodeId) -> int:
-        seq = sender.seq_out.get(receiver, 0) + 1
-        sender.seq_out[receiver] = seq
-        return seq
 
     # ---- HELLO dissemination ---------------------------------------------
 
@@ -345,8 +347,9 @@ class Simulation:
         sent = self.now + hello.size_bytes * 8 / cfg.bandwidth_bps
         draw = self.rng.random
         receive = self._ev_hello_rx
+        seq_out = node.seq_out
         for peer, (p, prop, _) in self.links[nid].items():
-            seq = self._next_seq(node, peer)
+            seq = seq_out[peer] = seq_out.get(peer, 0) + 1
             if draw() < p:
                 self._schedule(sent + prop, receive, peer, nid, hello, seq)
         self._log(nid, "hello")
@@ -360,9 +363,8 @@ class Simulation:
         one_hop = {rec.neighbor: TwoHopEntry(dt_for(rec.neighbor), rec.prr_xy)
                    for rec in node.table.live_records(self.now)}
         return HelloMessage(
-            sender=node.id, energy=node.reported_energy, dq=node.delays.dq,
-            reverse_prr={s: est.prr for s, est in node.prr_in.items()},
-            one_hop=one_hop)
+            node.id, node.reported_energy, node.delays.dq,
+            {s: est.prr for s, est in node.prr_in.items()}, one_hop)
 
     def _ev_hello_rx(self, receiver_id: NodeId, sender_id: NodeId,
                      hello: HelloMessage, seq: int):
@@ -502,8 +504,9 @@ class Simulation:
         protocol's select method and the fallbacks below all read it."""
         dest = packet.destination_sink
         live = node.table.live_records(self.now)
-        if any(r.neighbor == dest for r in live):
-            return dest
+        for r in live:
+            if r.neighbor == dest:
+                return dest
         to_dest = self.sink_distance[dest]
         d_own = to_dest[node.id]
         f1 = node.table.favorable_one_hop(live, d_own, to_dest)
@@ -589,8 +592,11 @@ class Simulation:
                 self._drop(packet, "dead_node", node.id)
             return
         state.attempts += 1
-        seq = self._next_seq(node, peer)
-        backoff = self.rng.uniform(0.0, cfg.backoff_window)
+        seq = node.seq_out[peer] = node.seq_out.get(peer, 0) + 1
+        # CPython's `uniform(0.0, w)` is `0.0 + (w - 0.0) * random()`: the
+        # same one draw and the same float, without the call (checked by
+        # test_backoff_draw_equals_uniform_bit_for_bit)
+        backoff = cfg.backoff_window * self.rng.random()
         arrival = self.now + backoff + self._payload_ser + prop
         delivered = self.rng.random() < p
         self._log(node.id, "tx_attempt", packet.packet_id, "to={} n={} seq={}",
@@ -677,8 +683,7 @@ class Simulation:
     # ---- housekeeping ----------------------------------------------------
 
     def _ev_audit(self):
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for node in self.nodes.values():   # built in ascending id order
             if node.alive:
                 self._spend(node, node.energy.cost_idle_nj)
         if self._drain_until is None:

@@ -224,18 +224,20 @@ def brute_select(pairs, v_req: float, cls: PacketClass, scope: str):
     return (best[1].y, best[1].z)
 
 
-def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0):
+def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0, prr_xy=0.9, prr_yz=0.9,
+               energy=2.0):
     """The forwarder pairs node 1 at x=0 sees toward a destination at x=200
     through the engine's own `favorable_pairs`: one pair, relay 2 at x=30 and
     second hop 3 at x=60, so progress is 60 m. The delays are the four terms
-    of the offered-velocity denominator."""
+    of the offered-velocity denominator; relay 2 reports `energy`, the
+    reliability `prr_xy` of link 1->2 and `prr_yz` of link 2->3."""
     cls = PacketClass.CRITICAL
     positions = {1: Position(0.0, 0.0), 2: Position(30.0, 0.0),
                  3: Position(60.0, 0.0)}
     table = NeighborTable(owner=1, expiry=10.0)
     table.process_hello(HelloMessage(
-        sender=2, energy=2.0, dq={cls: dq_y}, reverse_prr={1: 0.9},
-        one_hop={3: TwoHopEntry(dt_yz=dt_yz, prr_yz=0.9)}), 0.0)
+        sender=2, energy=energy, dq={cls: dq_y}, reverse_prr={1: prr_xy},
+        one_hop={3: TwoHopEntry(dt_yz=dt_yz, prr_yz=prr_yz)}), 0.0)
     return favorable_pairs(table, positions, Position(200.0, 0.0), cls, dq_x,
                            DelayEstimator(dt_prior=dt_xy), 0.0)
 

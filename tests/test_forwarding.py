@@ -33,6 +33,23 @@ def test_offered_velocity_hand_computed():
     assert abs(pair.velocity - 1000.0) <= EPS
 
 
+def test_offered_pair_fields_hand_computed():
+    # every field read by name, each value distinct, so that a pair built
+    # with two positional arguments swapped fails here
+    [pair] = line_pairs(0.01, 0.02, 0.005, 0.015, prr_xy=0.8, prr_yz=0.6,
+                        energy=2.5)
+    assert (pair.y, pair.z) == (2, 3)
+    assert pair.progress == 60.0
+    assert abs(pair.denominator - 0.05) <= EPS
+    assert abs(pair.velocity - 1200.0) <= 1e-9
+    assert (pair.prr_xy, pair.prr_yz) == (0.8, 0.6)
+    assert pair.energy_y == 2.5
+    # default nominal cost 0.0522 times the path-loss factor (30/100)**2
+    assert abs(pair.tx_cost_y - 0.0522 * 0.09) <= EPS
+    assert abs(pair.prr_path - 0.48) <= EPS
+    assert abs(pair.power_score - 2.5 / (0.0522 * 0.09)) <= 1e-9
+
+
 def test_offered_velocity_halves_when_delays_double():
     [pair] = line_pairs(0.01, 0.02, 0.01, 0.02)
     [slow] = line_pairs(0.02, 0.04, 0.02, 0.04)

@@ -534,6 +534,18 @@ def test_a_run_never_hashes_through_enum(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("w", [0.0, 0.008, 1.0])
+def test_backoff_draw_equals_uniform_bit_for_bit(w):
+    # `_begin_attempt` draws its backoff as `w * rng.random()`, which is what
+    # `rng.uniform(0.0, w)` computes: the same float from the same one draw.
+    # An interpreter whose `uniform` differs fails here, not in a trace.
+    for seed in (0, 1, 7, 2024, "run:3"):
+        a, b = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert a.uniform(0.0, w).hex() == (w * b.random()).hex()
+        assert a.getstate() == b.getstate()
+
+
 def test_duplication_only_for_loss_averse_classes():
     base = dict(critical_rate=0.5, reliability_responsive_rate=0.25,
                 delay_responsive_rate=0.25, rng_seed=6, duration=25.0)
