@@ -68,8 +68,6 @@ class Packet:
     destination_sink: NodeId
     lag_time: float            # remaining deadline budget, seconds
     deadline: float            # original end-to-end budget, seconds
-    payload_size: int          # bytes
-    creation_time: float
     logical_id: int = -1       # shared across duplicates of one logical packet
     received_time: float = 0.0  # when the current holder received it
     hop_trace: list = field(default_factory=list)  # relay ids, in order
@@ -82,29 +80,16 @@ class Packet:
             raise ValueError("lag time cannot exceed the deadline budget")
 
 
-@dataclass
+@dataclass(slots=True)
 class EnergyBudget:
     """Per-node energy accounting in integer nanojoules.
 
     Integer arithmetic keeps the conservation check exact: initial minus
-    residual always equals the sum of logged deductions.
+    residual always equals the sum of logged deductions. What each action
+    costs is run-wide and fixed at set-up (`Simulation.__init__`).
     """
     initial_nj: int
-    cost_tx_nj: int
-    cost_rx_nj: int
-    cost_sleep_nj: int
-    cost_idle_nj: int
     spent_nj: int = 0
-
-    @classmethod
-    def from_joules(cls, initial, cost_tx, cost_rx, cost_sleep, cost_idle):
-        return cls(
-            initial_nj=joules_to_nj(initial),
-            cost_tx_nj=joules_to_nj(cost_tx),
-            cost_rx_nj=joules_to_nj(cost_rx),
-            cost_sleep_nj=joules_to_nj(cost_sleep),
-            cost_idle_nj=joules_to_nj(cost_idle),
-        )
 
     @property
     def residual_nj(self) -> int:

@@ -7,6 +7,7 @@ delay is recorded.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import PacketClass
@@ -34,46 +35,47 @@ class MetricsLedger:
         self.missed_velocity = 0
         self.duplicates_generated = 0
         self.hello_sent = 0
-        # logical_id -> set of outstanding copy packet_ids
-        self._outstanding: dict[int, set] = {}
-        self._meta: dict[int, tuple] = {}      # logical_id -> (class, creation)
-        self._delivered: set = set()
-        self._missed: set = set()
+        # logical_id -> (class, creation, outstanding copy ids, missed flag)
+        # while the logical packet is open: until its first delivery, or
+        # until its last copy is lost.
+        self._open: dict[int, tuple] = {}
 
     # ---- event recording -------------------------------------------------
 
     def record_generated(self, logical_id: int, cls: PacketClass, creation: float,
                          copy_ids) -> None:
         self.per_class[cls].generated += 1
-        self._outstanding[logical_id] = set(copy_ids)
-        self._meta[logical_id] = (cls, creation)
+        self._open[logical_id] = (cls, creation, set(copy_ids), False)
 
     def record_delivery(self, logical_id: int, packet_id: int, arrival: float,
                         deadline: float) -> None:
-        cls, creation = self._meta[logical_id]
-        if logical_id not in self._delivered:
-            self._delivered.add(logical_id)
-            self.per_class[cls].delivered += 1
-            self.per_class[cls].delays.append(arrival - creation)
-            if arrival - creation > deadline and logical_id not in self._missed:
-                self._missed.add(logical_id)
-                self.per_class[cls].deadline_misses += 1
-        self._outstanding[logical_id].discard(packet_id)
+        """The first copy to arrive closes the logical packet; later ones
+        change nothing."""
+        entry = self._open.pop(logical_id, None)
+        if entry is None:
+            return
+        cls, creation, _, missed = entry
+        c = self.per_class[cls]
+        c.delivered += 1
+        c.delays.append(arrival - creation)
+        if arrival - creation > deadline and not missed:
+            c.deadline_misses += 1
 
-    def record_copy_lost(self, logical_id: int, packet_id: int, cls: PacketClass,
-                         cause: str) -> None:
+    def record_copy_lost(self, logical_id: int, packet_id: int, cause: str) -> None:
         """A copy died in the network. The logical drop is charged to the
         cause that killed the *last* copy, unless some copy was delivered."""
-        copies = self._outstanding.get(logical_id)
-        if copies is None:
+        entry = self._open.get(logical_id)
+        if entry is None:
             return
+        cls, creation, copies, missed = entry
+        c = self.per_class[cls]
         copies.discard(packet_id)
-        if cause == "deadline" and logical_id not in self._missed \
-                and logical_id not in self._delivered:
-            self._missed.add(logical_id)
-            self.per_class[cls].deadline_misses += 1
-        if not copies and logical_id not in self._delivered:
-            self.per_class[cls].drops[cause] += 1
+        if cause == "deadline" and not missed:
+            self._open[logical_id] = (cls, creation, copies, True)
+            c.deadline_misses += 1
+        if not copies:
+            del self._open[logical_id]
+            c.drops[cause] += 1
 
     def record_energy(self, deducted_nj: int) -> None:
         self.total_energy_nj += deducted_nj
@@ -145,13 +147,9 @@ class MetricsLedger:
     def accounting_closed(self) -> bool:
         """generated == delivered + dropped for every class (logical packets;
         packets still in flight at simulation end count as outstanding)."""
-        for cls, c in self.per_class.items():
-            in_flight = sum(
-                1 for lid, copies in self._outstanding.items()
-                if copies and self._meta[lid][0] is cls and lid not in self._delivered)
-            if c.generated != c.delivered + sum(c.drops.values()) + in_flight:
-                return False
-        return True
+        in_flight = Counter(entry[0] for entry in self._open.values())
+        return all(c.generated == c.delivered + sum(c.drops.values()) + in_flight[cls]
+                   for cls, c in self.per_class.items())
 
 
 # ---- CSV schema ---------------------------------------------------------

@@ -9,12 +9,8 @@ from dataclasses import dataclass
 
 from .core import Packet, PacketClass
 
-CRITICAL_Q = "critical"
-DELAY_Q = "delay"
-RELIABILITY_Q = "reliability"
-
-# Indexed by PacketClass.queue_priority.
-_QUEUE_ORDER = (CRITICAL_Q, DELAY_Q, RELIABILITY_Q)
+# A queue's index is the `PacketClass.queue_priority` it serves.
+CRITICAL_Q, DELAY_Q, RELIABILITY_Q = 0, 1, 2
 
 
 @dataclass(slots=True)
@@ -31,26 +27,25 @@ class QueueBank:
     def __init__(self, capacity: int = 64, single_queue: bool = False):
         self.capacity = capacity
         self.single_queue = single_queue
-        # the three FIFOs in priority order, and by name
-        self._by_priority = (deque(), deque(), deque())
-        self.queues = dict(zip(_QUEUE_ORDER, self._by_priority))
+        # the three FIFOs, indexed by priority: served in that order
+        self.queues = (deque(), deque(), deque())
         # packet_id -> entry, for every entry whose promotion timer is armed,
         # so that a timer that lost the race to a dequeue costs one lookup.
         # A packet sits in a bank at most once at a time.
         self._armed = {}
 
-    def _target_queue(self, cls: PacketClass) -> str:
-        return RELIABILITY_Q if self.single_queue else _QUEUE_ORDER[cls.queue_priority]
+    def _target_queue(self, cls: PacketClass) -> int:
+        return RELIABILITY_Q if self.single_queue else cls.queue_priority
 
     def enqueue(self, packet: Packet, now: float, timer_deadline: float | None) -> bool:
         """Returns False on tail drop (queue full). Non-critical packets get
         a promotion timer; the caller is responsible for scheduling its
         expiry event."""
-        name = self._target_queue(packet.cls)
-        q = self.queues[name]
+        index = self._target_queue(packet.cls)
+        q = self.queues[index]
         if len(q) >= self.capacity:
             return False
-        if name == CRITICAL_Q or self.single_queue:
+        if index == CRITICAL_Q or self.single_queue:
             timer_deadline = None
         entry = QueueEntry(packet, now, timer_deadline)
         q.append(entry)
@@ -63,7 +58,7 @@ class QueueBank:
         realized queue wait (the packet's queuing-delay sample). The
         promotion timer, if still armed, is implicitly cancelled because the
         packet leaves the bank."""
-        for q in self._by_priority:
+        for q in self.queues:
             if q:
                 entry = q.popleft()
                 if entry.timer_deadline is not None:
@@ -90,11 +85,11 @@ class QueueBank:
         """Empties every queue and returns the stranded packets (a node
         going down takes its backlog with it)."""
         stranded = []
-        for q in self._by_priority:
+        for q in self.queues:
             stranded.extend(entry.packet for entry in q)
             q.clear()
         self._armed.clear()
         return stranded
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self.queues.values())
+        return sum(len(q) for q in self.queues)

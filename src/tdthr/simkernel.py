@@ -17,7 +17,7 @@ from typing import Callable
 
 from .config import PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig
 from .core import (LIGHT_SPEED, EnergyBudget, NodeId, Packet, PacketClass,
-                   Position, dist, path_loss_factor)
+                   Position, dist, joules_to_nj, path_loss_factor)
 from .estimators import DelayEstimator, PrrEstimator
 from .forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
                          best_effort_pair, required_velocity, route_regular,
@@ -123,12 +123,11 @@ class _Node:
                  "prr_in", "seq_out", "seq_seen", "queues", "busy", "seen_packets")
 
     def __init__(self, nid, is_sink, cfg: SimConfig, priority_queues: bool,
-                 budget: EnergyBudget):
+                 initial_nj: int):
         self.id = nid
         self.is_sink = is_sink
         self.alive = True
-        # a full copy of the run's budget; a sink's is never charged (`_charge`)
-        self.energy = EnergyBudget(**vars(budget))
+        self.energy = EnergyBudget(initial_nj)   # a sink's is never charged
         self.table = NeighborTable(nid, cfg.neighbor_expiry)
         self.delays = DelayEstimator(
             gamma=cfg.delay_gamma,
@@ -150,15 +149,14 @@ class _Node:
 
 
 class _TxState:
-    __slots__ = ("packet", "next_hop", "t_s", "attempts", "done",
-                 "delivered_any", "timeout")
+    __slots__ = ("packet", "next_hop", "t_s", "attempts", "delivered_any",
+                 "timeout")
 
     def __init__(self, packet, next_hop, t_s):
         self.packet = packet
         self.next_hop = next_hop
         self.t_s = t_s
         self.attempts = 0
-        self.done = False
         self.delivered_any = False
         self.timeout = 0.0   # when the current attempt's ACK timer fires
 
@@ -175,12 +173,18 @@ class Simulation:
         self._protocol = PROTOCOLS[cfg.protocol]
         self.rng = random.Random(f"run:{cfg.rng_seed}")
         self.positions, neighbours = generate_topology(cfg, cfg.rng_seed)
-        budget = EnergyBudget.from_joules(
-            cfg.energy_initial, cfg.energy_tx, cfg.energy_rx,
-            cfg.energy_sleep, cfg.energy_idle)
+        # Energy in integer nanojoules. What each action costs is the same
+        # for every node and the whole run, so it is fixed here; a data
+        # transmission costs `_tx_nj` times its link's path-loss factor.
+        initial_nj = joules_to_nj(cfg.energy_initial)
+        self._tx_nj = joules_to_nj(cfg.energy_tx)
+        self._rx_nj = joules_to_nj(cfg.energy_rx)
+        self._idle_nj = joules_to_nj(cfg.energy_idle)
+        # a node's residual below this starts the drain (0: no low-energy stop)
+        self._drain_below = cfg.stop_energy_fraction * initial_nj
         self.nodes = {
             nid: _Node(nid, nid in (PRIMARY_SINK, SECONDARY_SINK), cfg,
-                       self._protocol.priority_queues, budget)
+                       self._protocol.priority_queues, initial_nj)
             for nid in sorted(self.positions)}
         # Positions never move: sink -> {nid: distance to that sink}, fixed here.
         self.sink_distance = {sink: {nid: dist(pos, self.positions[sink])
@@ -209,7 +213,6 @@ class Simulation:
         self._drain_until = None
         self._payload_ser = cfg.payload_bytes * 8 / cfg.bandwidth_bps
         self._ack_ser = cfg.ack_bytes * 8 / cfg.bandwidth_bps
-        self._stop_fraction = cfg.stop_energy_fraction   # 0: no low-energy stop
         self._schedule_initial()
 
     # ---- event plumbing --------------------------------------------------
@@ -248,7 +251,6 @@ class Simulation:
                 break
             self.now = t
             handler(*payload)
-        self.now = min(self.now, duration)
         return self.metrics
 
     # ---- energy / death --------------------------------------------------
@@ -262,8 +264,8 @@ class Simulation:
         energy = node.energy
         actual = energy.deduct(cost_nj)
         self.metrics.record_energy(actual)
-        if (self._stop_fraction and self._drain_until is None
-                and energy.residual_nj < self._stop_fraction * energy.initial_nj):
+        if (self._drain_below and self._drain_until is None
+                and energy.residual_nj < self._drain_below):
             self._log(node.id, "energy_low")
             self._begin_drain()
         return actual
@@ -340,7 +342,7 @@ class Simulation:
             return
         cfg = self.cfg
         node.table.evict_stale(self.now)
-        if not self._spend(node, node.energy.cost_idle_nj):
+        if not self._spend(node, self._idle_nj):
             return
         hello = self._build_hello(node)
         self.metrics.hello_sent += 1
@@ -371,7 +373,7 @@ class Simulation:
         node = self.nodes[receiver_id]
         if not node.alive:
             return
-        if not self._spend(node, node.energy.cost_idle_nj):
+        if not self._spend(node, self._idle_nj):
             return
         self._note_reception(node, sender_id, seq)
         node.table.process_hello(hello, self.now)
@@ -384,16 +386,12 @@ class Simulation:
         if not source.alive or self._drain_until is not None:
             return
         cls = self._draw_class()
-        d_primary = self.sink_distance[PRIMARY_SINK][SOURCE]
-        d_secondary = self.sink_distance[SECONDARY_SINK][SOURCE]
-        if abs(d_primary - d_secondary) < 1e-9:
-            # exactly equidistant (centered source): alternate to spread load
-            nearest = PRIMARY_SINK if self._next_logical_id % 2 == 0 else SECONDARY_SINK
-        else:
-            nearest = PRIMARY_SINK if d_primary <= d_secondary else SECONDARY_SINK
-        other = SECONDARY_SINK if nearest == PRIMARY_SINK else PRIMARY_SINK
+        # The source sits at the field centre, the sinks on its diagonal at
+        # equal insets: both are nearest, so copies alternate between them.
         logical = self._next_logical_id
         self._next_logical_id += 1
+        nearest, other = ((PRIMARY_SINK, SECONDARY_SINK) if logical % 2 == 0
+                          else (SECONDARY_SINK, PRIMARY_SINK))
         copies = [self._make_packet(cls, nearest, logical)]
         duplicated = (self._protocol.duplicates
                       and ((cls is PacketClass.CRITICAL and cfg.duplicate_critical)
@@ -427,9 +425,7 @@ class Simulation:
         self._next_packet_id += 1
         return Packet(packet_id=pid, cls=cls, destination_sink=sink,
                       lag_time=self.cfg.deadline, deadline=self.cfg.deadline,
-                      payload_size=self.cfg.payload_bytes,
-                      creation_time=self.now, logical_id=logical,
-                      received_time=self.now)
+                      logical_id=logical, received_time=self.now)
 
     # ---- queueing --------------------------------------------------------
 
@@ -478,7 +474,7 @@ class Simulation:
         try:
             packet.lag_time = update_lag_time(
                 packet.lag_time, packet.received_time, self.now,
-                packet.payload_size, cfg.bandwidth_bps)
+                cfg.payload_bytes, cfg.bandwidth_bps)
         except DeadlineExpired:
             # Only the protocol's expiring classes are discarded in-network;
             # everything else is delivered late (and scored as a deadline
@@ -587,7 +583,7 @@ class Simulation:
         packet = state.packet
         peer = state.next_hop
         p, prop, loss = self.links[node.id][peer]
-        if not self._spend(node, round(node.energy.cost_tx_nj * loss)):
+        if not self._spend(node, round(self._tx_nj * loss)):
             if not state.delivered_any:
                 self._drop(packet, "dead_node", node.id)
             return
@@ -612,7 +608,7 @@ class Simulation:
     def _ev_data_rx(self, receiver_id: NodeId, sender_id: NodeId,
                     state: _TxState, seq: int):
         receiver = self.nodes[receiver_id]
-        if not (receiver.alive and self._spend(receiver, receiver.energy.cost_rx_nj)):
+        if not (receiver.alive and self._spend(receiver, self._rx_nj)):
             self._schedule(state.timeout, self._ev_ack_timeout, sender_id, state)
             return
         self._note_reception(receiver, sender_id, seq)
@@ -629,7 +625,7 @@ class Simulation:
             self._schedule(ack_t, self._ev_ack_rx, sender_id, receiver_id, state)
         else:
             self._schedule(state.timeout, self._ev_ack_timeout, sender_id, state)
-        self._charge(receiver, receiver.energy.cost_idle_nj)
+        self._charge(receiver, self._idle_nj)
         if not fresh:
             return
         if receiver.is_sink:
@@ -647,8 +643,7 @@ class Simulation:
         if not node.alive:
             # no timer follows: the exchange delivered, so there is no drop
             return
-        self._charge(node, node.energy.cost_idle_nj)
-        state.done = True
+        self._charge(node, self._idle_nj)
         peer = self.nodes[receiver_id]
         node.delays.dt_update(receiver_id, state.t_s, self.now,
                               self.cfg.ack_bytes, self.cfg.bandwidth_bps)
@@ -663,12 +658,10 @@ class Simulation:
     def _ev_ack_timeout(self, sender_id: NodeId, state: _TxState):
         node = self.nodes[sender_id]
         if not node.alive:
-            state.done = True
             if not state.delivered_any:
                 self._drop(state.packet, "dead_node", sender_id)
             return
         if state.attempts > self.cfg.max_retries:
-            state.done = True
             self._log(sender_id, "hop_failed", state.packet.packet_id, "to={}",
                       state.next_hop)
             # unreachable-neighbor detection: a hop that never ACKed is
@@ -685,13 +678,12 @@ class Simulation:
     def _ev_audit(self):
         for node in self.nodes.values():   # built in ascending id order
             if node.alive:
-                self._spend(node, node.energy.cost_idle_nj)
+                self._spend(node, self._idle_nj)
         if self._drain_until is None:
             self._schedule(self.now + self.cfg.audit_period, self._ev_audit)
 
     def _drop(self, packet: Packet, cause: str, nid: NodeId):
-        self.metrics.record_copy_lost(packet.logical_id, packet.packet_id,
-                                      packet.cls, cause)
+        self.metrics.record_copy_lost(packet.logical_id, packet.packet_id, cause)
         self._log(nid, "drop", packet.packet_id, cause)
 
     # ---- verification hooks ----------------------------------------------

@@ -244,3 +244,76 @@ def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0, prr_xy=0.9, prr_yz=0.9,
 
 def delay_estimator_with(dt: float, gamma: float = 0.5) -> DelayEstimator:
     return DelayEstimator(gamma=gamma, dt_prior=dt)
+
+
+# ---- logical-packet ledger oracle ----------------------------------------
+
+class ReferenceLedger:
+    """The packet accounting of `MetricsLedger`, kept in four parallel
+    containers: the copies still out, each packet's class and creation, the
+    delivered packets and the packets that missed their deadline. Counters
+    are plain dicts: cls -> {"generated", "delivered", "deadline_misses",
+    "drops": {cause: n}, "delays": [...]}."""
+
+    def __init__(self, causes):
+        self.causes = tuple(causes)
+        self.per_class = {}
+        self._outstanding = {}   # logical_id -> set of copy ids still out
+        self._meta = {}          # logical_id -> (class, creation)
+        self._delivered = set()
+        self._missed = set()
+
+    def _counters(self, cls):
+        if cls not in self.per_class:
+            self.per_class[cls] = {"generated": 0, "delivered": 0,
+                                   "deadline_misses": 0, "delays": [],
+                                   "drops": {c: 0 for c in self.causes}}
+        return self.per_class[cls]
+
+    def record_generated(self, logical_id, cls, creation, copy_ids):
+        self._counters(cls)["generated"] += 1
+        self._outstanding[logical_id] = set(copy_ids)
+        self._meta[logical_id] = (cls, creation)
+
+    def record_delivery(self, logical_id, packet_id, arrival, deadline):
+        cls, creation = self._meta[logical_id]
+        c = self._counters(cls)
+        if logical_id not in self._delivered:
+            self._delivered.add(logical_id)
+            c["delivered"] += 1
+            c["delays"].append(arrival - creation)
+            if arrival - creation > deadline and logical_id not in self._missed:
+                self._missed.add(logical_id)
+                c["deadline_misses"] += 1
+        self._outstanding[logical_id].discard(packet_id)
+
+    def record_copy_lost(self, logical_id, packet_id, cls, cause):
+        copies = self._outstanding.get(logical_id)
+        if copies is None:
+            return
+        copies.discard(packet_id)
+        c = self._counters(cls)
+        if cause == "deadline" and logical_id not in self._missed \
+                and logical_id not in self._delivered:
+            self._missed.add(logical_id)
+            c["deadline_misses"] += 1
+        if not copies and logical_id not in self._delivered:
+            c["drops"][cause] += 1
+
+    def open_ids(self) -> set:
+        """Logical packets neither delivered nor lost in every copy."""
+        return {lid for lid, copies in self._outstanding.items()
+                if copies and lid not in self._delivered}
+
+    def closed_by_loss(self, logical_id) -> bool:
+        return (not self._outstanding[logical_id]
+                and logical_id not in self._delivered)
+
+    def accounting_closed(self) -> bool:
+        open_ids = self.open_ids()
+        for cls, c in self.per_class.items():
+            in_flight = sum(1 for lid in open_ids if self._meta[lid][0] is cls)
+            if c["generated"] != (c["delivered"] + sum(c["drops"].values())
+                                  + in_flight):
+                return False
+        return True

@@ -84,8 +84,7 @@ def test_queue_priority_order():
 
 def _packet(**kw):
     base = dict(packet_id=1, cls=PacketClass.REGULAR,
-                destination_sink=0, lag_time=0.3, deadline=0.3,
-                payload_size=150, creation_time=0.0)
+                destination_sink=0, lag_time=0.3, deadline=0.3)
     base.update(kw)
     return Packet(**base)
 
@@ -103,29 +102,31 @@ def test_packet_rejects_lag_above_deadline():
 # ---- energy budget -------------------------------------------------------
 
 def test_energy_budget_integer_conversion():
-    b = EnergyBudget.from_joules(2.0, 0.0522, 0.0591, 0.00006, 0.000003)
-    assert b.initial_nj == 2_000_000_000
-    assert b.cost_tx_nj == 52_200_000
-    assert b.cost_rx_nj == 59_100_000
-    assert b.cost_sleep_nj == 60_000
-    assert b.cost_idle_nj == 3_000
+    # the shipped initial, tx, rx, sleep and idle energies
+    joules = (2.0, 0.0522, 0.0591, 0.00006, 0.000003)
+    assert [joules_to_nj(j) for j in joules] == [
+        2_000_000_000, 52_200_000, 59_100_000, 60_000, 3_000]
+    b = EnergyBudget(joules_to_nj(2.0))
+    assert (b.initial_nj, b.spent_nj, b.residual_nj) == (2_000_000_000, 0,
+                                                         2_000_000_000)
 
 
 def test_energy_budget_deduction_and_clamp():
-    b = EnergyBudget.from_joules(2.0, 0.0522, 0.0591, 0.00006, 0.000003)
-    assert b.deduct(b.cost_tx_nj) == b.cost_tx_nj
-    assert b.residual_nj == b.initial_nj - b.cost_tx_nj
+    b = EnergyBudget(joules_to_nj(2.0))
+    tx_nj = joules_to_nj(0.0522)
+    assert b.deduct(tx_nj) == tx_nj
+    assert b.residual_nj == b.initial_nj - tx_nj
     # draining past zero clamps and reports the actual amount taken
     taken = b.deduct(10 * b.initial_nj)
     assert b.residual_nj == 0
     assert b.spent_nj == b.initial_nj
-    assert taken == b.initial_nj - b.cost_tx_nj
+    assert taken == b.initial_nj - tx_nj
     assert not b.can_afford(1)
 
 
 def test_energy_budget_conservation_over_random_deductions():
     rng = random.Random(3)
-    b = EnergyBudget.from_joules(2.0, 0.0522, 0.0591, 0.00006, 0.000003)
+    b = EnergyBudget(joules_to_nj(2.0))
     total = 0
     for _ in range(500):
         total += b.deduct(rng.randrange(0, 5_000_000))

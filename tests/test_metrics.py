@@ -1,9 +1,14 @@
 """Metrics-ledger tests: logical-packet delivery accounting, drop causes,
 deadline misses, lifetime definitions, and the CSV schema."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tdthr.core import PacketClass
 from tdthr.metrics import (CSV_COLUMNS, DROP_CAUSES, MetricsLedger, csv_header,
                            csv_row)
+
+from helpers import ReferenceLedger
 
 C = PacketClass.CRITICAL
 R = PacketClass.REGULAR
@@ -37,9 +42,9 @@ def test_late_delivery_scores_a_deadline_miss():
 def test_drop_charged_to_last_copy_lost():
     ledger = MetricsLedger()
     _gen(ledger, lid=1, copies=(10, 11))
-    ledger.record_copy_lost(1, 10, C, "void")
+    ledger.record_copy_lost(1, 10, "void")
     assert ledger.per_class[C].drops["void"] == 0  # one copy still out
-    ledger.record_copy_lost(1, 11, C, "retries_exhausted")
+    ledger.record_copy_lost(1, 11, "retries_exhausted")
     assert ledger.per_class[C].drops["retries_exhausted"] == 1
     assert ledger.prr(C) == 0.0
 
@@ -48,7 +53,7 @@ def test_lost_copy_after_delivery_is_not_a_drop():
     ledger = MetricsLedger()
     _gen(ledger, lid=1, copies=(10, 11))
     ledger.record_delivery(1, 10, arrival=0.1, deadline=0.3)
-    ledger.record_copy_lost(1, 11, C, "void")
+    ledger.record_copy_lost(1, 11, "void")
     assert sum(ledger.per_class[C].drops.values()) == 0
     assert ledger.accounting_closed()
 
@@ -56,9 +61,9 @@ def test_lost_copy_after_delivery_is_not_a_drop():
 def test_expired_copy_counts_miss_even_before_last_loss():
     ledger = MetricsLedger()
     _gen(ledger, lid=1, copies=(10, 11))
-    ledger.record_copy_lost(1, 10, C, "deadline")
+    ledger.record_copy_lost(1, 10, "deadline")
     assert ledger.per_class[C].deadline_misses == 1
-    ledger.record_copy_lost(1, 11, C, "deadline")
+    ledger.record_copy_lost(1, 11, "deadline")
     assert ledger.per_class[C].deadline_misses == 1  # only once per packet
     assert ledger.per_class[C].drops["deadline"] == 1
 
@@ -70,6 +75,79 @@ def test_accounting_closure_tracks_in_flight():
     assert ledger.accounting_closed()  # both still in flight
     ledger.record_delivery(1, 0, arrival=0.1, deadline=0.3)
     assert ledger.accounting_closed()
+
+
+def test_loss_reported_after_the_last_copy_changes_nothing():
+    ledger = MetricsLedger()
+    _gen(ledger, lid=1, copies=(10,))
+    ledger.record_copy_lost(1, 10, "void")
+    ledger.record_copy_lost(1, 10, "void")
+    assert ledger.per_class[C].drops["void"] == 1
+    assert ledger.accounting_closed()
+
+
+@st.composite
+def _ledger_reports(draw):
+    """Logical packets of 1-2 copies, each copy settling once, delivered
+    or lost to any cause, reported in any order, some reports repeated.
+    Returns (packets, reports): lid -> (class, creation, copy ids), and
+    ("delivery", lid, copy, arrival, deadline) / ("lost", lid, copy, cause)."""
+    packets, reports = {}, []
+    next_copy = 0
+    for lid in range(draw(st.integers(1, 8))):
+        cls = draw(st.sampled_from(list(PacketClass)))
+        creation = draw(st.floats(0.0, 100.0))
+        copies = list(range(next_copy, next_copy + draw(st.integers(1, 2))))
+        next_copy += len(copies)
+        packets[lid] = (cls, creation, copies)
+        for copy in copies:
+            if draw(st.booleans()):
+                report = ("delivery", lid, copy,
+                          creation + draw(st.floats(0.0, 1.0)),
+                          draw(st.sampled_from([0.05, 0.3])))
+            else:
+                report = ("lost", lid, copy, draw(st.sampled_from(DROP_CAUSES)))
+            reports += [report] * draw(st.integers(1, 2))
+    return packets, draw(st.permutations(reports))
+
+
+def _counters(ledger):
+    return {cls: (c.generated, c.delivered, c.deadline_misses, c.delays,
+                  c.drops) for cls, c in ledger.per_class.items()}
+
+
+def _reference_counters(ref):
+    out = {}
+    for cls in PacketClass:
+        c = ref._counters(cls)
+        out[cls] = (c["generated"], c["delivered"], c["deadline_misses"],
+                    c["delays"], c["drops"])
+    return out
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_ledger_reports())
+def test_ledger_matches_the_four_container_reference(case):
+    packets, reports = case
+    ledger, ref = MetricsLedger(), ReferenceLedger(DROP_CAUSES)
+    generated = set()
+    for kind, lid, copy, *rest in reports:
+        if lid not in generated:   # a packet is generated before its reports
+            generated.add(lid)
+            for book in (ledger, ref):
+                book.record_generated(lid, *packets[lid])
+        if kind == "delivery":
+            ledger.record_delivery(lid, copy, *rest)
+            ref.record_delivery(lid, copy, *rest)
+        elif not ref.closed_by_loss(lid):
+            # the reference would charge a drop again for a report that
+            # follows the last copy's loss; the kernel reports each loss once
+            ledger.record_copy_lost(lid, copy, *rest)
+            ref.record_copy_lost(lid, copy, packets[lid][0], *rest)
+        assert set(ledger._open) == ref.open_ids()
+        assert ledger.accounting_closed() == ref.accounting_closed() is True
+    assert _counters(ledger) == _reference_counters(ref)
+    assert ledger._open == {}   # every copy has settled
 
 
 # ---- derived metrics -----------------------------------------------------

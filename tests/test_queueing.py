@@ -10,10 +10,9 @@ CLASSES = (PacketClass.CRITICAL, PacketClass.DELAY_RESPONSIVE,
            PacketClass.RELIABILITY_RESPONSIVE, PacketClass.REGULAR)
 
 
-def _packet(pid, cls, now=0.0):
+def _packet(pid, cls):
     return Packet(packet_id=pid, cls=cls, destination_sink=0,
-                  lag_time=0.3, deadline=0.3, payload_size=150,
-                  creation_time=now)
+                  lag_time=0.3, deadline=0.3)
 
 
 # ---- directed cases ------------------------------------------------------
@@ -46,7 +45,7 @@ def test_strict_priority_dequeue_order():
 
 def test_dequeue_reports_realized_wait():
     bank = QueueBank()
-    bank.enqueue(_packet(1, PacketClass.REGULAR, now=2.0), 2.0, 9.0)
+    bank.enqueue(_packet(1, PacketClass.REGULAR), 2.0, 9.0)
     packet, wait = bank.dequeue_next(2.75)
     assert packet.packet_id == 1
     assert wait == 0.75
@@ -78,7 +77,7 @@ def test_promotion_moves_packet_to_critical_tail():
 
 def test_promotion_preserves_wait_and_class():
     bank = QueueBank()
-    bank.enqueue(_packet(1, PacketClass.REGULAR, now=1.0), 1.0, 1.5)
+    bank.enqueue(_packet(1, PacketClass.REGULAR), 1.0, 1.5)
     bank.on_timer_expire(1, 1.5)
     packet, wait = bank.dequeue_next(2.0)
     assert packet.cls is PacketClass.REGULAR  # service priority changed only
@@ -162,7 +161,7 @@ def exercise_randomized_sequences(n_sequences: int, seed_base: int = 0) -> int:
                 pid += 1
                 cls = rng.choice(CLASSES)
                 queue = target[cls]
-                accepted = bank.enqueue(_packet(pid, cls, now), now, now + 1.0)
+                accepted = bank.enqueue(_packet(pid, cls), now, now + 1.0)
                 if len(shadow[queue]) < capacity:
                     assert accepted
                     shadow[queue].append((pid, now))

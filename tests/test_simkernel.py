@@ -9,10 +9,12 @@ import random
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tdthr import metrics, simkernel
-from tdthr.cli import config_hash
-from tdthr.core import LIGHT_SPEED, Position, dist
+from tdthr.cli import config_hash, load_config
+from tdthr.core import LIGHT_SPEED, Position, dist, joules_to_nj
 from tdthr.neighborhood import NeighborTable
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _neighbours,
@@ -504,18 +506,97 @@ def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
 @pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
 def test_every_ack_timer_can_act(monkeypatch, protocol):
     # a timer is armed only for an exchange that failed, so none finds its
-    # exchange already acknowledged or abandoned
-    found_done = []
-    timeout = Simulation._ev_ack_timeout
+    # exchange already acknowledged or abandoned. The finished states are
+    # kept themselves: an id() is reused once its object is freed.
+    finished = set()
+    late = []
+    ack_rx, timeout = Simulation._ev_ack_rx, Simulation._ev_ack_timeout
 
-    def watched(self, sender_id, state):
-        found_done.append(state.done)
+    def acked(self, sender_id, receiver_id, state):
+        ack_rx(self, sender_id, receiver_id, state)
+        finished.add(state)
+
+    def timed_out(self, sender_id, state):
+        late.append(state in finished)
+        attempts = state.attempts
         timeout(self, sender_id, state)
+        if state.attempts == attempts:   # no new attempt: abandoned
+            finished.add(state)
 
-    monkeypatch.setattr(Simulation, "_ev_ack_timeout", watched)
+    monkeypatch.setattr(Simulation, "_ev_ack_rx", acked)
+    monkeypatch.setattr(Simulation, "_ev_ack_timeout", timed_out)
     Simulation(_congested_config(protocol)).run()
-    assert len(found_done) > 50
-    assert not any(found_done)
+    assert len(late) > 50 and len(finished) > 50
+    assert not any(late)
+
+
+@pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
+def test_every_charge_is_a_cost_fixed_at_set_up(monkeypatch, protocol):
+    # a data transmission costs the nominal tx energy times its link's
+    # path-loss factor; a reception costs rx; everything else costs idle
+    cfg = _congested_config(protocol)
+    tx_nj, rx_nj, idle_nj = (joules_to_nj(j) for j in
+                             (cfg.energy_tx, cfg.energy_rx, cfg.energy_idle))
+    charges = []
+    charge = Simulation._charge
+
+    def watched(self, node, cost_nj):
+        charges.append((node.id, cost_nj))
+        return charge(self, node, cost_nj)
+
+    monkeypatch.setattr(Simulation, "_charge", watched)
+    sim = Simulation(cfg)
+    sim.run()
+    kinds = []
+    for nid, cost in charges:
+        tx = {round(tx_nj * loss) for _, _, loss in sim.links[nid].values()}
+        kind = ("tx" if cost in tx else "rx" if cost == rx_nj
+                else "idle" if cost == idle_nj else cost)
+        kinds.append(kind)
+    assert set(kinds) == {"tx", "rx", "idle"}
+    assert sim.metrics.total_energy_nj == sim.energy_spent_by_nodes_nj()
+
+
+def _sink_gap(cfg):
+    """|d(source, primary) - d(source, secondary)|, as the kernel measures."""
+    src, sinks = cfg.source_position, cfg.sink_positions
+    return abs(dist(src, sinks[PRIMARY_SINK]) - dist(src, sinks[SECONDARY_SINK]))
+
+
+def test_shipped_sinks_are_equidistant_from_the_source():
+    # the source at the field centre, the sinks on its diagonal at equal
+    # insets: each CBR copy may go to either sink, and they alternate
+    for cfg in (_default_config(), mini_config(), load_config(
+            f"{CONFIG_DIR}/desk.yaml")):
+        assert _sink_gap(cfg) <= 1.2e-10
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(width=st.floats(1e-3, 1e6), height=st.floats(1e-3, 1e6),
+       inset_share=st.floats(0.0, 1.0, exclude_max=True))
+def test_sinks_are_equidistant_on_any_valid_field(width, height, inset_share):
+    cfg = SimConfig(field_width=width, field_height=height,
+                    node_density=SimConfig().node_count / (width * height),
+                    sink_inset=inset_share * min(width, height) / 2)
+    assume(cfg.validate() == [])
+    assert _sink_gap(cfg) <= 1.2e-10
+
+
+def test_single_copies_alternate_between_the_sinks(monkeypatch):
+    made = []
+    make = Simulation._make_packet
+
+    def watched(self, cls, sink, logical):
+        made.append(sink)
+        return make(self, cls, sink, logical)
+
+    monkeypatch.setattr(Simulation, "_make_packet", watched)
+    ledger = run(mini_config(critical_rate=0.5, reliability_responsive_rate=0.25,
+                             duplicate_critical=False,
+                             duplicate_reliability=False, duration=20.0))
+    assert len(made) == ledger.generated_total > 10
+    assert made == [(PRIMARY_SINK, SECONDARY_SINK)[i % 2]
+                    for i in range(len(made))]
 
 
 def test_a_run_never_hashes_through_enum(monkeypatch):
