@@ -61,7 +61,7 @@ def path_loss_factor(d: float, tx_range: float, alpha: float) -> float:
     return (d / tx_range) ** alpha
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     packet_id: int
     cls: PacketClass

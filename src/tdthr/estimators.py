@@ -16,7 +16,7 @@ from .core import NodeId, PacketClass
 _DQ_ZERO = dict.fromkeys(PacketClass, 0.0)  # copied, never shared
 
 
-@dataclass
+@dataclass(slots=True)
 class PrrEstimator:
     """Window-mean moving-average link reliability estimator.
 
@@ -52,7 +52,7 @@ class PrrEstimator:
         return self.prr
 
 
-@dataclass
+@dataclass(slots=True)
 class DelayEstimator:
     """Per-class queuing-delay and per-neighbor transmission-delay EWMAs.
 

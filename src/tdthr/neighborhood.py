@@ -3,16 +3,17 @@ ACK piggybacking, plus the favorable-forwarder set computations.
 
 A node x learns about neighbor y from y's periodic HELLO: y's residual
 energy, per-class queuing-delay estimates, the reliability y measured on the
-link x->y, and y's own one-hop list (which gives x its two-hop view). ACKs
-refresh the ACKing node's own fields between HELLOs. Positions are not
-carried: the geometry is fixed, and distances are read by node id from the
-kernel (`Simulation.sink_distance`, `Simulation.positions`).
+link x->y, and y's own one-hop list (which gives x its two-hop view): a dict
+z -> `(dt_yz, prr_yz)`, y's transmission-delay estimate toward z and the
+reliability of link y->z as reported to y. ACKs refresh the ACKing node's
+own fields between HELLOs. Positions are not carried: the geometry is fixed,
+and distances are read by node id from the kernel
+(`Simulation.sink_distance`, `Simulation.positions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .core import NodeId, PacketClass
 
@@ -24,21 +25,15 @@ HELLO_PRR_ENTRY_BYTES = 6
 HELLO_NEIGHBOR_ENTRY_BYTES = 26
 
 
-class TwoHopEntry(NamedTuple):
-    """What neighbor y reports about its own neighbor z, keyed by z in the
-    beacon's `one_hop`. Immutable: one beacon's entries are shared by every
-    table that hears it."""
-    dt_yz: float             # y's transmission-delay estimate toward z
-    prr_yz: float            # reliability of link y->z as reported to y
-
-
 @dataclass(slots=True)
 class HelloMessage:
     sender: NodeId
     energy: float
     dq: dict                           # sender's per-class queuing estimates
     reverse_prr: dict                  # NodeId -> prr of link (that node -> sender)
-    one_hop: dict                      # NodeId -> TwoHopEntry
+    # NodeId -> (dt_yz, prr_yz): tuples, so one beacon's entries can be
+    # shared by every table that hears it
+    one_hop: dict
 
     @property
     def size_bytes(self) -> int:
@@ -47,7 +42,7 @@ class HelloMessage:
                 + HELLO_NEIGHBOR_ENTRY_BYTES * len(self.one_hop))
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighborRecord:
     neighbor: NodeId
     prr_xy: float            # as last reported by the neighbor (receiver side)
@@ -60,7 +55,7 @@ class NeighborRecord:
     # The one_hop dict of the neighbor's last HELLO, shared with every other
     # receiver of that beacon. It may list the owner itself, which never
     # forms a pair: see `favorable_pairs`.
-    two_hop: dict = field(default_factory=dict)   # NodeId -> TwoHopEntry
+    two_hop: dict = field(default_factory=dict)   # NodeId -> (dt_yz, prr_yz)
 
 
 @dataclass(slots=True)
@@ -129,13 +124,19 @@ class NeighborTable:
     def _well_formed(self, hello) -> bool:
         return isinstance(hello, HelloMessage) and hello.sender != self.owner
 
+    def forget(self, neighbor: NodeId) -> None:
+        """Drop `neighbor`'s record, if any, until its next HELLO or ACK."""
+        self.records.pop(neighbor, None)
+
     def evict_stale(self, now: float) -> None:
-        stale = [n for n, r in self.records.items() if now - r.last_heard > self.expiry]
+        expiry = self.expiry
+        stale = [n for n, r in self.records.items() if now - r.last_heard > expiry]
         for n in stale:
             del self.records[n]
 
     def live_records(self, now: float):
-        return [r for r in self.records.values() if now - r.last_heard <= self.expiry]
+        expiry = self.expiry
+        return [r for r in self.records.values() if now - r.last_heard <= expiry]
 
     def favorable_one_hop(self, live, d_own: float, to_dest):
         """F1: (record, its distance to the destination) for each of the

@@ -23,7 +23,7 @@ from .forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
                          best_effort_pair, required_velocity, route_regular,
                          route_reliability, select_next_hop, update_lag_time)
 from .metrics import MetricsLedger
-from .neighborhood import HelloMessage, NeighborTable, TwoHopEntry
+from .neighborhood import HelloMessage, NeighborTable
 from .queueing import QueueBank
 
 
@@ -120,7 +120,8 @@ def _connected(neighbours, start, targets) -> bool:
 
 class _Node:
     __slots__ = ("id", "is_sink", "alive", "energy", "table", "delays",
-                 "prr_in", "seq_out", "seq_seen", "queues", "busy", "seen_packets")
+                 "prr_in", "hellos", "data_out", "seq_seen", "queues", "busy",
+                 "seen_packets")
 
     def __init__(self, nid, is_sink, cfg: SimConfig, priority_queues: bool,
                  initial_nj: int):
@@ -133,10 +134,11 @@ class _Node:
             gamma=cfg.delay_gamma,
             dt_prior=cfg.payload_bytes * 8 / cfg.bandwidth_bps)
         self.prr_in = {}       # sender -> PrrEstimator (receiver-side)
-        # receiver -> last sequence number sent. Every frame to a peer, HELLO
-        # or data attempt, takes the next number: `seq_out.get(peer, 0) + 1`,
-        # bumped inline where it is sent (no call per peer in a fan-out).
-        self.seq_out = {}
+        # Every frame to a peer, HELLO or data attempt, takes the next
+        # sequence number on that link: a beacon goes to every peer, so the
+        # number is `hellos + data_out[peer]`, counted after the frame.
+        self.hellos = 0        # beacons sent
+        self.data_out = {}     # receiver -> data attempts sent to it
         self.seq_seen = {}     # sender -> last sequence number observed
         self.queues = QueueBank(capacity=cfg.queue_capacity,
                                 single_queue=not priority_queues)
@@ -218,9 +220,12 @@ class Simulation:
     # ---- event plumbing --------------------------------------------------
 
     def _schedule(self, t, handler, *payload):
-        """Run `handler(*payload)` at time `t`. `handler` is a bound `_ev_*`
-        method, looked up at schedule time, so a wrapper put on the class
-        before construction is the one that runs."""
+        """Run `handler(*payload)` at time `t`, after every event already
+        due at `t`: the heap orders events by `(t, seq)`. `handler` is a
+        bound `_ev_*` method, looked up at schedule time, so a wrapper put on
+        the class before construction is the one that runs. A beacon's
+        receptions take their seqs here too, but share one heap entry
+        (`_ev_hello`, `_deliver_hellos`)."""
         if t < self.now - 1e-12:
             raise RuntimeError(f"event {handler.__name__} scheduled in the past "
                                f"({t} < {self.now})")
@@ -246,6 +251,7 @@ class Simulation:
         heap = self._heap
         while heap:
             t, _, handler, payload = heapq.heappop(heap)
+            # the stop test, which `_deliver_hellos` repeats
             if t > duration or (self._drain_until is not None
                                 and t > self._drain_until):
                 break
@@ -346,23 +352,64 @@ class Simulation:
             return
         hello = self._build_hello(node)
         self.metrics.hello_sent += 1
+        node.hellos += 1
         sent = self.now + hello.size_bytes * 8 / cfg.bandwidth_bps
+        # Each reception, `(arrival, event seq, peer, link seq)`, takes the
+        # event seq that a `_schedule` of its own would give it, in peer order.
         draw = self.rng.random
-        receive = self._ev_hello_rx
-        seq_out = node.seq_out
+        hellos, data_out = node.hellos, node.data_out
+        seq = self._seq
+        receptions = []
         for peer, (p, prop, _) in self.links[nid].items():
-            seq = seq_out[peer] = seq_out.get(peer, 0) + 1
             if draw() < p:
-                self._schedule(sent + prop, receive, peer, nid, hello, seq)
+                seq += 1
+                receptions.append((sent + prop, seq, peer,
+                                   hellos + data_out.get(peer, 0)))
+        self._seq = seq
+        if receptions:
+            receptions.sort(reverse=True)   # the earliest last
+            t, seq = receptions[-1][:2]
+            if t < self.now - 1e-12:
+                raise RuntimeError(f"HELLO reception scheduled in the past "
+                                   f"({t} < {self.now})")
+            heapq.heappush(self._heap, (t, seq, self._deliver_hellos,
+                                        (nid, hello, receptions)))
         self._log(nid, "hello")
         self._schedule(self.now + cfg.hello_period, self._ev_hello, nid)
+
+    def _deliver_hellos(self, sender: NodeId, hello: HelloMessage,
+                        receptions: list):
+        """Run one beacon's receptions, each an `_ev_hello_rx` event, in the
+        order they would run as heap entries of their own. Only the earliest
+        is on the heap; `receptions` holds it and the rest, latest first.
+        The next one runs here directly only while it is strictly before the
+        heap top in `(t, seq)` order and passes `run()`'s stop test, both
+        read again after every reception; otherwise the rest go back on the
+        heap under its `(t, seq)`. Not named `_ev_*`: it is no event."""
+        receive = self._ev_hello_rx
+        heap = self._heap
+        duration = self.cfg.duration
+        _, _, peer, seq = receptions.pop()
+        receive(peer, sender, hello, seq)
+        while receptions:
+            t, order, peer, seq = receptions[-1]
+            # seqs are unique, so the comparison never reaches a handler
+            if ((heap and heap[0] < (t, order)) or t > duration
+                    or (self._drain_until is not None
+                        and t > self._drain_until)):
+                heapq.heappush(heap, (t, order, self._deliver_hellos,
+                                      (sender, hello, receptions)))
+                return
+            receptions.pop()
+            self.now = t
+            receive(peer, sender, hello, seq)
 
     def _build_hello(self, node: _Node) -> HelloMessage:
         """One snapshot per beacon, shared by every receiver: tables keep
         references to its entries, so nothing may mutate them once built.
         `dq` is the estimator's own dict, which `dq_update` replaces."""
-        dt_for = node.delays.dt_for
-        one_hop = {rec.neighbor: TwoHopEntry(dt_for(rec.neighbor), rec.prr_xy)
+        dt, dt_prior = node.delays.dt, node.delays.dt_prior
+        one_hop = {rec.neighbor: (dt.get(rec.neighbor, dt_prior), rec.prr_xy)
                    for rec in node.table.live_records(self.now)}
         return HelloMessage(
             node.id, node.reported_energy, node.delays.dq,
@@ -588,7 +635,8 @@ class Simulation:
                 self._drop(packet, "dead_node", node.id)
             return
         state.attempts += 1
-        seq = node.seq_out[peer] = node.seq_out.get(peer, 0) + 1
+        n_data = node.data_out[peer] = node.data_out.get(peer, 0) + 1
+        seq = node.hellos + n_data
         # CPython's `uniform(0.0, w)` is `0.0 + (w - 0.0) * random()`: the
         # same one draw and the same float, without the call (checked by
         # test_backoff_draw_equals_uniform_bit_for_bit)
@@ -666,7 +714,7 @@ class Simulation:
                       state.next_hop)
             # unreachable-neighbor detection: a hop that never ACKed is
             # dropped from the table until its next HELLO revives it
-            node.table.records.pop(state.next_hop, None)
+            node.table.forget(state.next_hop)
             if not state.delivered_any:
                 self._drop(state.packet, "retries_exhausted", sender_id)
             self._finish_tx(node)

@@ -12,9 +12,8 @@ import random
 
 from tdthr.core import PacketClass, Position, dist
 from tdthr.estimators import DelayEstimator
-from tdthr.neighborhood import (ForwarderPair, HelloMessage, NeighborTable,
-                                TwoHopEntry)
-from tdthr.simkernel import SimConfig
+from tdthr.neighborhood import ForwarderPair, HelloMessage, NeighborTable
+from tdthr.simkernel import SimConfig, Simulation
 
 
 # ---- desk-scale configuration -------------------------------------------
@@ -57,6 +56,67 @@ def mini_config(**overrides) -> SimConfig:
     return desk_config(**overrides)
 
 
+# ---- the beacon plane with one event per reception -------------------------
+
+class ReferenceSimulation(Simulation):
+    """The kernel with its earlier beacon plane, kept as the oracle of event
+    order and link numbering: a HELLO schedules each of its receptions as an
+    `_ev_hello_rx` event of its own through `_schedule`, and every frame to
+    a peer, HELLO or data attempt, takes the next number of a per-link
+    counter, `seq_out[(sender, receiver)]`. Every other rule is the
+    kernel's own."""
+
+    def __init__(self, cfg, trace=None):
+        self.seq_out = {}
+        super().__init__(cfg, trace)
+
+    def _next_seq(self, sender, receiver):
+        seq = self.seq_out[sender, receiver] = \
+            self.seq_out.get((sender, receiver), 0) + 1
+        return seq
+
+    def _ev_hello(self, nid):
+        node = self.nodes[nid]
+        if not node.alive:
+            return
+        cfg = self.cfg
+        node.table.evict_stale(self.now)
+        if not self._spend(node, self._idle_nj):
+            return
+        hello = self._build_hello(node)
+        self.metrics.hello_sent += 1
+        sent = self.now + hello.size_bytes * 8 / cfg.bandwidth_bps
+        for peer, (p, prop, _) in self.links[nid].items():
+            seq = self._next_seq(nid, peer)
+            if self.rng.random() < p:
+                self._schedule(sent + prop, self._ev_hello_rx, peer, nid,
+                               hello, seq)
+        self._log(nid, "hello")
+        self._schedule(self.now + cfg.hello_period, self._ev_hello, nid)
+
+    def _begin_attempt(self, node, state):
+        cfg = self.cfg
+        packet = state.packet
+        peer = state.next_hop
+        p, prop, loss = self.links[node.id][peer]
+        if not self._spend(node, round(self._tx_nj * loss)):
+            if not state.delivered_any:
+                self._drop(packet, "dead_node", node.id)
+            return
+        state.attempts += 1
+        seq = self._next_seq(node.id, peer)
+        backoff = cfg.backoff_window * self.rng.random()
+        arrival = self.now + backoff + self._payload_ser + prop
+        delivered = self.rng.random() < p
+        self._log(node.id, "tx_attempt", packet.packet_id, "to={} n={} seq={}",
+                  peer, state.attempts, seq)
+        state.timeout = arrival + self._ack_ser + prop + cfg.ack_timeout_guard
+        if delivered:
+            self._schedule(arrival, self._ev_data_rx, peer, node.id, state, seq)
+        else:
+            self._schedule(state.timeout, self._ev_ack_timeout, node.id, state)
+
+
 # ---- random geometric topologies and neighbor tables --------------------
 
 def random_positions(rng: random.Random, max_nodes: int = 50,
@@ -91,7 +151,7 @@ def build_tables(positions: dict, tx_range: float,
             one_hop = {}
             if rnd == 2:
                 one_hop = {
-                    rec.neighbor: TwoHopEntry(dt_yz=dt_yz, prr_yz=rec.prr_xy)
+                    rec.neighbor: (dt_yz, rec.prr_xy)
                     for rec in tables[sender].live_records(now)}
             hello = HelloMessage(
                 sender=sender, energy=energy, dq=dict(dq),
@@ -237,7 +297,7 @@ def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0, prr_xy=0.9, prr_yz=0.9,
     table = NeighborTable(owner=1, expiry=10.0)
     table.process_hello(HelloMessage(
         sender=2, energy=energy, dq={cls: dq_y}, reverse_prr={1: prr_xy},
-        one_hop={3: TwoHopEntry(dt_yz=dt_yz, prr_yz=prr_yz)}), 0.0)
+        one_hop={3: (dt_yz, prr_yz)}), 0.0)
     return favorable_pairs(table, positions, Position(200.0, 0.0), cls, dq_x,
                            DelayEstimator(dt_prior=dt_xy), 0.0)
 

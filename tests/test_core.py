@@ -7,6 +7,9 @@ import pytest
 
 from tdthr.core import (EnergyBudget, Packet, PacketClass, Position, dist,
                         joules_to_nj, path_loss_factor)
+from tdthr.estimators import DelayEstimator, PrrEstimator
+from tdthr.neighborhood import ForwarderPair, HelloMessage, NeighborRecord
+from tdthr.queueing import QueueEntry
 
 EPS = 1e-12
 
@@ -136,3 +139,19 @@ def test_energy_budget_conservation_over_random_deductions():
 def test_joules_round_trip():
     assert joules_to_nj(0.000003) == 3000
     assert joules_to_nj(2.0) / 1e9 == 2.0
+
+
+# ---- slotted records ------------------------------------------------------
+
+def test_records_made_per_event_are_slotted():
+    # the records made per packet, beacon, pair, queue entry or neighbour,
+    # and each node's estimators and energy budget, are slotted dataclasses:
+    # no per-instance __dict__ to build or read
+    packet = Packet(0, PacketClass.REGULAR, 0, lag_time=0.1, deadline=0.1)
+    instances = [packet, EnergyBudget(1), PrrEstimator(), DelayEstimator(),
+                 NeighborRecord(1, 1.0, {}, 1.0, 0.0),
+                 HelloMessage(1, 1.0, {}, {}, {}),
+                 ForwarderPair(1, 2, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+                 QueueEntry(packet, 0.0, None)]
+    for obj in instances:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__

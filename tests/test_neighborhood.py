@@ -7,7 +7,7 @@ from tdthr.core import PacketClass, Position, dist
 from tdthr.estimators import DelayEstimator
 from tdthr.neighborhood import (HELLO_HEADER_BYTES, HELLO_NEIGHBOR_ENTRY_BYTES,
                                 HELLO_PRR_ENTRY_BYTES, HelloMessage,
-                                NeighborTable, TwoHopEntry)
+                                NeighborTable)
 
 from helpers import (brute_favorable_one_hop, brute_favorable_pairs,
                      build_tables, favorable_one_hop, favorable_pairs,
@@ -51,7 +51,7 @@ def test_two_hop_entries_exclude_owner():
     positions = {1: Position(0, 0), 2: Position(10, 0), 3: Position(30, 0),
                  4: Position(40, 0)}
     dest = Position(200, 0)
-    entries = {n: TwoHopEntry(dt_yz=0.005, prr_yz=0.9) for n in (1, 3, 4)}
+    entries = {n: (0.005, 0.9) for n in (1, 3, 4)}
     without_owner = {n: e for n, e in entries.items() if n != 1}
     for now, one_hop in ((0.0, without_owner), (1.0, entries)):
         hello = _hello(2, one_hop=one_hop)
@@ -79,9 +79,21 @@ def test_silent_neighbor_is_evicted():
     assert table.records == {}
 
 
+def test_forgotten_neighbor_returns_with_its_next_hello():
+    table = NeighborTable(owner=1, expiry=12.5)
+    table.process_hello(_hello(2, reverse_prr={1: 0.8}), 0.0)
+    table.process_hello(_hello(3), 0.0)
+    table.forget(2)
+    table.forget(4)   # no record: nothing to do
+    assert one_hop_set(table, 1.0) == {3}
+    table.process_hello(_hello(2), 5.0)
+    assert one_hop_set(table, 5.0) == {2, 3}
+    assert table.records[2].prr_xy == 1.0   # a new record
+
+
 def test_ack_info_refreshes_without_touching_two_hop():
     table = NeighborTable(owner=1, expiry=12.5)
-    entries = {3: TwoHopEntry(dt_yz=0.005, prr_yz=0.9)}
+    entries = {3: (0.005, 0.9)}
     table.process_hello(_hello(2, one_hop=entries), 0.0)
     table.process_ack_info(2, energy=1.2, dq={PacketClass.REGULAR: 0.01},
                            prr_xy=0.6, now=3.0)
@@ -110,7 +122,7 @@ def test_unreported_reliability_keeps_the_last_value():
 
 def test_hello_wire_size():
     hello = _hello(2, reverse_prr={1: 0.9, 3: 0.8},
-                   one_hop={3: TwoHopEntry(dt_yz=0.005, prr_yz=0.9)})
+                   one_hop={3: (0.005, 0.9)})
     assert hello.size_bytes == (HELLO_HEADER_BYTES + 2 * HELLO_PRR_ENTRY_BYTES
                                 + HELLO_NEIGHBOR_ENTRY_BYTES)
 

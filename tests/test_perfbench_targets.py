@@ -13,12 +13,17 @@ from tdthr.simkernel import Simulation
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_every_perfbench_wrap_target_resolves(monkeypatch):
+def _load_tracer(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules while executing
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_perfbench_wrap_target_resolves(monkeypatch):
+    tracer = _load_tracer(monkeypatch)
     targets = tracer.layer_targets()
     warnings = []
     layers = tracer.Tracer(targets, warn=warnings.append)
@@ -33,3 +38,11 @@ def test_every_perfbench_wrap_target_resolves(monkeypatch):
         original = tracer._resolve(target)[2]
         assert inspect.isfunction(original), target.qualname
     assert Simulation.__dict__["_select"] is select  # originals restored
+
+
+def test_the_kernel_event_handlers_are_the_benchmark_event_kinds(monkeypatch):
+    # The benchmark counts every `_ev_*` call as one dispatched event, so a
+    # helper named `_ev_*` that is not an event would inflate `events_per_s`.
+    # Each handler must be one of the kinds the benchmark reports by name.
+    tracer = _load_tracer(monkeypatch)
+    assert sorted(tracer.event_kinds()) == sorted(tracer.EVENT_KINDS)
