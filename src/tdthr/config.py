@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from .core import NodeId, Position
+from .forwarding import PROTOCOLS
 
 PRIMARY_SINK: NodeId = 0
 SECONDARY_SINK: NodeId = 1
@@ -127,7 +128,6 @@ class SimConfig:
     def validate(self) -> list[str]:
         # Each field's type, then its range; the checks across fields run
         # only once every field passes, since they divide by field sides.
-        from .simkernel import PROTOCOLS  # simkernel imports this module
         errors = [f"{_where(f.name)} {problem}" for f in fields(self)
                   if (problem := _problem(f, getattr(self, f.name)))]
         if isinstance(self.protocol, str) and self.protocol not in PROTOCOLS:

@@ -28,6 +28,18 @@ class PrrEstimator:
     beta: float = 0.6
     received: int = 0
     missed: int = 0
+    last_seq: int = 0   # the highest link sequence number observed
+
+    def observe(self, seq: int) -> None:
+        """A frame numbered `seq` arrived; each number skipped was lost."""
+        last = self.last_seq
+        if seq == last + 1:   # in order, the common case
+            self.last_seq = seq
+        else:
+            for _ in range(max(0, seq - last - 1)):
+                self.record(False)
+            self.last_seq = max(last, seq)   # a late frame moves no mark
+        self.record(True)
 
     def record(self, delivered: bool) -> bool:
         """Record one attempt outcome; fires an update when the window

@@ -1,5 +1,5 @@
-"""Next-hop selection: velocity computation, deadline bookkeeping, and the
-class-differentiated decision rules.
+"""Next-hop selection: velocity computation, deadline bookkeeping, the
+class-differentiated decision rules, and the table of routing protocols.
 
 Delay-responsive and critical packets are routed with the two-hop velocity
 rule: among forwarder pairs whose offered velocity meets the required
@@ -8,9 +8,15 @@ critical traffic first maximizes path reliability and breaks ties on power.
 Regular traffic is plain greedy-geographic; reliability-responsive traffic
 maximizes path reliability unconditionally. Offered velocities are computed
 where the pairs are built, in `NeighborTable.favorable_pairs`.
+
+`PROTOCOLS` holds each protocol's next-hop rule and the traits the kernel
+reads, so that the kernel never knows which protocol it runs.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 from .core import NodeId, PacketClass
 from .neighborhood import ForwarderPair
@@ -119,3 +125,73 @@ def route_reliability(pairs, one_hop_fallback=()) -> NodeId:
     if one_hop_fallback:
         return min(one_hop_fallback, key=lambda c: (-c[1], c[0]))[0]
     raise VoidRegion("no favorable forwarder at all")
+
+
+@dataclass(frozen=True)
+class RoutingProtocol:
+    """All the kernel knows of a routing protocol; see `PROTOCOLS`."""
+    # `Simulation._select` calls (node, packet, to_dest, d_own, f1, links,
+    # cfg) -> (next hop, whether it is slower than the deadline requires)
+    select: Callable
+    priority_queues: bool  # three priority queues with promotion, else one FIFO
+    duplicates: bool       # honours duplicate_critical / duplicate_reliability
+    recovers: bool = False  # a void enters recovery (`Simulation._detour`)
+    expire_in_network: frozenset = frozenset()  # classes dropped once late
+
+
+def _progress(d_own: float, f1) -> list:
+    """(neighbor, progress toward the destination) for each F1 entry."""
+    return [(r.neighbor, d_own - d_y) for r, d_y in f1]
+
+
+def select_greedy_geo(node, packet, to_dest, d_own, f1, links, cfg):
+    return route_regular(_progress(d_own, f1)), False
+
+
+def select_tdthr(node, packet, to_dest, d_own, f1, links, cfg):
+    cls = packet.cls
+    if cls is PacketClass.REGULAR:
+        return route_regular(_progress(d_own, f1)), False
+    pairs = node.table.favorable_pairs(
+        f1, to_dest, d_own, cls, node.delays.dq[cls], node.delays, links,
+        cfg.energy_tx)
+    if cls is PacketClass.RELIABILITY_RESPONSIVE:
+        fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
+        return route_reliability(pairs, fallback), False
+    # critical / delay-responsive: velocity-filtered two-hop selection
+    v_req = required_velocity(d_own, packet.lag_time)
+    try:
+        return select_next_hop(pairs, v_req, cls, cfg.critical_prr_scope).y, False
+    except NoQualifyingPair:
+        if pairs:
+            return best_effort_pair(pairs).y, True
+        return route_regular(_progress(d_own, f1)), False
+
+
+def select_one_hop_velocity(node, packet, to_dest, d_own, f1, links, cfg):
+    if not f1:
+        raise VoidRegion("no favorable one-hop forwarder")
+    speeds = [(nid, progress / node.delays.dt_for(nid))
+              for nid, progress in _progress(d_own, f1)]
+    if packet.lag_time > 0:
+        v_req = required_velocity(d_own, packet.lag_time)
+        qualifying = [s for s in speeds if s[1] >= v_req]
+    else:
+        qualifying = []
+    missed = not qualifying
+    if missed:
+        qualifying = speeds
+    return min(qualifying, key=lambda s: (-s[1], s[0]))[0], missed
+
+
+# Adding a protocol takes one entry here and one select function above.
+PROTOCOLS = {
+    "tdthr": RoutingProtocol(
+        select_tdthr, priority_queues=True, duplicates=True, recovers=True,
+        expire_in_network=frozenset({PacketClass.CRITICAL,
+                                     PacketClass.DELAY_RESPONSIVE})),
+    "one_hop_velocity": RoutingProtocol(
+        select_one_hop_velocity, priority_queues=False, duplicates=False),
+    "greedy_geo": RoutingProtocol(
+        select_greedy_geo, priority_queues=False, duplicates=False),
+}

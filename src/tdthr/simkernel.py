@@ -12,28 +12,15 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable
 
 from .config import PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig
 from .core import (LIGHT_SPEED, EnergyBudget, NodeId, Packet, PacketClass,
                    Position, dist, joules_to_nj, path_loss_factor)
 from .estimators import DelayEstimator, PrrEstimator
-from .forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
-                         best_effort_pair, required_velocity, route_regular,
-                         route_reliability, select_next_hop, update_lag_time)
+from .forwarding import PROTOCOLS, DeadlineExpired, VoidRegion, update_lag_time
 from .metrics import MetricsLedger
 from .neighborhood import HelloMessage, NeighborTable
 from .queueing import QueueBank
-
-
-@dataclass(frozen=True)
-class RoutingProtocol:
-    """All the kernel knows of a routing protocol; see `PROTOCOLS`."""
-    select: Callable       # Simulation method, called by `Simulation._select`
-    priority_queues: bool  # three priority queues with promotion, else one FIFO
-    duplicates: bool       # honours duplicate_critical / duplicate_reliability
-    expire_in_network: frozenset = frozenset()  # classes dropped once late
 
 
 _TOPOLOGY_RETRIES = 50
@@ -120,7 +107,7 @@ def _connected(neighbours, start, targets) -> bool:
 
 class _Node:
     __slots__ = ("id", "is_sink", "alive", "energy", "table", "delays",
-                 "prr_in", "hellos", "data_out", "seq_seen", "queues", "busy",
+                 "prr_in", "hellos", "data_out", "queues", "busy",
                  "seen_packets")
 
     def __init__(self, nid, is_sink, cfg: SimConfig, priority_queues: bool,
@@ -139,7 +126,6 @@ class _Node:
         # number is `hellos + data_out[peer]`, counted after the frame.
         self.hellos = 0        # beacons sent
         self.data_out = {}     # receiver -> data attempts sent to it
-        self.seq_seen = {}     # sender -> last sequence number observed
         self.queues = QueueBank(capacity=cfg.queue_capacity,
                                 single_queue=not priority_queues)
         self.busy = False
@@ -213,6 +199,7 @@ class Simulation:
         self._next_packet_id = 0
         self._next_logical_id = 0
         self._drain_until = None
+        self._stop_at = cfg.duration   # lowered by `_begin_drain`
         self._payload_ser = cfg.payload_bytes * 8 / cfg.bandwidth_bps
         self._ack_ser = cfg.ack_bytes * 8 / cfg.bandwidth_bps
         self._schedule_initial()
@@ -247,13 +234,11 @@ class Simulation:
         self._schedule(cfg.audit_period, self._ev_audit)
 
     def run(self) -> MetricsLedger:
-        duration = self.cfg.duration
         heap = self._heap
         while heap:
             t, _, handler, payload = heapq.heappop(heap)
             # the stop test, which `_deliver_hellos` repeats
-            if t > duration or (self._drain_until is not None
-                                and t > self._drain_until):
+            if t > self._stop_at:
                 break
             self.now = t
             handler(*payload)
@@ -305,6 +290,7 @@ class Simulation:
         the reception ratio is not censored by an abrupt halt."""
         if self._drain_until is None:
             self._drain_until = self.now + self.cfg.drain_window
+            self._stop_at = min(self._stop_at, self._drain_until)
 
     def _sinks_reachable(self) -> bool:
         """True while an all-alive path links the source to either sink."""
@@ -330,15 +316,7 @@ class Simulation:
         if est is None:
             est = PrrEstimator(window=self.cfg.prr_window, beta=self.cfg.prr_beta)
             receiver.prr_in[sender] = est
-        last = receiver.seq_seen.get(sender, 0)
-        if seq == last + 1:   # in order, the common case
-            receiver.seq_seen[sender] = seq
-        else:
-            # each number skipped is a lost frame; a late one moves no mark
-            for _ in range(max(0, seq - last - 1)):
-                est.record(False)
-            receiver.seq_seen[sender] = max(last, seq)
-        est.record(True)
+        est.observe(seq)
 
     # ---- HELLO dissemination ---------------------------------------------
 
@@ -388,15 +366,12 @@ class Simulation:
         heap under its `(t, seq)`. Not named `_ev_*`: it is no event."""
         receive = self._ev_hello_rx
         heap = self._heap
-        duration = self.cfg.duration
         _, _, peer, seq = receptions.pop()
         receive(peer, sender, hello, seq)
         while receptions:
             t, order, peer, seq = receptions[-1]
             # seqs are unique, so the comparison never reaches a handler
-            if ((heap and heap[0] < (t, order)) or t > duration
-                    or (self._drain_until is not None
-                        and t > self._drain_until)):
+            if (heap and heap[0] < (t, order)) or t > self._stop_at:
                 heapq.heappush(heap, (t, order, self._deliver_hellos,
                                       (sender, hello, receptions)))
                 return
@@ -543,8 +518,9 @@ class Simulation:
     def _select(self, node: _Node, packet: Packet) -> NodeId:
         """One view of the neighborhood per decision: the live records, read
         once, the owner's distance `d_own` to the destination, and F1, the
-        favorable records with their own distances, filtered once. The
-        protocol's select method and the fallbacks below all read it."""
+        favorable records with their own distances, filtered once. The one
+        entry into recovery: a packet still in recovery, or a void of a
+        protocol that `recovers`, goes to `_detour`."""
         dest = packet.destination_sink
         live = node.table.live_records(self.now)
         for r in live:
@@ -553,39 +529,21 @@ class Simulation:
         to_dest = self.sink_distance[dest]
         d_own = to_dest[node.id]
         f1 = node.table.favorable_one_hop(live, d_own, to_dest)
-        return self._protocol.select(self, node, packet, to_dest, d_own, live, f1)
-
-    def _select_greedy_geo(self, node, packet, to_dest, d_own, live, f1) -> NodeId:
-        return route_regular(_progress(d_own, f1))
-
-    def _select_tdthr(self, node, packet, to_dest, d_own, live, f1) -> NodeId:
         if packet.recovery_anchor is not None:
             if d_own < packet.recovery_anchor:
                 packet.recovery_anchor = None  # escaped the dead-end region
             else:
                 return self._detour(node, packet, to_dest, d_own, live)
-        cls = packet.cls
         try:
-            if cls is PacketClass.REGULAR:
-                return route_regular(_progress(d_own, f1))
-            pairs = node.table.favorable_pairs(
-                f1, to_dest, d_own, cls, node.delays.dq[cls], node.delays,
-                self.links[node.id], self.cfg.energy_tx)
-            if cls is PacketClass.RELIABILITY_RESPONSIVE:
-                fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
-                return route_reliability(pairs, fallback)
-            # critical / delay-responsive: velocity-filtered two-hop selection
-            v_req = required_velocity(d_own, packet.lag_time)
-            try:
-                return select_next_hop(pairs, v_req, cls,
-                                       self.cfg.critical_prr_scope).y
-            except NoQualifyingPair:
-                if pairs:
-                    self._miss_velocity(packet)
-                    return best_effort_pair(pairs).y
-                return route_regular(_progress(d_own, f1))
-        except VoidRegion:  # every void of a class rule enters recovery here
+            next_hop, missed = self._protocol.select(
+                node, packet, to_dest, d_own, f1, self.links[node.id], self.cfg)
+        except VoidRegion:
+            if not self._protocol.recovers:
+                raise
             return self._detour(node, packet, to_dest, d_own, live)
+        if missed:   # the packet leaves slower than its deadline requires
+            self.metrics.missed_velocity += 1
+        return next_hop
 
     def _detour(self, node: _Node, packet: Packet, to_dest, d_own, live) -> NodeId:
         """Local-minimum escape: no live neighbor offers positive progress, so
@@ -602,26 +560,6 @@ class Simulation:
         if not candidates:
             raise VoidRegion("no unvisited neighbor for detour")
         return min(candidates)[1]
-
-    def _select_one_hop_velocity(self, node, packet, to_dest, d_own, live,
-                                 f1) -> NodeId:
-        if not f1:
-            raise VoidRegion("no favorable one-hop forwarder")
-        speeds = [(nid, progress / node.delays.dt_for(nid))
-                  for nid, progress in _progress(d_own, f1)]
-        if packet.lag_time > 0:
-            v_req = required_velocity(d_own, packet.lag_time)
-            qualifying = [s for s in speeds if s[1] >= v_req]
-        else:
-            qualifying = []
-        if not qualifying:
-            self._miss_velocity(packet)
-            qualifying = speeds
-        return min(qualifying, key=lambda s: (-s[1], s[0]))[0]
-
-    def _miss_velocity(self, packet: Packet):
-        """The packet leaves this hop slower than its deadline requires."""
-        self.metrics.missed_velocity += 1
 
     # ---- MAC: attempts, ACKs, retries ------------------------------------
 
@@ -742,25 +680,6 @@ class Simulation:
     def initial_minus_residual_nj(self) -> int:
         return sum(node.energy.initial_nj - node.energy.residual_nj
                    for node in self.nodes.values())
-
-
-# Adding a protocol takes one entry here and one select method above.
-PROTOCOLS = {
-    "tdthr": RoutingProtocol(
-        Simulation._select_tdthr, priority_queues=True, duplicates=True,
-        expire_in_network=frozenset({PacketClass.CRITICAL,
-                                     PacketClass.DELAY_RESPONSIVE})),
-    "one_hop_velocity": RoutingProtocol(
-        Simulation._select_one_hop_velocity, priority_queues=False,
-        duplicates=False),
-    "greedy_geo": RoutingProtocol(
-        Simulation._select_greedy_geo, priority_queues=False, duplicates=False),
-}
-
-
-def _progress(d_own: float, f1) -> list:
-    """(neighbor, progress toward the destination) for each F1 entry."""
-    return [(r.neighbor, d_own - d_y) for r, d_y in f1]
 
 
 def run(cfg: SimConfig, trace=None) -> MetricsLedger:

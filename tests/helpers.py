@@ -117,6 +117,18 @@ class ReferenceSimulation(Simulation):
             self._schedule(state.timeout, self._ev_ack_timeout, node.id, state)
 
 
+# ---- the receiver's sequence mark, as the kernel kept it -----------------
+
+def reference_gap_rule(last: int, seq: int) -> tuple:
+    """The earlier rule for a frame numbered `seq` from a sender whose mark
+    (the receiver's per-sender `seq_seen`) stood at `last`: returns the new
+    mark and the outcomes recorded for the frame, in order. Each number
+    skipped is a lost frame, and a late or repeated frame moves no mark."""
+    if seq == last + 1:
+        return seq, [True]
+    return max(last, seq), [False] * max(0, seq - last - 1) + [True]
+
+
 # ---- random geometric topologies and neighbor tables --------------------
 
 def random_positions(rng: random.Random, max_nodes: int = 50,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tdthr.core import PacketClass
 from tdthr.estimators import DelayEstimator, PrrEstimator
 
-from helpers import line_pairs
+from helpers import line_pairs, reference_gap_rule
 
 EPS = 1e-12
 
@@ -51,6 +51,45 @@ def test_reliability_fires_exactly_at_window_boundary():
     est = PrrEstimator(window=5)
     fired = [est.record(True) for _ in range(12)]
     assert fired == [False] * 4 + [True] + [False] * 4 + [True] + [False] * 2
+
+
+class _RecordLog(PrrEstimator):
+    """Logs every outcome that reaches `record` through the instance."""
+
+    def record(self, delivered: bool) -> bool:
+        self.log.append(delivered)
+        return PrrEstimator.record(self, delivered)
+
+
+# Steps between successive frame numbers: 1 is in order, above 1 a gap,
+# 0 a repeat and below 0 a late frame.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(steps=st.lists(st.integers(-4, 6), max_size=60),
+       window=st.integers(1, 8))
+def test_observe_keeps_the_old_gap_rule(steps, window):
+    est = _RecordLog(window=window, beta=0.6)
+    est.log = []
+    ref = PrrEstimator(window=window, beta=0.6)
+    mark, expected, seq = 0, [], 0
+    for step in steps:
+        seq = max(1, seq + step)
+        mark, outcomes = reference_gap_rule(mark, seq)
+        for delivered in outcomes:
+            ref.record(delivered)
+        expected += outcomes
+        est.observe(seq)
+        assert est.last_seq == mark
+    assert est.log == expected
+    assert (est.prr, est.received, est.missed) == (ref.prr, ref.received,
+                                                   ref.missed)
+
+
+def test_observe_counts_a_gap_and_ignores_a_late_frame():
+    est = PrrEstimator(window=30)
+    for seq in (1, 2, 5, 3, 6):
+        est.observe(seq)
+    # 3 and 4 were skipped; the late 3 is one more reception, not a loss
+    assert (est.received, est.missed, est.last_seq) == (5, 2, 6)
 
 
 @settings(max_examples=200, deadline=None)

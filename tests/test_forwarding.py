@@ -5,14 +5,17 @@ import random
 
 import pytest
 
-from tdthr.core import PacketClass
-from tdthr.forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
-                              best_effort_pair, required_velocity,
+from tdthr import forwarding
+from tdthr.config import PRIMARY_SINK
+from tdthr.core import Packet, PacketClass
+from tdthr.forwarding import (DeadlineExpired, NoQualifyingPair, RoutingProtocol,
+                              VoidRegion, best_effort_pair, required_velocity,
                               route_regular, route_reliability,
                               select_next_hop, update_lag_time)
-from tdthr.neighborhood import ForwarderPair
+from tdthr.neighborhood import ForwarderPair, HelloMessage, NeighborTable
+from tdthr.simkernel import Simulation
 
-from helpers import brute_select, line_pairs, random_pair_snapshot
+from helpers import brute_select, line_pairs, mini_config, random_pair_snapshot
 
 EPS = 1e-12
 
@@ -218,3 +221,87 @@ def test_selection_matches_brute_force_oracle():
                     assert expected == (got.y, got.z)
                 except NoQualifyingPair:
                     assert expected is None
+
+
+# ---- the protocol table and the entry into recovery ------------------------
+
+def test_a_protocol_is_one_table_entry(monkeypatch):
+    # config and kernel read one table: an entry added there validates and
+    # runs, with no other change
+    cfg = mini_config(protocol="lowest_id", critical_rate=0.25,
+                      delay_responsive_rate=0.25,
+                      reliability_responsive_rate=0.25, rng_seed=4)
+    assert any(e.startswith("protocol.protocol") for e in cfg.validate())
+    calls = []
+
+    def select_lowest_id(node, packet, to_dest, d_own, f1, links, cfg):
+        calls.append(node.id)
+        if not f1:
+            raise VoidRegion("no favorable one-hop forwarder")
+        return min(r.neighbor for r, _ in f1), False
+
+    monkeypatch.setitem(forwarding.PROTOCOLS, "lowest_id", RoutingProtocol(
+        select_lowest_id, priority_queues=False, duplicates=False))
+    assert cfg.validate() == []
+    sim = Simulation(cfg)
+    ledger = sim.run()
+    assert len(calls) > 10 and ledger.generated_total > 10
+    assert ledger.accounting_closed()
+    assert (ledger.total_energy_nj == sim.initial_minus_residual_nj()
+            == sim.energy_spent_by_nodes_nj())
+
+
+# Node 5 holds the packet, 100 m from the primary sink. Neighbour 7 lies
+# closer to the sink (90 m), neighbours 6 and 8 farther (120 m and 130 m).
+_HOLDER = 5
+_TO_SINK = {5: 100.0, 6: 120.0, 7: 90.0, 8: 130.0}
+
+
+def _holder(protocol, neighbours):
+    """A run's state with node 5's table built by hand from one HELLO of
+    each of `neighbours`, and the sink distances above."""
+    sim = Simulation(mini_config(protocol=protocol))
+    sim.now = 1.0
+    sim.sink_distance = {PRIMARY_SINK: _TO_SINK}
+    node = sim.nodes[_HOLDER]
+    node.table = NeighborTable(_HOLDER, expiry=10.0)
+    for y in neighbours:
+        node.table.process_hello(HelloMessage(
+            y, 2.0, dict.fromkeys(PacketClass, 0.0), {_HOLDER: 0.9}, {}), 1.0)
+    return sim, node
+
+
+def _packet(anchor=None, visited=()):
+    return Packet(packet_id=0, cls=PacketClass.REGULAR,
+                  destination_sink=PRIMARY_SINK, lag_time=0.3, deadline=0.3,
+                  hop_trace=list(visited), recovery_anchor=anchor)
+
+
+@pytest.mark.parametrize("anchor", [100.0, 95.0])
+def test_a_packet_in_recovery_goes_to_the_detour(anchor):
+    # anchored at or below the holder's distance: still in recovery, so the
+    # closest unvisited neighbour wins over the greedy pick, visited 7
+    sim, node = _holder("tdthr", (6, 7, 8))
+    packet = _packet(anchor=anchor, visited=(7,))
+    assert sim._select(node, packet) == 6
+    assert packet.recovery_anchor == anchor
+
+
+def test_a_packet_closer_than_its_anchor_leaves_recovery():
+    sim, node = _holder("tdthr", (6, 7, 8))
+    packet = _packet(anchor=150.0, visited=(7,))
+    assert sim._select(node, packet) == 7   # the greedy class rule
+    assert packet.recovery_anchor is None
+
+
+def test_a_void_enters_recovery_only_where_the_protocol_recovers():
+    sim, node = _holder("tdthr", (6, 8))
+    packet = _packet()
+    assert sim._select(node, packet) == 6
+    assert packet.recovery_anchor == _TO_SINK[_HOLDER]
+    for protocol in ("greedy_geo", "one_hop_velocity"):
+        sim, node = _holder(protocol, (6, 8))
+        packet = _packet()
+        with pytest.raises(VoidRegion):
+            sim._select(node, packet)
+        assert packet.recovery_anchor is None
