@@ -1,7 +1,7 @@
 """Simulation configuration, each field declared once.
 
 A field's declaration names its YAML section, its default (whose type is
-the field's type), its range rule and, where the YAML spells it otherwise,
+the field's type), its range rules and, where the YAML spells it otherwise,
 its key. `SimConfig.from_dict`, `to_dict` and `validate` read these
 declarations through `dataclasses.fields`, and every error names the field
 as the YAML spells it, `section.key`.
@@ -26,6 +26,8 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _UNIT = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
 _UNIT_OPEN_LOW = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
 _UNIT_OPEN_HIGH = (lambda v: 0 <= v < 1, "must lie in [0, 1)")
+# An energy in joules is run in integer nanojoules (`core.joules_to_nj`).
+_FINITE_NJ = (lambda v: math.isfinite(v * 1e9), "must be finite in nanojoules")
 
 
 def _at_least(lo):
@@ -39,11 +41,12 @@ def _one_of(*names):
     return (lambda v: v in names, "must be " + " or ".join(names))
 
 
-def _f(section, default, rule=None, key=None):
+def _f(section, default, *rules, key=None):
     """A field in YAML `section` under `key` (the attribute name if None)
-    whose value must satisfy `rule` once it has the type of `default`."""
+    whose value must satisfy each of `rules`, in order, once it has the type
+    of `default`."""
     return field(default=default,
-                 metadata={"section": section, "key": key, "rule": rule})
+                 metadata={"section": section, "key": key, "rules": rules})
 
 
 @dataclass
@@ -64,11 +67,11 @@ class SimConfig:
     deadline: float = _f("traffic", 0.3, _POSITIVE)
 
     # joules per event; sleep is validated, pinned by acceptance 9, never charged
-    energy_initial: float = _f("energy", 2.0, _POSITIVE, "initial")
-    energy_tx: float = _f("energy", 0.0522, _POSITIVE, "tx")
-    energy_rx: float = _f("energy", 0.0591, _POSITIVE, "rx")
-    energy_sleep: float = _f("energy", 0.00006, _POSITIVE, "sleep")
-    energy_idle: float = _f("energy", 0.000003, _POSITIVE, "idle")
+    energy_initial: float = _f("energy", 2.0, _POSITIVE, _FINITE_NJ, key="initial")
+    energy_tx: float = _f("energy", 0.0522, _POSITIVE, _FINITE_NJ, key="tx")
+    energy_rx: float = _f("energy", 0.0591, _POSITIVE, _FINITE_NJ, key="rx")
+    energy_sleep: float = _f("energy", 0.00006, _POSITIVE, _FINITE_NJ, key="sleep")
+    energy_idle: float = _f("energy", 0.000003, _POSITIVE, _FINITE_NJ, key="idle")
     path_loss_alpha: float = _f("energy", 2.0, _at_least(2))
 
     prr_window: int = _f("estimators", 30, _at_least(1))
@@ -201,9 +204,9 @@ def _problem(f, value):
         return f"must be {want.__name__}, got {_shown(value)}"
     if want is not str and not abs(value) <= _FLOAT_MAX:  # exact for ints
         return f"must be finite, got {_shown(value)}"
-    rule = f.metadata["rule"]
-    if rule is not None and not rule[0](value):
-        return f"{rule[1]}, got {value!r}"
+    for holds, message in f.metadata["rules"]:
+        if not holds(value):
+            return f"{message}, got {value!r}"
     return None
 
 

@@ -61,8 +61,8 @@ def _energy_key(pair: ForwarderPair):
 
 
 def _efficiency_key(pair: ForwarderPair):
-    # argmax residual energy per unit of transmission cost
-    return (-pair.power_score, pair.y, pair.z)
+    # argmax residual energy per unit of transmission cost (`power_score`)
+    return (-(pair.energy_y / pair.tx_cost_y), pair.y, pair.z)
 
 
 def select_next_hop(pairs, v_req: float, cls: PacketClass,
@@ -120,7 +120,8 @@ def route_reliability(pairs, one_hop_fallback=()) -> NodeId:
     residual energy then lower id. Falls back to the one-hop neighbor with
     the best link reliability when no pair exists."""
     if pairs:
-        return min(pairs, key=lambda p: (-p.prr_path, -p.energy_y,
+        # `prr_path`, computed in place as `select_next_hop` does
+        return min(pairs, key=lambda p: (-(p.prr_xy * p.prr_yz), -p.energy_y,
                                          p.tx_cost_y, p.y, p.z)).y
     if one_hop_fallback:
         return min(one_hop_fallback, key=lambda c: (-c[1], c[0]))[0]

@@ -128,11 +128,17 @@ class NeighborTable:
         """Drop `neighbor`'s record, if any, until its next HELLO or ACK."""
         self.records.pop(neighbor, None)
 
-    def evict_stale(self, now: float) -> None:
+    def evict_stale(self, now: float) -> list:
+        """Drop the records not heard within `expiry` of `now`, and return
+        the rest in table order: what `live_records(now)` would return."""
         expiry = self.expiry
-        stale = [n for n, r in self.records.items() if now - r.last_heard > expiry]
-        for n in stale:
-            del self.records[n]
+        records = self.records
+        live = [r for r in records.values() if now - r.last_heard <= expiry]
+        if len(live) < len(records):
+            for n in [n for n, r in records.items()
+                      if now - r.last_heard > expiry]:
+                del records[n]
+        return live
 
     def live_records(self, now: float):
         expiry = self.expiry

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Packet, PacketClass
+from .core import _PRIORITY, Packet, PacketClass
 
 # A queue's index is the `PacketClass.queue_priority` it serves.
 CRITICAL_Q, DELAY_Q, RELIABILITY_Q = 0, 1, 2
@@ -35,7 +35,8 @@ class QueueBank:
         self._armed = {}
 
     def _target_queue(self, cls: PacketClass) -> int:
-        return RELIABILITY_Q if self.single_queue else cls.queue_priority
+        # `cls.queue_priority`, without the property call on every enqueue
+        return RELIABILITY_Q if self.single_queue else _PRIORITY[cls]
 
     def enqueue(self, packet: Packet, now: float, timer_deadline: float | None) -> bool:
         """Returns False on tail drop (queue full). Non-critical packets get

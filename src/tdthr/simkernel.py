@@ -133,7 +133,10 @@ class _Node:
 
     @property
     def reported_energy(self) -> float:
-        return 1e9 if self.is_sink else self.energy.residual
+        if self.is_sink:
+            return 1e9
+        energy = self.energy   # `energy.residual`, read as slots (per beacon, per ACK)
+        return (energy.initial_nj - energy.spent_nj) / 1e9
 
 
 class _TxState:
@@ -168,8 +171,12 @@ class Simulation:
         self._tx_nj = joules_to_nj(cfg.energy_tx)
         self._rx_nj = joules_to_nj(cfg.energy_rx)
         self._idle_nj = joules_to_nj(cfg.energy_idle)
-        # a node's residual below this starts the drain (0: no low-energy stop)
-        self._drain_below = cfg.stop_energy_fraction * initial_nj
+        # A node whose residual falls below D = `stop_energy_fraction *
+        # initial_nj` starts the drain. A residual r is an integer, so r < D
+        # exactly when r < ceil(D): the drain starts once a node has spent
+        # more than this, which no node does at fraction 0.
+        self._drain_after_nj = initial_nj - math.ceil(
+            cfg.stop_energy_fraction * initial_nj)
         self.nodes = {
             nid: _Node(nid, nid in (PRIMARY_SINK, SECONDARY_SINK), cfg,
                        self._protocol.priority_queues, initial_nj)
@@ -255,8 +262,7 @@ class Simulation:
         energy = node.energy
         actual = energy.deduct(cost_nj)
         self.metrics.record_energy(actual)
-        if (self._drain_below and self._drain_until is None
-                and energy.residual_nj < self._drain_below):
+        if energy.spent_nj > self._drain_after_nj and self._drain_until is None:
             self._log(node.id, "energy_low")
             self._begin_drain()
         return actual
@@ -325,10 +331,10 @@ class Simulation:
         if not node.alive:
             return
         cfg = self.cfg
-        node.table.evict_stale(self.now)
+        live = node.table.evict_stale(self.now)
         if not self._spend(node, self._idle_nj):
             return
-        hello = self._build_hello(node)
+        hello = self._build_hello(node, live)
         self.metrics.hello_sent += 1
         node.hellos += 1
         sent = self.now + hello.size_bytes * 8 / cfg.bandwidth_bps
@@ -379,13 +385,15 @@ class Simulation:
             self.now = t
             receive(peer, sender, hello, seq)
 
-    def _build_hello(self, node: _Node) -> HelloMessage:
+    def _build_hello(self, node: _Node, live: list) -> HelloMessage:
         """One snapshot per beacon, shared by every receiver: tables keep
         references to its entries, so nothing may mutate them once built.
-        `dq` is the estimator's own dict, which `dq_update` replaces."""
+        `live` is the node's live records, as `evict_stale` returned them at
+        this `now`. `dq` is the estimator's own dict, which `dq_update`
+        replaces."""
         dt, dt_prior = node.delays.dt, node.delays.dt_prior
         one_hop = {rec.neighbor: (dt.get(rec.neighbor, dt_prior), rec.prr_xy)
-                   for rec in node.table.live_records(self.now)}
+                   for rec in live}
         return HelloMessage(
             node.id, node.reported_energy, node.delays.dq,
             {s: est.prr for s, est in node.prr_in.items()}, one_hop)

@@ -80,10 +80,10 @@ class ReferenceSimulation(Simulation):
         if not node.alive:
             return
         cfg = self.cfg
-        node.table.evict_stale(self.now)
+        live = node.table.evict_stale(self.now)
         if not self._spend(node, self._idle_nj):
             return
-        hello = self._build_hello(node)
+        hello = self._build_hello(node, live)
         self.metrics.hello_sent += 1
         sent = self.now + hello.size_bytes * 8 / cfg.bandwidth_bps
         for peer, (p, prop, _) in self.links[nid].items():

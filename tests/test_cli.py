@@ -96,6 +96,14 @@ def test_validate_rejects_non_finite_values(tmp_path, capsys, section, key,
                      f"{section}.{key} must be finite", commands=("validate",))
 
 
+@pytest.mark.parametrize("key", ["initial", "tx"])
+def test_energies_that_overflow_in_nanojoules_are_rejected(tmp_path, capsys,
+                                                           key):
+    # finite in joules, infinite once converted: the run would fail on it
+    _assert_rejected(tmp_path, capsys, "energy", key, 1.0e+300,
+                     f"energy.{key} must be finite in nanojoules")
+
+
 def test_validate_rejects_missing_and_malformed_files(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) \
         == EXIT_VALIDATION

@@ -105,6 +105,16 @@ def test_validate_never_raises_and_accepted_configs_round_trip(overrides):
         assert SimConfig.from_dict(cfg.to_dict()) == cfg
 
 
+@pytest.mark.parametrize("name", sorted(YAML_SPELLING))
+def test_energies_must_be_finite_in_nanojoules(name):
+    # a run converts each energy to integer nanojoules, `round(j * 1e9)`,
+    # which cannot round an infinity; just below the overflow it can
+    key = YAML_SPELLING[name]
+    assert SimConfig(**{name: 1.0e+300}).validate() == [
+        f"energy.{key} must be finite in nanojoules, got 1e+300"]
+    assert SimConfig(**{name: 1.0e+299}).validate() == []
+
+
 def test_sides_whose_area_underflows_fail_the_density_check():
     cfg = SimConfig(field_width=1e-200, field_height=1e-200)
     assert [e.split()[0] for e in cfg.validate()] == ["network.node_density"]

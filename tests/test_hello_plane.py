@@ -140,12 +140,14 @@ def test_a_drain_begun_by_a_reception_ends_the_run_mid_beacon():
 
 def test_a_failed_hop_is_forgotten_until_its_next_hello(monkeypatch):
     # after `hop_failed` the sender holds no record of the hop: no ACK
-    # revives it and no forwarding decision sees it, until the hop's next
-    # HELLO reaches the sender
+    # revives it and neither a forwarding decision nor a beacon sees it,
+    # until the hop's next HELLO reaches the sender
     forgotten = set()      # (owner, hop)
     revived = []
+    blind_beacons = []     # beacons built while their owner had forgotten a hop
     timeout = Simulation._ev_ack_timeout
     live_records = NeighborTable.live_records
+    evict_stale = NeighborTable.evict_stale
     process_hello = NeighborTable.process_hello
     process_ack_info = NeighborTable.process_ack_info
 
@@ -162,6 +164,15 @@ def test_a_failed_hop_is_forgotten_until_its_next_hello(monkeypatch):
         assert not {(self.owner, r.neighbor) for r in records} & forgotten
         return records
 
+    def evict(self, now):
+        # the survivors are the whole table, none of them a forgotten hop
+        records = evict_stale(self, now)
+        assert records == list(self.records.values())
+        if any(owner == self.owner for owner, _ in forgotten):
+            assert not {(self.owner, r.neighbor) for r in records} & forgotten
+            blind_beacons.append(self.owner)
+        return records
+
     def hello_heard(self, hello, now):
         if (self.owner, hello.sender) in forgotten:
             forgotten.discard((self.owner, hello.sender))
@@ -174,6 +185,7 @@ def test_a_failed_hop_is_forgotten_until_its_next_hello(monkeypatch):
 
     monkeypatch.setattr(Simulation, "_ev_ack_timeout", timed_out)
     monkeypatch.setattr(NeighborTable, "live_records", live)
+    monkeypatch.setattr(NeighborTable, "evict_stale", evict)
     monkeypatch.setattr(NeighborTable, "process_hello", hello_heard)
     monkeypatch.setattr(NeighborTable, "process_ack_info", ack_heard)
     cfg = mini_config(rng_seed=1, rate_bytes_per_s=2000.0, traffic_start=11.0,
@@ -183,3 +195,4 @@ def test_a_failed_hop_is_forgotten_until_its_next_hello(monkeypatch):
     Simulation(cfg, trace=buf).run()
     assert buf.getvalue().count(" hop_failed ") > 20
     assert len(revived) > 10
+    assert len(blind_beacons) > 10

@@ -9,13 +9,14 @@ import random
 
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash, load_config
-from tdthr.core import LIGHT_SPEED, Position, dist, joules_to_nj
-from tdthr.neighborhood import NeighborTable
+from tdthr.core import (LIGHT_SPEED, EnergyBudget, PacketClass, Position,
+                        dist, joules_to_nj)
+from tdthr.neighborhood import ForwarderPair, NeighborTable
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _neighbours,
                              delivery_probability, generate_topology, run)
@@ -424,8 +425,11 @@ def test_traced_and_untraced_runs_agree(protocol):
 
 @pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
 def test_one_decision_reads_the_table_once(monkeypatch, protocol):
-    # each forwarding decision and each beacon reads its node's table once
-    calls = {"live_records": 0, "_select": 0}
+    # each forwarding decision reads its node's table once, through
+    # `live_records`; each beacon of a live node reads it once, through the
+    # `evict_stale` whose survivors `_build_hello` is given
+    calls = {"live_records": 0, "_select": 0, "evict_stale": 0,
+             "live_beacons": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -435,12 +439,22 @@ def test_one_decision_reads_the_table_once(monkeypatch, protocol):
             return original(*args)
         monkeypatch.setattr(owner, name, wrapper)
 
+    ev_hello = Simulation._ev_hello
+
+    def beacon(self, nid):
+        calls["live_beacons"] += self.nodes[nid].alive
+        ev_hello(self, nid)
+
     counted(NeighborTable, "live_records")
+    counted(NeighborTable, "evict_stale")
     counted(Simulation, "_select")
+    monkeypatch.setattr(Simulation, "_ev_hello", beacon)
     sim = Simulation(_congested_config(protocol))
     sim.run()
     assert calls["_select"] > 100
-    assert calls["live_records"] == calls["_select"] + sim.metrics.hello_sent
+    assert calls["live_records"] == calls["_select"]
+    assert calls["evict_stale"] == calls["live_beacons"] >= sim.metrics.hello_sent
+    assert sim.metrics.hello_sent > 100
 
 
 def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
@@ -457,8 +471,8 @@ def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
     process_hello = NeighborTable.process_hello
     process_ack_info = NeighborTable.process_ack_info
 
-    def built(self, node):
-        hello = build_hello(self, node)
+    def built(self, node, live):
+        hello = build_hello(self, node, live)
         sent[id(hello)] = (hello, dict(hello.dq), hello.energy,
                            dict(hello.reverse_prr))
         return hello
@@ -615,6 +629,33 @@ def test_a_run_never_hashes_through_enum(monkeypatch):
     assert calls == []
 
 
+def test_the_per_event_path_reads_no_property(monkeypatch):
+    # a property read costs several slot reads: charges, beacons, ACKs,
+    # enqueues and the selection keys read slots instead. The run has the
+    # energy stop on and drains, so every charge tests the threshold.
+    read = []
+    guarded = [(EnergyBudget, "residual_nj"), (EnergyBudget, "residual"),
+               (PacketClass, "queue_priority"), (ForwarderPair, "prr_path"),
+               (ForwarderPair, "power_score")]
+    for owner, name in guarded:
+        getter = vars(owner)[name].fget
+
+        def counted(self, getter=getter, name=name):
+            read.append(name)
+            return getter(self)
+        monkeypatch.setattr(owner, name, property(counted))
+    cfg = _congested_config("tdthr")
+    assert cfg.stop_energy_fraction > 0
+    buf = io.StringIO()
+    sim = Simulation(cfg, trace=buf)
+    ledger = sim.run()
+    assert ledger.delivered_total > 0 and " energy_low " in buf.getvalue()
+    assert read == []
+    # the guard itself sees a read
+    assert sim.nodes[SOURCE].energy.residual >= 0
+    assert read == ["residual", "residual_nj"]
+
+
 @pytest.mark.parametrize("w", [0.0, 0.008, 1.0])
 def test_backoff_draw_equals_uniform_bit_for_bit(w):
     # `_begin_attempt` draws its backoff as `w * rng.random()`, which is what
@@ -696,6 +737,40 @@ def test_energy_floor_stops_generation_early():
     stopped = run(mini_config(stop_energy_fraction=0.9, rng_seed=9))
     full = run(mini_config(stop_energy_fraction=0.0, rng_seed=9))
     assert stopped.generated_total < full.generated_total
+
+
+_DYADIC = st.integers(0, 63).map(lambda k: k / 64)   # exact products
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(initial_nj=st.integers(1, 10**18) | st.integers(1, 10**18 // 64).map(
+           lambda n: 64 * n),
+       fraction=st.floats(0.0, 1.0, exclude_max=True) | _DYADIC)
+@example(initial_nj=2_000_000_000, fraction=0.05)   # desk: 0.05 * initial = 1e8
+@example(initial_nj=2**53 + 2, fraction=0.05)
+@example(initial_nj=2**60, fraction=0.5)
+@example(initial_nj=10**15, fraction=0.0)
+def test_the_integer_drain_threshold_is_the_float_test(initial_nj, fraction):
+    # `_charge` starts the drain when a node's spent nanojoules pass an
+    # integer fixed at set-up; the rule it replaced was residual <
+    # `fraction * initial_nj`, a float. Both must agree on every `spent_nj`
+    # near the threshold, and at fraction 0 nothing drains.
+    sim = Simulation(mini_config(energy_initial=initial_nj / 1e9,
+                                 stop_energy_fraction=fraction))
+    relay = sim.nodes[7]
+    initial = relay.energy.initial_nj
+    assert initial >= 1
+    edge = initial - int(fraction * initial)
+    spent_values = range(max(edge - 3, 0), min(edge + 4, initial + 1))
+    if fraction == 0:
+        assert edge == initial and initial in spent_values
+    for spent in spent_values:
+        relay.energy.spent_nj = spent
+        sim._drain_until = None
+        sim._charge(relay, 0)
+        old = initial - spent < fraction * initial
+        assert (sim._drain_until is not None) == old, spent
+        assert not (fraction == 0 and old)
 
 
 def test_trace_lines_are_well_formed():
