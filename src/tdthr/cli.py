@@ -117,6 +117,9 @@ def load_sweep_spec(path) -> dict:
     for key in ("base_config", "parameter", "values"):
         if key not in spec:
             raise ValueError(f"{path}: sweep spec missing {key!r}")
+    for key in ("base_config", "parameter"):
+        if not isinstance(spec[key], str):
+            raise ValueError(f"{path}: {key} must be a string, got {spec[key]!r}")
     if not isinstance(spec["values"], list) or not spec["values"]:
         raise ValueError(f"{path}: sweep values must be a non-empty list")
     # list entries are checked with each run's config below; a bool is no count
@@ -127,9 +130,9 @@ def load_sweep_spec(path) -> dict:
         raise ValueError(f"{path}: seeds must be a positive int or a non-empty "
                          f"list of ints, got {seeds!r}")
     protocols = spec.setdefault("protocols", None)
-    if not (protocols is None or isinstance(protocols, list)):
-        raise ValueError(f"{path}: protocols must be a list of protocol names, "
-                         f"got {protocols!r}")
+    if not (protocols is None or isinstance(protocols, list) and protocols):
+        raise ValueError(f"{path}: protocols must be a list of one or more "
+                         f"protocol names, got {protocols!r}")
     spec["_base"] = load_config(Path(path).parent / spec["base_config"])
     parameter = spec["parameter"]
     if parameter not in {f.name for f in dataclasses.fields(SimConfig)}:

@@ -21,20 +21,6 @@ class PacketClass(Enum):
 
     __hash__ = object.__hash__  # members are singletons; Enum's is Python code
 
-    @property
-    def queue_priority(self) -> int:
-        """Scheduling rank: 0 is served first. Reliability-responsive and
-        regular traffic share the lowest-priority queue."""
-        return _PRIORITY[self]
-
-
-_PRIORITY = {
-    PacketClass.CRITICAL: 0,
-    PacketClass.DELAY_RESPONSIVE: 1,
-    PacketClass.RELIABILITY_RESPONSIVE: 2,
-    PacketClass.REGULAR: 2,
-}
-
 
 @dataclass(frozen=True)
 class Position:
@@ -94,10 +80,6 @@ class EnergyBudget:
     @property
     def residual_nj(self) -> int:
         return self.initial_nj - self.spent_nj
-
-    @property
-    def residual(self) -> float:
-        return self.residual_nj / 1e9
 
     def can_afford(self, cost_nj: int) -> bool:
         return self.residual_nj >= cost_nj

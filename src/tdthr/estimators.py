@@ -69,7 +69,7 @@ class DelayEstimator:
     """Per-class queuing-delay and per-neighbor transmission-delay EWMAs.
 
     Transmission delay is sampled from acknowledgment timing:
-    sample = t_ack - ack_bits / bandwidth - t_s, which folds in contention,
+    sample = t_ack - ack airtime - t_s, which folds in contention,
     backoff and propagation, so nodal delay is simply dq + dt. HELLOs and
     ACKs carry `dq` itself, so `dq_update` replaces the dict, never mutates it.
     """
@@ -89,10 +89,10 @@ class DelayEstimator:
         return new
 
     def dt_update(self, neighbor: NodeId, t_s: float, t_ack: float,
-                  ack_size: int, bandwidth: float) -> float:
+                  ack_airtime: float) -> float:
         if t_ack <= t_s:
             raise ValueError("acknowledgment cannot precede transmission start")
-        sample = t_ack - ack_size * 8 / bandwidth - t_s
+        sample = t_ack - ack_airtime - t_s
         if sample <= 0:
             raise ValueError(f"non-positive transmission-delay sample {sample}")
         new = self.gamma * self.dt_for(neighbor) + (1.0 - self.gamma) * sample

@@ -41,12 +41,12 @@ def required_velocity(dist_to_sink: float, lag_time: float) -> float:
 
 
 def update_lag_time(lt_p: float, t_rx: float, t_tx: float,
-                    packet_size: int, bandwidth: float) -> float:
+                    airtime: float) -> float:
     """Renew the remaining deadline budget at transmission time: subtract
-    the local sojourn (t_tx - t_rx) plus serialization time."""
+    the local sojourn (t_tx - t_rx) plus the frame's airtime in seconds."""
     if t_tx < t_rx:
         raise ValueError("transmission cannot precede reception")
-    lt = lt_p - (t_tx - t_rx + packet_size * 8 / bandwidth)
+    lt = lt_p - (t_tx - t_rx + airtime)
     if lt <= 0:
         raise DeadlineExpired(f"deadline unreachable, lag {lt:.6f} s")
     return lt
@@ -61,7 +61,7 @@ def _energy_key(pair: ForwarderPair):
 
 
 def _efficiency_key(pair: ForwarderPair):
-    # argmax residual energy per unit of transmission cost (`power_score`)
+    # argmax residual energy per unit of transmission cost
     return (-(pair.energy_y / pair.tx_cost_y), pair.y, pair.z)
 
 
@@ -85,8 +85,7 @@ def select_next_hop(pairs, v_req: float, cls: PacketClass,
         return s_req[0]
     if cls is PacketClass.DELAY_RESPONSIVE:
         return min(s_req, key=_energy_key)
-    # critical: maximize reliability (computed once per survivor; the
-    # two-hop product is `prr_path`), then power
+    # critical: maximize reliability (computed once per survivor), then power
     if critical_prr_scope == "one_hop":
         prrs = [p.prr_xy for p in s_req]
     elif critical_prr_scope == "two_hop":
@@ -120,7 +119,6 @@ def route_reliability(pairs, one_hop_fallback=()) -> NodeId:
     residual energy then lower id. Falls back to the one-hop neighbor with
     the best link reliability when no pair exists."""
     if pairs:
-        # `prr_path`, computed in place as `select_next_hop` does
         return min(pairs, key=lambda p: (-(p.prr_xy * p.prr_yz), -p.energy_y,
                                          p.tx_cost_y, p.y, p.z)).y
     if one_hop_fallback:
@@ -154,8 +152,7 @@ def select_tdthr(node, packet, to_dest, d_own, f1, links, cfg):
     if cls is PacketClass.REGULAR:
         return route_regular(_progress(d_own, f1)), False
     pairs = node.table.favorable_pairs(
-        f1, to_dest, d_own, cls, node.delays.dq[cls], node.delays, links,
-        cfg.energy_tx)
+        f1, to_dest, d_own, cls, node.delays.dq[cls], node.delays, links)
     if cls is PacketClass.RELIABILITY_RESPONSIVE:
         fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
         return route_reliability(pairs, fallback), False

@@ -70,16 +70,7 @@ class ForwarderPair:
     prr_xy: float
     prr_yz: float
     energy_y: float
-    tx_cost_y: float         # energy cost of the x->y transmission
-
-    @property
-    def prr_path(self) -> float:
-        return self.prr_xy * self.prr_yz
-
-    @property
-    def power_score(self) -> float:
-        """Higher is better: residual energy per unit transmission cost."""
-        return self.energy_y / self.tx_cost_y
+    tx_cost_y: int           # energy cost of the x->y transmission, nJ
 
 
 class NeighborTable:
@@ -153,21 +144,21 @@ class NeighborTable:
                 if d_own - (d_y := to_dest[r.neighbor]) > 0]
 
     def favorable_pairs(self, f1, to_dest, d_own: float, cls: PacketClass,
-                        dq_x: float, delays, links, cost_tx: float):
+                        dq_x: float, delays, links):
         """All (y, z) forwarder pairs with positive progress at both hops,
         over F1 as `favorable_one_hop` returns it.
 
         `delays` supplies dt_for(neighbor). `links[y]` is the owner's link to
-        y, whose third field is its path-loss factor: the first-hop cost for
-        the power score is `cost_tx` times it. The owner, which y may list,
-        fails the second-hop test: its distance `d_own` exceeds y's.
+        y, whose third field is its transmit cost in nJ: the first-hop cost
+        of the power score. The owner, which y may list, fails the second-hop
+        test: its distance `d_own` exceeds y's.
         """
         pairs = []
         append, dt_for = pairs.append, delays.dt_for
         for rec, d_y in f1:
             y = rec.neighbor
             prr_xy, energy_y = rec.prr_xy, rec.energy
-            cost_y = cost_tx * links[y][2]
+            cost_y = links[y][2]
             # dq_x + dt_xy + dq_y + dt_yz, summed left to right
             partial = dq_x + dt_for(y) + rec.dq.get(cls, 0.0)
             for z, (dt_yz, prr_yz) in rec.two_hop.items():

@@ -7,10 +7,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import _PRIORITY, Packet, PacketClass
+from .core import Packet, PacketClass
 
-# A queue's index is the `PacketClass.queue_priority` it serves.
+# A queue's index is its priority: 0 is served first.
 CRITICAL_Q, DELAY_Q, RELIABILITY_Q = 0, 1, 2
+
+# The queue each class lands in; reliability-responsive and regular traffic
+# share the lowest-priority one.
+_PRIORITY = {
+    PacketClass.CRITICAL: CRITICAL_Q,
+    PacketClass.DELAY_RESPONSIVE: DELAY_Q,
+    PacketClass.RELIABILITY_RESPONSIVE: RELIABILITY_Q,
+    PacketClass.REGULAR: RELIABILITY_Q,
+}
 
 
 @dataclass(slots=True)
@@ -35,7 +44,6 @@ class QueueBank:
         self._armed = {}
 
     def _target_queue(self, cls: PacketClass) -> int:
-        # `cls.queue_priority`, without the property call on every enqueue
         return RELIABILITY_Q if self.single_queue else _PRIORITY[cls]
 
     def enqueue(self, packet: Packet, now: float, timer_deadline: float | None) -> bool:

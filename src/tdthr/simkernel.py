@@ -111,15 +111,13 @@ class _Node:
                  "seen_packets")
 
     def __init__(self, nid, is_sink, cfg: SimConfig, priority_queues: bool,
-                 initial_nj: int):
+                 initial_nj: int, dt_prior: float):
         self.id = nid
         self.is_sink = is_sink
         self.alive = True
         self.energy = EnergyBudget(initial_nj)   # a sink's is never charged
         self.table = NeighborTable(nid, cfg.neighbor_expiry)
-        self.delays = DelayEstimator(
-            gamma=cfg.delay_gamma,
-            dt_prior=cfg.payload_bytes * 8 / cfg.bandwidth_bps)
+        self.delays = DelayEstimator(gamma=cfg.delay_gamma, dt_prior=dt_prior)
         self.prr_in = {}       # sender -> PrrEstimator (receiver-side)
         # Every frame to a peer, HELLO or data attempt, takes the next
         # sequence number on that link: a beacon goes to every peer, so the
@@ -135,7 +133,7 @@ class _Node:
     def reported_energy(self) -> float:
         if self.is_sink:
             return 1e9
-        energy = self.energy   # `energy.residual`, read as slots (per beacon, per ACK)
+        energy = self.energy   # read as slots (per beacon, per ACK)
         return (energy.initial_nj - energy.spent_nj) / 1e9
 
 
@@ -166,9 +164,8 @@ class Simulation:
         self.positions, neighbours = generate_topology(cfg, cfg.rng_seed)
         # Energy in integer nanojoules. What each action costs is the same
         # for every node and the whole run, so it is fixed here; a data
-        # transmission costs `_tx_nj` times its link's path-loss factor.
+        # transmission costs its link's cost, fixed with the links below.
         initial_nj = joules_to_nj(cfg.energy_initial)
-        self._tx_nj = joules_to_nj(cfg.energy_tx)
         self._rx_nj = joules_to_nj(cfg.energy_rx)
         self._idle_nj = joules_to_nj(cfg.energy_idle)
         # A node whose residual falls below D = `stop_energy_fraction *
@@ -177,25 +174,32 @@ class Simulation:
         # more than this, which no node does at fraction 0.
         self._drain_after_nj = initial_nj - math.ceil(
             cfg.stop_energy_fraction * initial_nj)
+        # Airtimes in seconds; a HELLO's depends on its size (`_ev_hello`).
+        self._payload_ser = cfg.payload_bytes * 8 / cfg.bandwidth_bps
+        self._ack_ser = cfg.ack_bytes * 8 / cfg.bandwidth_bps
         self.nodes = {
             nid: _Node(nid, nid in (PRIMARY_SINK, SECONDARY_SINK), cfg,
-                       self._protocol.priority_queues, initial_nj)
+                       self._protocol.priority_queues, initial_nj,
+                       self._payload_ser)
             for nid in sorted(self.positions)}
         # Positions never move: sink -> {nid: distance to that sink}, fixed here.
         self.sink_distance = {sink: {nid: dist(pos, self.positions[sink])
                                      for nid, pos in self.positions.items()}
                               for sink in (PRIMARY_SINK, SECONDARY_SINK)}
         # The hidden link truth, one entry per directed edge: nid -> {peer:
-        # (delivery probability, propagation delay, path-loss factor)}, peers
-        # ascending. A transmission costs its nominal cost times the factor.
-        # An edge's two directions share one tuple, their `hypot` distances
-        # being equal bit for bit; nodes ascend, so the lower end's exists.
+        # (delivery probability, propagation delay, transmit cost in nJ)},
+        # peers ascending. The cost, the transmit energy times the path-loss
+        # factor, is what `_begin_attempt` charges and what `favorable_pairs`
+        # ranks by. An edge's two directions share one tuple, their `hypot`
+        # distances being equal bit for bit; nodes ascend, so the lower
+        # end's exists.
         tx_range, alpha = cfg.tx_range, cfg.path_loss_alpha
+        tx_nj = joules_to_nj(cfg.energy_tx)
         links = self.links = {}
         for x in self.nodes:
             links[x] = {y: links[y][x] if y < x else
                         (delivery_probability(d, cfg), d / LIGHT_SPEED,
-                         path_loss_factor(d, tx_range, alpha))
+                         round(tx_nj * path_loss_factor(d, tx_range, alpha)))
                         for y, d in neighbours[x]}
         self.metrics = MetricsLedger()
         self.metrics.lifetime_metric = cfg.lifetime_metric
@@ -207,8 +211,6 @@ class Simulation:
         self._next_logical_id = 0
         self._drain_until = None
         self._stop_at = cfg.duration   # lowered by `_begin_drain`
-        self._payload_ser = cfg.payload_bytes * 8 / cfg.bandwidth_bps
-        self._ack_ser = cfg.ack_bytes * 8 / cfg.bandwidth_bps
         self._schedule_initial()
 
     # ---- event plumbing --------------------------------------------------
@@ -499,12 +501,11 @@ class Simulation:
     # ---- forwarding decision ---------------------------------------------
 
     def _start_tx(self, node: _Node, packet: Packet, queue_wait: float):
-        cfg = self.cfg
         node.delays.dq_update(packet.cls, queue_wait)
         try:
             packet.lag_time = update_lag_time(
                 packet.lag_time, packet.received_time, self.now,
-                cfg.payload_bytes, cfg.bandwidth_bps)
+                self._payload_ser)
         except DeadlineExpired:
             # Only the protocol's expiring classes are discarded in-network;
             # everything else is delivered late (and scored as a deadline
@@ -575,8 +576,8 @@ class Simulation:
         cfg = self.cfg
         packet = state.packet
         peer = state.next_hop
-        p, prop, loss = self.links[node.id][peer]
-        if not self._spend(node, round(self._tx_nj * loss)):
+        p, prop, cost = self.links[node.id][peer]
+        if not self._spend(node, cost):
             if not state.delivered_any:
                 self._drop(packet, "dead_node", node.id)
             return
@@ -639,8 +640,7 @@ class Simulation:
             return
         self._charge(node, self._idle_nj)
         peer = self.nodes[receiver_id]
-        node.delays.dt_update(receiver_id, state.t_s, self.now,
-                              self.cfg.ack_bytes, self.cfg.bandwidth_bps)
+        node.delays.dt_update(receiver_id, state.t_s, self.now, self._ack_ser)
         # piggybacked state of the ACKing node
         rev = peer.prr_in.get(sender_id)
         node.table.process_ack_info(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from tdthr.core import PacketClass, Position, dist
+from tdthr.core import PacketClass, Position, dist, joules_to_nj
 from tdthr.estimators import DelayEstimator
 from tdthr.neighborhood import ForwarderPair, HelloMessage, NeighborTable
 from tdthr.simkernel import SimConfig, Simulation
@@ -98,8 +98,8 @@ class ReferenceSimulation(Simulation):
         cfg = self.cfg
         packet = state.packet
         peer = state.next_hop
-        p, prop, loss = self.links[node.id][peer]
-        if not self._spend(node, round(self._tx_nj * loss)):
+        p, prop, cost = self.links[node.id][peer]
+        if not self._spend(node, cost):
             if not state.delivered_any:
                 self._drop(packet, "dead_node", node.id)
             return
@@ -202,18 +202,22 @@ def favorable_one_hop(table: NeighborTable, positions: dict, dest: Position,
                                    to_dest[table.owner], to_dest)
 
 
+_TX_NJ = joules_to_nj(SimConfig().energy_tx)
+
+
 def favorable_pairs(table: NeighborTable, positions: dict, dest: Position,
                     cls: PacketClass, dq_x: float, delays, now: float,
-                    tx_range: float = 100.0, cost_tx: float = 0.0522) -> list:
+                    tx_range: float = 100.0) -> list:
     """The forwarder pairs over that F1. The owner's links carry the
-    path-loss factor (d / tx_range)**2 of each first hop, as the kernel's do."""
+    transmit cost in nJ of each first hop, as the kernel's do: the default
+    nominal cost times the path-loss factor (d / tx_range)**2."""
     to_dest = distances_to(positions, dest)
     own = positions[table.owner]
-    links = {y: (1.0, 0.0, (dist(own, pos) / tx_range) ** 2)
+    links = {y: (1.0, 0.0, round(_TX_NJ * (dist(own, pos) / tx_range) ** 2))
              for y, pos in positions.items()}
     return table.favorable_pairs(favorable_one_hop(table, positions, dest, now),
                                  to_dest, to_dest[table.owner], cls, dq_x,
-                                 delays, links, cost_tx)
+                                 delays, links)
 
 
 def brute_favorable_one_hop(positions, n1, x, dest: Position) -> set:

@@ -53,14 +53,14 @@ def test_01_estimator_exactness():
 
     dt = DelayEstimator(gamma=0.5)
     dt.dt[5] = 0.004
-    checks.append(abs(dt.dt_update(5, 10.000, 10.0105, 12, 250000.0)
+    checks.append(abs(dt.dt_update(5, 10.000, 10.0105, 12 * 8 / 250000.0)
                       - 0.007058))
     # nodal delay dq + dt, as the first hop's share of a pair's denominator
     checks.append(abs(line_pairs(dq_x=0.020, dt_xy=0.007)[0].denominator
                       - 0.027))
     checks.append(abs(line_pairs(dq_x=0.015, dt_xy=0.010116)[0].denominator
                       - 0.025116))
-    checks.append(abs(update_lag_time(0.300, 10.000, 10.020, 150, 250000.0)
+    checks.append(abs(update_lag_time(0.300, 10.000, 10.020, 150 * 8 / 250000.0)
                       - 0.2752))
 
     worst = max(checks)

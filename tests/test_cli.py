@@ -328,6 +328,13 @@ def test_sweep_reports_runtime_failures(tmp_path, capsys):
      "seeds must be a positive int"),
     ({"parameter": "critical_rate", "values": [0.5], "protocols": "tdthr"},
      "protocols must be a list"),
+    ({"parameter": "critical_rate", "values": [0.5], "protocols": []},
+     "protocols must be a list of one or more"),
+    ({"base_config": [1], "parameter": "critical_rate", "values": [0.5]},
+     "base_config must be a string"),
+    ({"base_config": 5, "parameter": "critical_rate", "values": [0.5]},
+     "base_config must be a string"),
+    ({"parameter": [1], "values": [0.5]}, "parameter must be a string"),
 ])
 def test_sweep_rejects_invalid_points_at_load(tmp_path, capsys, point, field):
     _write_config(tmp_path / "base.yaml", _fast_cfg())

@@ -78,13 +78,6 @@ def test_tx_power_cost_monotone():
 
 # ---- packet classes and packets ------------------------------------------
 
-def test_queue_priority_order():
-    assert PacketClass.CRITICAL.queue_priority == 0
-    assert PacketClass.DELAY_RESPONSIVE.queue_priority == 1
-    assert PacketClass.RELIABILITY_RESPONSIVE.queue_priority == 2
-    assert PacketClass.REGULAR.queue_priority == 2
-
-
 def _packet(**kw):
     base = dict(packet_id=1, cls=PacketClass.REGULAR,
                 destination_sink=0, lag_time=0.3, deadline=0.3)

@@ -161,19 +161,18 @@ def test_tx_delay_update_hand_computed():
     # sample is 0.0105 - 0.000384 = 0.010116 and the blend gives 0.007058
     est = DelayEstimator(gamma=0.5)
     est.dt[5] = 0.004
-    new = est.dt_update(5, t_s=10.000, t_ack=10.0105, ack_size=12,
-                        bandwidth=250000.0)
+    new = est.dt_update(5, t_s=10.000, t_ack=10.0105,
+                        ack_airtime=12 * 8 / 250000.0)
     assert abs(new - 0.007058) <= EPS
 
 
 def test_tx_delay_rejects_time_travel():
     est = DelayEstimator()
     with pytest.raises(ValueError):
-        est.dt_update(5, t_s=10.0, t_ack=10.0, ack_size=12, bandwidth=250000.0)
+        est.dt_update(5, t_s=10.0, t_ack=10.0, ack_airtime=0.000384)
     with pytest.raises(ValueError):
         # ack arrives before it could even have been serialized
-        est.dt_update(5, t_s=10.0, t_ack=10.0001, ack_size=12,
-                      bandwidth=250000.0)
+        est.dt_update(5, t_s=10.0, t_ack=10.0001, ack_airtime=0.000384)
 
 
 def test_tx_delay_prior_used_for_unknown_neighbor():

@@ -47,10 +47,9 @@ def test_offered_pair_fields_hand_computed():
     assert abs(pair.velocity - 1200.0) <= 1e-9
     assert (pair.prr_xy, pair.prr_yz) == (0.8, 0.6)
     assert pair.energy_y == 2.5
-    # default nominal cost 0.0522 times the path-loss factor (30/100)**2
-    assert abs(pair.tx_cost_y - 0.0522 * 0.09) <= EPS
-    assert abs(pair.prr_path - 0.48) <= EPS
-    assert abs(pair.power_score - 2.5 / (0.0522 * 0.09)) <= 1e-9
+    # default nominal cost 0.0522 J times the path-loss factor (30/100)**2,
+    # in nJ
+    assert pair.tx_cost_y == round(52_200_000 * (30 / 100) ** 2) == 4_698_000
 
 
 def test_offered_velocity_halves_when_delays_double():
@@ -75,19 +74,19 @@ def test_required_velocity():
 def test_lag_update_hand_computed():
     # 150 B at 250 kbit/s serializes in 0.0048 s; sojourn 0.020 s
     lt = update_lag_time(0.300, t_rx=10.000, t_tx=10.020,
-                         packet_size=150, bandwidth=250000.0)
+                         airtime=150 * 8 / 250000.0)
     assert abs(lt - 0.2752) <= EPS
 
 
 def test_lag_update_identity_with_no_sojourn_or_size():
-    assert update_lag_time(0.3, 5.0, 5.0, 0, 250000.0) == 0.3
+    assert update_lag_time(0.3, 5.0, 5.0, 0.0) == 0.3
 
 
 def test_lag_update_expiry_and_time_travel():
     with pytest.raises(DeadlineExpired):
-        update_lag_time(0.010, 10.0, 10.020, 150, 250000.0)
+        update_lag_time(0.010, 10.0, 10.020, 0.0048)
     with pytest.raises(ValueError):
-        update_lag_time(0.3, 10.0, 9.0, 150, 250000.0)
+        update_lag_time(0.3, 10.0, 9.0, 0.0048)
 
 
 # ---- class-differentiated selection --------------------------------------

@@ -17,6 +17,17 @@ def _packet(pid, cls):
 
 # ---- directed cases ------------------------------------------------------
 
+def test_queue_priority_order():
+    # each class lands in the queue of its priority, 0 served first:
+    # reliability-responsive and regular share the last
+    bank = QueueBank()
+    for pid, cls in enumerate(CLASSES):
+        bank.enqueue(_packet(pid, cls), 0.0, 1.0)
+    assert [[e.packet.cls for e in q] for q in bank.queues] == [
+        [PacketClass.CRITICAL], [PacketClass.DELAY_RESPONSIVE],
+        [PacketClass.RELIABILITY_RESPONSIVE, PacketClass.REGULAR]]
+
+
 def test_critical_packets_skip_the_timer():
     bank = QueueBank()
     assert bank.enqueue(_packet(1, PacketClass.CRITICAL), 0.0, 5.0)

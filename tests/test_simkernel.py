@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash, load_config
-from tdthr.core import (LIGHT_SPEED, EnergyBudget, PacketClass, Position,
-                        dist, joules_to_nj)
-from tdthr.neighborhood import ForwarderPair, NeighborTable
+from tdthr.core import LIGHT_SPEED, EnergyBudget, Position, dist, joules_to_nj
+from tdthr.neighborhood import NeighborTable
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _neighbours,
                              delivery_probability, generate_topology, run)
@@ -211,16 +210,18 @@ def _assert_matches_all_pairs(sim):
              for x, peers in sim.links.items()]
             == [(x, [(y, (delivery_probability(d, cfg), d / LIGHT_SPEED))
                      for y, d in peers]) for x, peers in graph.items()])
-    # the geometry fixed at set-up is exactly what `dist` and the path-loss
-    # law (d / tx_range) ** alpha give
+    # the geometry fixed at set-up is exactly what `dist` gives, and each
+    # link's cost the nominal tx energy times the path-loss law
+    # (d / tx_range) ** alpha, in nJ
     for sink in (PRIMARY_SINK, SECONDARY_SINK):
         assert sim.sink_distance[sink] == {
             nid: dist(pos, sim.positions[sink])
             for nid, pos in sim.positions.items()}
+    tx_nj = joules_to_nj(cfg.energy_tx)
     for x, peers in sim.links.items():
-        for y, (_, _, loss) in peers.items():
+        for y, (_, _, cost) in peers.items():
             d = dist(sim.positions[x], sim.positions[y])
-            assert loss == (d / cfg.tx_range) ** cfg.path_loss_alpha
+            assert cost == round(tx_nj * (d / cfg.tx_range) ** cfg.path_loss_alpha)
 
 
 def _default_config():
@@ -546,29 +547,39 @@ def test_every_ack_timer_can_act(monkeypatch, protocol):
 
 @pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
 def test_every_charge_is_a_cost_fixed_at_set_up(monkeypatch, protocol):
-    # a data transmission costs the nominal tx energy times its link's
-    # path-loss factor; a reception costs rx; everything else costs idle
+    # a data transmission costs its link's transmit cost; a reception costs
+    # rx; everything else costs idle. The power score ranks by the same
+    # link cost that is charged.
     cfg = _congested_config(protocol)
-    tx_nj, rx_nj, idle_nj = (joules_to_nj(j) for j in
-                             (cfg.energy_tx, cfg.energy_rx, cfg.energy_idle))
-    charges = []
+    rx_nj, idle_nj = joules_to_nj(cfg.energy_rx), joules_to_nj(cfg.energy_idle)
+    charges, ranked = [], []
     charge = Simulation._charge
+    pairs_of = NeighborTable.favorable_pairs
 
     def watched(self, node, cost_nj):
         charges.append((node.id, cost_nj))
         return charge(self, node, cost_nj)
 
+    def priced(self, *args):
+        pairs = pairs_of(self, *args)
+        ranked.extend((self.owner, p.y, p.tx_cost_y) for p in pairs)
+        return pairs
+
     monkeypatch.setattr(Simulation, "_charge", watched)
+    monkeypatch.setattr(NeighborTable, "favorable_pairs", priced)
     sim = Simulation(cfg)
     sim.run()
     kinds = []
     for nid, cost in charges:
-        tx = {round(tx_nj * loss) for _, _, loss in sim.links[nid].values()}
+        tx = {link[2] for link in sim.links[nid].values()}
         kind = ("tx" if cost in tx else "rx" if cost == rx_nj
                 else "idle" if cost == idle_nj else cost)
         kinds.append(kind)
     assert set(kinds) == {"tx", "rx", "idle"}
     assert sim.metrics.total_energy_nj == sim.energy_spent_by_nodes_nj()
+    # only the two-hop protocol builds pairs
+    assert bool(ranked) == (protocol == "tdthr")
+    assert all(cost == sim.links[x][y][2] for x, y, cost in ranked)
 
 
 def _sink_gap(cfg):
@@ -634,16 +645,12 @@ def test_the_per_event_path_reads_no_property(monkeypatch):
     # enqueues and the selection keys read slots instead. The run has the
     # energy stop on and drains, so every charge tests the threshold.
     read = []
-    guarded = [(EnergyBudget, "residual_nj"), (EnergyBudget, "residual"),
-               (PacketClass, "queue_priority"), (ForwarderPair, "prr_path"),
-               (ForwarderPair, "power_score")]
-    for owner, name in guarded:
-        getter = vars(owner)[name].fget
+    getter = EnergyBudget.residual_nj.fget
 
-        def counted(self, getter=getter, name=name):
-            read.append(name)
-            return getter(self)
-        monkeypatch.setattr(owner, name, property(counted))
+    def counted(self):
+        read.append("residual_nj")
+        return getter(self)
+    monkeypatch.setattr(EnergyBudget, "residual_nj", property(counted))
     cfg = _congested_config("tdthr")
     assert cfg.stop_energy_fraction > 0
     buf = io.StringIO()
@@ -652,8 +659,8 @@ def test_the_per_event_path_reads_no_property(monkeypatch):
     assert ledger.delivered_total > 0 and " energy_low " in buf.getvalue()
     assert read == []
     # the guard itself sees a read
-    assert sim.nodes[SOURCE].energy.residual >= 0
-    assert read == ["residual", "residual_nj"]
+    assert sim.nodes[SOURCE].energy.residual_nj >= 0
+    assert read == ["residual_nj"]
 
 
 @pytest.mark.parametrize("w", [0.0, 0.008, 1.0])
