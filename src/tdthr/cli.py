@@ -148,6 +148,13 @@ def load_sweep_spec(path) -> dict:
             raise ValueError(f"{path}: {parameter}={getattr(cfg, parameter)!r} "
                              f"protocol={cfg.protocol} seed={cfg.rng_seed!r}: "
                              + "; ".join(errors))
+    # validated entries are hashable; a repeat would rerun the same runs
+    for key in ("values", "seeds", "protocols"):
+        seen = set()
+        for entry in spec[key] or ():
+            if entry in seen:
+                raise ValueError(f"{path}: {key} repeats {entry!r}")
+            seen.add(entry)
     return spec
 
 

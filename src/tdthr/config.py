@@ -37,10 +37,6 @@ def _at_least(lo):
 _NON_NEGATIVE = _at_least(0)
 
 
-def _one_of(*names):
-    return (lambda v: v in names, "must be " + " or ".join(names))
-
-
 def _f(section, default, *rules, key=None):
     """A field in YAML `section` under `key` (the attribute name if None)
     whose value must satisfy each of `rules`, in order, once it has the type
@@ -81,7 +77,6 @@ class SimConfig:
     protocol: str = _f("protocol", "tdthr")  # a PROTOCOLS name, see validate
     hello_period: float = _f("protocol", 5.0, _POSITIVE)
     neighbor_expiry_factor: float = _f("protocol", 2.5, (lambda v: v > 1, "must be > 1"))
-    critical_prr_scope: str = _f("protocol", "two_hop", _one_of("one_hop", "two_hop"))
     duplicate_critical: bool = _f("protocol", True)
     duplicate_reliability: bool = _f("protocol", True)
     promotion_floor: float = _f("protocol", 0.010, _POSITIVE)
@@ -100,11 +95,9 @@ class SimConfig:
     duration: float = _f("run", 120.0, _NON_NEGATIVE)
     rng_seed: int = _f("run", 1)
     audit_period: float = _f("run", 1.0, _POSITIVE)
-    stop_when_partitioned: bool = _f("run", True)
     stop_at_first_death: bool = _f("run", False)
     stop_energy_fraction: float = _f("run", 0.0, _UNIT_OPEN_HIGH)
     drain_window: float = _f("run", 0.5, _NON_NEGATIVE)
-    lifetime_metric: str = _f("run", "first_death", _one_of("first_death", "partition"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":

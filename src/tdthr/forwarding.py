@@ -10,7 +10,8 @@ maximizes path reliability unconditionally. Offered velocities are computed
 where the pairs are built, in `NeighborTable.favorable_pairs`.
 
 `PROTOCOLS` holds each protocol's next-hop rule and the traits the kernel
-reads, so that the kernel never knows which protocol it runs.
+reads, so that the kernel never knows which protocol it runs. A rule reads
+no config: it sees only the decision's node, packet and neighbourhood.
 """
 
 from __future__ import annotations
@@ -65,16 +66,14 @@ def _efficiency_key(pair: ForwarderPair):
     return (-(pair.energy_y / pair.tx_cost_y), pair.y, pair.z)
 
 
-def select_next_hop(pairs, v_req: float, cls: PacketClass,
-                    critical_prr_scope: str = "two_hop") -> ForwarderPair:
+def select_next_hop(pairs, v_req: float, cls: PacketClass) -> ForwarderPair:
     """Two-hop velocity selection for delay-responsive and critical traffic.
 
     Filters pairs by offered velocity >= v_req; a single survivor wins
     outright. Otherwise delay-responsive picks the relay with the most
-    residual energy (cheapest transmission on ties) and critical picks
-    maximum reliability (first-hop or path reliability per
-    `critical_prr_scope`), power efficiency (residual energy per unit of
-    transmission cost) breaking reliability ties.
+    residual energy (cheapest transmission on ties) and critical picks the
+    most reliable path, prr_xy * prr_yz, power efficiency (residual energy
+    per unit of transmission cost) breaking reliability ties.
     """
     if cls not in (PacketClass.DELAY_RESPONSIVE, PacketClass.CRITICAL):
         raise ValueError(f"velocity selection does not apply to {cls}")
@@ -85,13 +84,8 @@ def select_next_hop(pairs, v_req: float, cls: PacketClass,
         return s_req[0]
     if cls is PacketClass.DELAY_RESPONSIVE:
         return min(s_req, key=_energy_key)
-    # critical: maximize reliability (computed once per survivor), then power
-    if critical_prr_scope == "one_hop":
-        prrs = [p.prr_xy for p in s_req]
-    elif critical_prr_scope == "two_hop":
-        prrs = [p.prr_xy * p.prr_yz for p in s_req]
-    else:
-        raise ValueError(f"unknown critical_prr_scope {critical_prr_scope!r}")
+    # critical: most reliable path (computed once per survivor), then power
+    prrs = [p.prr_xy * p.prr_yz for p in s_req]
     best = max(prrs)
     s_c = [p for p, prr in zip(s_req, prrs) if prr == best]
     if len(s_c) == 1:
@@ -129,8 +123,8 @@ def route_reliability(pairs, one_hop_fallback=()) -> NodeId:
 @dataclass(frozen=True)
 class RoutingProtocol:
     """All the kernel knows of a routing protocol; see `PROTOCOLS`."""
-    # `Simulation._select` calls (node, packet, to_dest, d_own, f1, links,
-    # cfg) -> (next hop, whether it is slower than the deadline requires)
+    # `Simulation._select` calls (node, packet, to_dest, d_own, f1, links)
+    # -> (next hop, whether it is slower than the deadline requires)
     select: Callable
     priority_queues: bool  # three priority queues with promotion, else one FIFO
     duplicates: bool       # honours duplicate_critical / duplicate_reliability
@@ -143,11 +137,11 @@ def _progress(d_own: float, f1) -> list:
     return [(r.neighbor, d_own - d_y) for r, d_y in f1]
 
 
-def select_greedy_geo(node, packet, to_dest, d_own, f1, links, cfg):
+def select_greedy_geo(node, packet, to_dest, d_own, f1, links):
     return route_regular(_progress(d_own, f1)), False
 
 
-def select_tdthr(node, packet, to_dest, d_own, f1, links, cfg):
+def select_tdthr(node, packet, to_dest, d_own, f1, links):
     cls = packet.cls
     if cls is PacketClass.REGULAR:
         return route_regular(_progress(d_own, f1)), False
@@ -159,14 +153,14 @@ def select_tdthr(node, packet, to_dest, d_own, f1, links, cfg):
     # critical / delay-responsive: velocity-filtered two-hop selection
     v_req = required_velocity(d_own, packet.lag_time)
     try:
-        return select_next_hop(pairs, v_req, cls, cfg.critical_prr_scope).y, False
+        return select_next_hop(pairs, v_req, cls).y, False
     except NoQualifyingPair:
         if pairs:
             return best_effort_pair(pairs).y, True
         return route_regular(_progress(d_own, f1)), False
 
 
-def select_one_hop_velocity(node, packet, to_dest, d_own, f1, links, cfg):
+def select_one_hop_velocity(node, packet, to_dest, d_own, f1, links):
     if not f1:
         raise VoidRegion("no favorable one-hop forwarder")
     speeds = [(nid, progress / node.delays.dt_for(nid))

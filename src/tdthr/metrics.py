@@ -30,7 +30,6 @@ class MetricsLedger:
         self.total_energy_nj = 0
         self.first_death_time: float | None = None
         self.partition_time: float | None = None
-        self.lifetime_metric = "first_death"
         self.promotions = 0
         self.missed_velocity = 0
         self.duplicates_generated = 0
@@ -129,14 +128,10 @@ class MetricsLedger:
         return self.total_energy_j / self.delivered_total
 
     def lifetime(self, duration: float) -> float:
-        """Network lifetime: first node death by default, or the moment the
-        source loses all paths to a sink when `lifetime_metric` is
-        "partition"."""
-        if self.lifetime_metric == "partition":
-            mark = self.partition_time
-        else:
-            mark = self.first_death_time
-        return mark if mark is not None else duration
+        """Network lifetime: the first node death, or `duration` if no node
+        died."""
+        death = self.first_death_time
+        return death if death is not None else duration
 
     def deadline_miss_ratio(self):
         if self.generated_total == 0:

@@ -81,12 +81,8 @@ class NeighborTable:
         self.owner = owner
         self.expiry = expiry
         self.records: dict[NodeId, NeighborRecord] = {}
-        self.malformed_dropped = 0
 
-    def process_hello(self, hello, now: float) -> None:
-        if not self._well_formed(hello):
-            self.malformed_dropped += 1
-            return
+    def process_hello(self, hello: HelloMessage, now: float) -> None:
         rec = self._refresh(hello.sender, hello.energy, hello.dq,
                             hello.reverse_prr.get(self.owner), now)
         rec.two_hop = hello.one_hop
@@ -111,9 +107,6 @@ class NeighborTable:
         if prr_xy is not None:
             rec.prr_xy = prr_xy
         return rec
-
-    def _well_formed(self, hello) -> bool:
-        return isinstance(hello, HelloMessage) and hello.sender != self.owner
 
     def forget(self, neighbor: NodeId) -> None:
         """Drop `neighbor`'s record, if any, until its next HELLO or ACK."""

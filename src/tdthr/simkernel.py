@@ -202,7 +202,6 @@ class Simulation:
                          round(tx_nj * path_loss_factor(d, tx_range, alpha)))
                         for y, d in neighbours[x]}
         self.metrics = MetricsLedger()
-        self.metrics.lifetime_metric = cfg.lifetime_metric
         self.trace = trace                     # file-like or None
         self.now = 0.0
         self._heap = []
@@ -290,8 +289,7 @@ class Simulation:
         elif not self._sinks_reachable():
             self.metrics.record_partition(self.now)
             self._log(node.id, "partitioned")
-            if self.cfg.stop_when_partitioned:
-                self._begin_drain()
+            self._begin_drain()
 
     def _begin_drain(self):
         """Stop traffic generation; let in-flight packets settle briefly so
@@ -545,7 +543,7 @@ class Simulation:
                 return self._detour(node, packet, to_dest, d_own, live)
         try:
             next_hop, missed = self._protocol.select(
-                node, packet, to_dest, d_own, f1, self.links[node.id], self.cfg)
+                node, packet, to_dest, d_own, f1, self.links[node.id])
         except VoidRegion:
             if not self._protocol.recovers:
                 raise

@@ -265,7 +265,7 @@ def random_pair_snapshot(rng: random.Random):
     return pairs, rng.choice(_V_REQ)
 
 
-def brute_select(pairs, v_req: float, cls: PacketClass, scope: str):
+def brute_select(pairs, v_req: float, cls: PacketClass):
     """Independent re-derivation of the class-differentiated selection.
 
     Returns the winning (y, z) or None when no pair meets the requirement.
@@ -283,11 +283,8 @@ def brute_select(pairs, v_req: float, cls: PacketClass, scope: str):
             if best is None or rank > best[0]:
                 best = (rank, p)
         return (best[1].y, best[1].z)
-    # critical: most reliable, ties by energy per unit cost, then lowest ids
-    if scope == "one_hop":
-        reliabilities = [p.prr_xy for p in s_req]
-    else:
-        reliabilities = [p.prr_xy * p.prr_yz for p in s_req]
+    # critical: most reliable path, ties by energy per unit cost, then lowest ids
+    reliabilities = [p.prr_xy * p.prr_yz for p in s_req]
     top = max(reliabilities)
     s_c = [p for p, r in zip(s_req, reliabilities) if r == top]
     if len(s_c) == 1:

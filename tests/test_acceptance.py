@@ -145,24 +145,21 @@ def test_03_neighborhood_oracle():
 
 def test_04_selection_oracle():
     """10,000 random candidate snapshots: the class-differentiated selection
-    equals an independent brute-force re-derivation, under both reliability
-    scopes."""
+    equals an independent brute-force re-derivation."""
     rng = random.Random(40_000)
     mismatches = comparisons = 0
     for _ in range(10_000):
         pairs, v_req = random_pair_snapshot(rng)
         for cls in (PacketClass.DELAY_RESPONSIVE, PacketClass.CRITICAL):
-            for scope in ("one_hop", "two_hop"):
-                comparisons += 1
-                expected = brute_select(pairs, v_req, cls, scope)
-                try:
-                    got = select_next_hop(pairs, v_req, cls,
-                                          critical_prr_scope=scope)
-                    actual = (got.y, got.z)
-                except NoQualifyingPair:
-                    actual = None
-                if expected != actual:
-                    mismatches += 1
+            comparisons += 1
+            expected = brute_select(pairs, v_req, cls)
+            try:
+                got = select_next_hop(pairs, v_req, cls)
+                actual = (got.y, got.z)
+            except NoQualifyingPair:
+                actual = None
+            if expected != actual:
+                mismatches += 1
     _verdict("4 selection-oracle", mismatches == 0,
              f"{mismatches} mismatches over {comparisons} comparisons")
 

@@ -335,6 +335,13 @@ def test_sweep_reports_runtime_failures(tmp_path, capsys):
     ({"base_config": 5, "parameter": "critical_rate", "values": [0.5]},
      "base_config must be a string"),
     ({"parameter": [1], "values": [0.5]}, "parameter must be a string"),
+    # a repeated entry would rerun the same runs and weight the plot means
+    ({"parameter": "critical_rate", "values": [0.1, 0.1]}, "values repeats 0.1"),
+    ({"parameter": "critical_rate", "values": [0.5], "seeds": [1, 1]},
+     "seeds repeats 1"),
+    ({"parameter": "critical_rate", "values": [0.5],
+      "protocols": ["greedy_geo", "greedy_geo"]},
+     "protocols repeats 'greedy_geo'"),
 ])
 def test_sweep_rejects_invalid_points_at_load(tmp_path, capsys, point, field):
     _write_config(tmp_path / "base.yaml", _fast_cfg())

@@ -1,6 +1,7 @@
 """Next-hop selection tests: velocity arithmetic, deadline bookkeeping, the
 class-differentiated decision rules, and a brute-force selection oracle."""
 
+import inspect
 import random
 
 import pytest
@@ -110,15 +111,10 @@ def test_critical_prefers_reliable_path():
 
 
 def test_critical_scope_changes_the_winner():
+    # reliability spans both hops: the best first hop loses to the best path
     pairs = [_pair(y=3, prr_xy=0.99, prr_yz=0.5),   # best first hop
              _pair(y=4, prr_xy=0.90, prr_yz=0.9)]   # best path
-    assert select_next_hop(pairs, 100.0, PacketClass.CRITICAL,
-                           critical_prr_scope="one_hop").y == 3
-    assert select_next_hop(pairs, 100.0, PacketClass.CRITICAL,
-                           critical_prr_scope="two_hop").y == 4
-    with pytest.raises(ValueError):
-        select_next_hop(pairs, 100.0, PacketClass.CRITICAL,
-                        critical_prr_scope="three_hop")
+    assert select_next_hop(pairs, 100.0, PacketClass.CRITICAL).y == 4
 
 
 def test_critical_reliability_tie_breaks_on_power():
@@ -212,17 +208,23 @@ def test_selection_matches_brute_force_oracle():
     for _ in range(2000):
         pairs, v_req = random_pair_snapshot(rng)
         for cls in (PacketClass.DELAY_RESPONSIVE, PacketClass.CRITICAL):
-            for scope in ("one_hop", "two_hop"):
-                expected = brute_select(pairs, v_req, cls, scope)
-                try:
-                    got = select_next_hop(pairs, v_req, cls,
-                                          critical_prr_scope=scope)
-                    assert expected == (got.y, got.z)
-                except NoQualifyingPair:
-                    assert expected is None
+            expected = brute_select(pairs, v_req, cls)
+            try:
+                got = select_next_hop(pairs, v_req, cls)
+                assert expected == (got.y, got.z)
+            except NoQualifyingPair:
+                assert expected is None
 
 
 # ---- the protocol table and the entry into recovery ------------------------
+
+@pytest.mark.parametrize("name", sorted(forwarding.PROTOCOLS))
+def test_a_select_function_takes_the_decision_view_and_no_config(name):
+    # the six arguments `Simulation._select` passes, and nothing else
+    select = forwarding.PROTOCOLS[name].select
+    assert list(inspect.signature(select).parameters) == [
+        "node", "packet", "to_dest", "d_own", "f1", "links"]
+
 
 def test_a_protocol_is_one_table_entry(monkeypatch):
     # config and kernel read one table: an entry added there validates and
@@ -233,7 +235,7 @@ def test_a_protocol_is_one_table_entry(monkeypatch):
     assert any(e.startswith("protocol.protocol") for e in cfg.validate())
     calls = []
 
-    def select_lowest_id(node, packet, to_dest, d_own, f1, links, cfg):
+    def select_lowest_id(node, packet, to_dest, d_own, f1, links):
         calls.append(node.id)
         if not f1:
             raise VoidRegion("no favorable one-hop forwarder")

@@ -186,9 +186,9 @@ def test_lifetime_definitions():
     ledger.record_death(40.0)
     ledger.record_death(40.5)   # later deaths do not move the mark
     ledger.record_partition(55.0)
-    assert ledger.lifetime(120.0) == 40.0
-    ledger.lifetime_metric = "partition"
-    assert ledger.lifetime(120.0) == 55.0
+    ledger.record_partition(60.0)   # the partition keeps its first mark too
+    assert ledger.partition_time == 55.0
+    assert ledger.lifetime(120.0) == 40.0   # lifetime is the first death
 
 
 # ---- CSV schema ----------------------------------------------------------

@@ -62,14 +62,6 @@ def test_two_hop_entries_exclude_owner():
     assert [(p.y, p.z) for p in pairs] == [(2, 3), (2, 4)]
 
 
-def test_malformed_hello_counted_not_raised():
-    table = NeighborTable(owner=1, expiry=12.5)
-    table.process_hello("not a hello", 0.0)
-    table.process_hello(_hello(1), 0.0)  # own echo
-    assert table.records == {}
-    assert table.malformed_dropped == 2
-
-
 def test_silent_neighbor_is_evicted():
     table = NeighborTable(owner=1, expiry=12.5)
     table.process_hello(_hello(2), 0.0)

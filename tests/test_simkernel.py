@@ -55,13 +55,13 @@ def test_validation_messages():
     cfg.node_count = 2
     cfg.critical_rate = 1.4
     cfg.protocol = "flooding"
-    cfg.lifetime_metric = "vibes"
+    cfg.drain_window = -0.5
     errors = cfg.validate()
     joined = "\n".join(errors)
     assert "node_count" in joined
     assert "critical_rate" in joined
     assert "protocol.protocol" in joined
-    assert "lifetime_metric" in joined
+    assert "run.drain_window" in joined
 
 
 def test_field_types_checked_before_ranges():
@@ -373,17 +373,17 @@ def test_run_invariants_per_protocol(protocol):
 _FINGERPRINTS = {
     "tdthr": (
         "f5d64a85a887bae158172f307815fbce1095bb0ba10629b7b4b6294bc6b244d3",
-        "89cdadcc4931,1,tdthr,0.25,0.4,0.857143,0,0.333333,0.109878,0.130924,,"
+        "3ba487251258,1,tdthr,0.25,0.4,0.857143,0,0.333333,0.109878,0.130924,,"
         "0.0719006,0.113661,0.169884,,0.0768293,0.833333,1.22511,11.4631,"
         "13.4762,0,0,1,9,3,24,11,26,8"),
     "one_hop_velocity": (
         "1bbd4dd3c4fd1455e2839b6f78d2fc95e219a053415bf1ed8bbaae817a084d4c",
-        "7b8f6fe8a896,1,one_hop_velocity,0.25,0.6,0.4,0.538462,0.625,0.111197,"
+        "a1489b54e8fa,1,one_hop_velocity,0.25,0.6,0.4,0.538462,0.625,0.111197,"
         "0.109084,0.0982245,0.0798591,0.119673,0.114864,0.132523,0.116329,"
         "0.516129,0.633807,11.5962,10.7747,13,0,0,0,1,31,17,0,68"),
     "greedy_geo": (
         "a9b311a7b487206a933b7db37ca4a1ba67ccd991006cd16e1093f146c953dede",
-        "bba43bf58891,1,greedy_geo,0.25,0.833333,0.75,0.714286,1,0.101355,"
+        "b5292150eb84,1,greedy_geo,0.25,0.833333,0.75,0.714286,1,0.101355,"
         "0.0994352,0.0648396,0.0740819,0.138558,0.131165,0.110847,0.106294,"
         "0.655172,0.499747,20,11.9939,5,0,0,0,0,29,24,0,0"),
 }
@@ -716,10 +716,10 @@ def test_unaffordable_cost_is_charged_then_kills():
 
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_a_node_that_dies_transmitting_pays_what_it_had(seed):
-    # small batteries and no stop rule: relays and the source die, some while
-    # transmitting, and each pays its last nanojoules before it dies
+    # small batteries and no energy stop: relays and the source die, some
+    # while transmitting, and each pays its last nanojoules before it dies
     cfg = mini_config(energy_initial=0.3, stop_energy_fraction=0.0,
-                      stop_when_partitioned=False, duration=60.0, rng_seed=seed)
+                      duration=60.0, rng_seed=seed)
     sim = Simulation(cfg)
     ledger = sim.run()
     dead = [node for node in sim.nodes.values()
