@@ -9,6 +9,8 @@ together. The full event trace is a pure function of (config, seed).
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import math
 import random
@@ -40,13 +42,15 @@ def generate_topology(cfg: SimConfig, seed: int) -> tuple:
     rest are relays. Regenerates (bounded) until the source can reach both
     sinks over the range graph; returns the positions and that graph.
     """
+    width, height = cfg.field_width, cfg.field_height
     for attempt in range(_TOPOLOGY_RETRIES):
-        rng = random.Random(f"topology:{seed}:{attempt}")
+        draw = random.Random(f"topology:{seed}:{attempt}").random
         positions = dict(cfg.sink_positions)
         positions[SOURCE] = cfg.source_position
+        # `w * draw()` is `uniform(0.0, w)`'s float from the same draw (see
+        # `_begin_attempt`); x is drawn before y
         for nid in range(3, cfg.node_count):
-            positions[nid] = Position(rng.uniform(0.0, cfg.field_width),
-                                      rng.uniform(0.0, cfg.field_height))
+            positions[nid] = Position(width * draw(), height * draw())
         neighbours = _neighbours(positions, cfg.tx_range)
         if _connected(neighbours, SOURCE, {PRIMARY_SINK, SECONDARY_SINK}):
             return positions, neighbours
@@ -60,7 +64,9 @@ def _neighbours(positions, tx_range) -> dict:
     """The range graph: nid -> [(peer, distance)] for every other node within
     tx_range, peers ascending. Positions are bucketed into square cells about
     tx_range wide, so a node's neighbours lie in its own cell or the eight
-    around it and the build costs O(n * degree) instead of O(n^2)."""
+    around it. Each cell is scanned against itself and the four cells ahead
+    of it, so each nearby pair is measured once and its distance goes into
+    both lists; the build costs O(n * degree) instead of O(n^2)."""
     # The cell side is a hair wider than tx_range so that two points
     # exactly tx_range apart never land two cells apart once x / side is
     # rounded: that rounding is a few ulps of x / side, far below the
@@ -68,24 +74,27 @@ def _neighbours(positions, tx_range) -> dict:
     # then finds every neighbour.
     side = tx_range * (1 + 1e-9)
     floor, hypot = math.floor, math.hypot
-    cells = {}   # cell -> [(id, x, y)]
+    graph = {nid: [] for nid in positions}
+    cells = {}   # cell -> [(id, x, y, id's list)]
     for nid, p in positions.items():
         cells.setdefault((floor(p.x / side), floor(p.y / side)), []).append(
-            (nid, p.x, p.y))
-    graph = {}
+            (nid, p.x, p.y, graph[nid]))
     for (cx, cy), members in cells.items():
-        around = [q for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
-                  for q in cells.get((i, j), ())]
-        for x, x0, y0 in members:
-            found = []
-            for y, qx, qy in around:
-                if y != x:
-                    # dist(p, q) inlined: set-up's hottest line
-                    d = hypot(x0 - qx, y0 - qy)
-                    if d <= tx_range:
-                        found.append((y, d))
-            found.sort()
-            graph[x] = found
+        # The cells behind scan this one. `hypot` of the negated
+        # differences is the same float, so each end's list holds the
+        # distance it would measure itself.
+        scan = members + [q for cell in ((cx + 1, cy - 1), (cx + 1, cy),
+                                         (cx + 1, cy + 1), (cx, cy + 1))
+                          for q in cells.get(cell, ())]
+        for i, (x, x0, y0, found) in enumerate(members, 1):
+            for y, qx, qy, theirs in scan[i:]:
+                # dist(p, q) inlined: set-up's hottest line
+                d = hypot(x0 - qx, y0 - qy)
+                if d <= tx_range:
+                    found.append((y, d))
+                    theirs.append((x, d))
+    for found in graph.values():
+        found.sort()
     return graph
 
 
@@ -103,6 +112,26 @@ def _connected(neighbours, start, targets) -> bool:
                     remaining.discard(y)
         frontier = nxt
     return not remaining
+
+
+def _gc_paused(fn):
+    """`fn` run with CPython's cyclic garbage collector paused, and the
+    caller's setting restored however it returns. Building and running a
+    simulation leave no unreachable reference cycle, and a simulation that
+    has run holds no reference to itself (both tested), so the collector's
+    passes over its objects, which grow with every node, link and event,
+    would free nothing: reference counting frees what the build and the
+    run let go of, and the simulation once it is dropped."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 class _Node:
@@ -154,6 +183,7 @@ class Simulation:
     """One protocol run. `run()` drives events until the configured duration
     elapses or the source node dies."""
 
+    @_gc_paused
     def __init__(self, cfg: SimConfig, trace=None):
         errors = cfg.validate()
         if errors:
@@ -235,12 +265,14 @@ class Simulation:
 
     def _schedule_initial(self):
         cfg = self.cfg
-        for nid in sorted(self.nodes):
-            offset = self.rng.uniform(0.0, cfg.hello_period)
-            self._schedule(offset, self._ev_hello, nid)
+        draw = self.rng.random
+        for nid in self.nodes:   # built in ascending id order
+            # `uniform(0.0, hello_period)`'s float (see `_begin_attempt`)
+            self._schedule(cfg.hello_period * draw(), self._ev_hello, nid)
         self._schedule(cfg.traffic_start, self._ev_cbr)
         self._schedule(cfg.audit_period, self._ev_audit)
 
+    @_gc_paused
     def run(self) -> MetricsLedger:
         heap = self._heap
         while heap:
@@ -250,6 +282,10 @@ class Simulation:
                 break
             self.now = t
             handler(*payload)
+        # The events left hold bound handlers: dropped, so that a finished
+        # simulation holds no reference to itself and is freed by reference
+        # counting, with no collector pass, once its caller lets it go.
+        heap.clear()
         return self.metrics
 
     # ---- energy / death --------------------------------------------------
@@ -535,12 +571,12 @@ class Simulation:
                 return dest
         to_dest = self.sink_distance[dest]
         d_own = to_dest[node.id]
-        f1 = node.table.favorable_one_hop(live, d_own, to_dest)
         if packet.recovery_anchor is not None:
             if d_own < packet.recovery_anchor:
                 packet.recovery_anchor = None  # escaped the dead-end region
             else:
                 return self._detour(node, packet, to_dest, d_own, live)
+        f1 = node.table.favorable_one_hop(live, d_own, to_dest)
         try:
             next_hop, missed = self._protocol.select(
                 node, packet, to_dest, d_own, f1, self.links[node.id])

@@ -2,10 +2,12 @@
 hidden link model, and end-to-end run invariants on a small field."""
 
 import enum
+import gc
 import hashlib
 import io
 import math
 import random
+import weakref
 
 import pytest
 import yaml
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash, load_config
 from tdthr.core import LIGHT_SPEED, EnergyBudget, Position, dist, joules_to_nj
+from tdthr.forwarding import PROTOCOLS
 from tdthr.neighborhood import NeighborTable
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _neighbours,
@@ -289,6 +292,29 @@ def test_adjacency_matches_all_pairs_on_the_shipped_full_scale_field():
     _assert_matches_all_pairs(Simulation(_default_config()))
 
 
+def test_each_range_graph_edge_is_measured_once(monkeypatch):
+    # On a field smaller than one cell every pair of nodes is a candidate:
+    # each pair's distance is computed once, by `math.hypot`, and goes into
+    # both ends' lists.
+    calls = []
+    hypot = math.hypot
+
+    def counted(*args):
+        calls.append(args)
+        return hypot(*args)
+
+    rng = random.Random(5)
+    n, tx_range = 40, 100.0
+    positions = {nid: Position(rng.uniform(0.0, 70.0), rng.uniform(0.0, 70.0))
+                 for nid in range(n)}
+    monkeypatch.setattr(math, "hypot", counted)
+    graph = _neighbours(positions, tx_range)
+    monkeypatch.undo()
+    assert len(calls) == n * (n - 1) // 2
+    assert graph == _all_pairs(positions, tx_range)
+    assert all(len(peers) == n - 1 for peers in graph.values())
+
+
 def test_set_up_builds_one_range_graph_per_placement(monkeypatch):
     # Each placement attempt buckets its positions into cells once, in
     # `_neighbours`, and the accepted placement's graph is the one the links
@@ -366,6 +392,60 @@ def test_run_invariants_per_protocol(protocol):
             assert delay > 0
 
 
+@pytest.mark.parametrize("protocol", ["tdthr", "one_hop_velocity", "greedy_geo"])
+def test_a_run_leaves_no_reference_cycle_and_the_collector_as_it_was(protocol):
+    # `Simulation` pauses the cyclic collector while it builds and runs,
+    # which is safe only while neither leaves a cycle for it to find: with
+    # the collector off throughout, a collection after the run, the
+    # simulation still referenced, finds nothing, and the finished
+    # simulation is freed by reference counting once it is dropped. The
+    # runs die, drain at the energy stop and (for tdthr, which expires
+    # packets in-network) drop late packets. The caller's collector
+    # setting, on or off, is what it finds after each call, and after a
+    # construction that raises.
+    cfg = mini_config(protocol=protocol, rng_seed=4, rate_bytes_per_s=2000.0,
+                      deadline=0.05, critical_rate=0.25,
+                      delay_responsive_rate=0.25,
+                      reliability_responsive_rate=0.25, traffic_start=11.0,
+                      duration=60.0, stop_energy_fraction=0.02,
+                      drain_window=2.0)
+    assert gc.isenabled()
+    sim = Simulation(cfg)
+    assert gc.isenabled()
+    sim.run()
+    assert gc.isenabled()
+    bad = mini_config(protocol=protocol, duration=-1.0)
+    with pytest.raises(ValueError):
+        Simulation(bad)
+    assert gc.isenabled()
+
+    buf = io.StringIO()
+    sim = None
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(cfg, trace=buf)
+        assert not gc.isenabled()
+        ledger = sim.run()
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+        with pytest.raises(ValueError):
+            Simulation(bad)
+        assert not gc.isenabled()
+        drained = sim._drain_until is not None
+        finished = weakref.ref(sim)
+        sim = None
+        assert finished() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    trace = buf.getvalue()
+    assert " death " in trace and " energy_low " in trace
+    assert drained and ledger.first_death_time is not None
+    assert ledger.accounting_closed() and ledger.delivered_total > 0
+    assert (" deadline\n" in trace) == (protocol == "tdthr")
+
+
 # sha256 of the event trace and the metrics CSV row of one short, congested
 # run per protocol: duplicates, promotions, deadline drops, missed
 # velocities, voids and deaths all occur in these runs. A refactor must keep
@@ -427,10 +507,14 @@ def test_traced_and_untraced_runs_agree(protocol):
 @pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
 def test_one_decision_reads_the_table_once(monkeypatch, protocol):
     # each forwarding decision reads its node's table once, through
-    # `live_records`; each beacon of a live node reads it once, through the
-    # `evict_stale` whose survivors `_build_hello` is given
+    # `live_records`, and filters F1 at most once; a decision that a packet
+    # in recovery leaves through `_detour`, not having escaped its anchor,
+    # filters none. Each beacon of a live node reads the table once, through
+    # the `evict_stale` whose survivors `_build_hello` is given.
     calls = {"live_records": 0, "_select": 0, "evict_stale": 0,
-             "live_beacons": 0}
+             "live_beacons": 0, "favorable_one_hop": 0, "_detour": 0}
+    f1_per_decision = []      # favorable_one_hop calls of each decision
+    anchored_detours = []     # ... of each that detoured from the anchor
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -448,7 +532,25 @@ def test_one_decision_reads_the_table_once(monkeypatch, protocol):
 
     counted(NeighborTable, "live_records")
     counted(NeighborTable, "evict_stale")
+    counted(NeighborTable, "favorable_one_hop")
+    counted(Simulation, "_detour")
     counted(Simulation, "_select")
+    select = Simulation._select   # the counting wrapper
+
+    def decision(self, node, packet):
+        anchor = packet.recovery_anchor
+        stays = (anchor is not None and self.sink_distance[
+            packet.destination_sink][node.id] >= anchor)
+        f1_before, detours_before = calls["favorable_one_hop"], calls["_detour"]
+        try:
+            return select(self, node, packet)
+        finally:
+            f1 = calls["favorable_one_hop"] - f1_before
+            f1_per_decision.append(f1)
+            if stays and calls["_detour"] > detours_before:
+                anchored_detours.append(f1)
+
+    monkeypatch.setattr(Simulation, "_select", decision)
     monkeypatch.setattr(Simulation, "_ev_hello", beacon)
     sim = Simulation(_congested_config(protocol))
     sim.run()
@@ -456,6 +558,12 @@ def test_one_decision_reads_the_table_once(monkeypatch, protocol):
     assert calls["live_records"] == calls["_select"]
     assert calls["evict_stale"] == calls["live_beacons"] >= sim.metrics.hello_sent
     assert sim.metrics.hello_sent > 100
+    assert set(f1_per_decision) <= {0, 1}
+    assert anchored_detours == [0] * len(anchored_detours)
+    if PROTOCOLS[protocol].recovers:
+        assert len(anchored_detours) > 10
+    else:
+        assert calls["_detour"] == 0
 
 
 def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
@@ -663,11 +771,14 @@ def test_the_per_event_path_reads_no_property(monkeypatch):
     assert read == ["residual_nj"]
 
 
-@pytest.mark.parametrize("w", [0.0, 0.008, 1.0])
+@pytest.mark.parametrize("w", [0.0, 0.008, 1.0, 5.0, 600.0, 1800.0])
 def test_backoff_draw_equals_uniform_bit_for_bit(w):
-    # `_begin_attempt` draws its backoff as `w * rng.random()`, which is what
-    # `rng.uniform(0.0, w)` computes: the same float from the same one draw.
-    # An interpreter whose `uniform` differs fails here, not in a trace.
+    # `_begin_attempt` draws its backoff, `generate_topology` each
+    # coordinate (fields 600 and 1800 m wide) and `_schedule_initial` each
+    # first beacon's offset (a 5 s period) as `w * rng.random()`, which is
+    # what `rng.uniform(0.0, w)` computes: the same float from the same one
+    # draw. An interpreter whose `uniform` differs fails here, not in a
+    # trace.
     for seed in (0, 1, 7, 2024, "run:3"):
         a, b = random.Random(seed), random.Random(seed)
         for _ in range(200):
