@@ -11,7 +11,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -174,6 +173,9 @@ def run_sweep(spec: dict, out_dir, jobs: int = 1):
     parameter = spec["parameter"]
     configs = _sweep_configs(spec)
     if jobs > 1:
+        # imported here: the pool pulls in `multiprocessing`, which a
+        # process that runs no pool need not hold in memory
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = pool.map(_guarded_run, configs)
     else:

@@ -22,7 +22,7 @@ class PacketClass(Enum):
     __hash__ = object.__hash__  # members are singletons; Enum's is Python code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     x: float
     y: float

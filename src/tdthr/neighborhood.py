@@ -77,6 +77,8 @@ class NeighborTable:
     """Per-node neighbor state. Records expire if no HELLO (or ACK) is
     heard within `expiry` seconds."""
 
+    __slots__ = ("owner", "expiry", "records")
+
     def __init__(self, owner: NodeId, expiry: float):
         self.owner = owner
         self.expiry = expiry

@@ -4,7 +4,6 @@ timer-based promotion of aged non-critical packets into the critical queue.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import Packet, PacketClass
@@ -31,13 +30,21 @@ class QueueEntry:
 
 class QueueBank:
     """Strict-priority scheduler. `single_queue=True` collapses everything
-    into one FIFO with no promotion (used by the baseline protocols)."""
+    into one FIFO with no promotion (used by the baseline protocols).
+
+    Each FIFO is a plain list: an empty list holds no storage, where an
+    empty deque keeps a 64-slot block, and most of a run's queues never
+    hold a packet. A queue holds at most `capacity` entries (64 in the
+    shipped configs), so taking its head with `pop(0)` moves a short
+    array."""
+
+    __slots__ = ("capacity", "single_queue", "queues", "_armed")
 
     def __init__(self, capacity: int = 64, single_queue: bool = False):
         self.capacity = capacity
         self.single_queue = single_queue
         # the three FIFOs, indexed by priority: served in that order
-        self.queues = (deque(), deque(), deque())
+        self.queues = ([], [], [])
         # packet_id -> entry, for every entry whose promotion timer is armed,
         # so that a timer that lost the race to a dequeue costs one lookup.
         # A packet sits in a bank at most once at a time.
@@ -69,7 +76,7 @@ class QueueBank:
         packet leaves the bank."""
         for q in self.queues:
             if q:
-                entry = q.popleft()
+                entry = q.pop(0)
                 if entry.timer_deadline is not None:
                     del self._armed[entry.packet.packet_id]
                 return entry.packet, now - entry.enqueue_time

@@ -117,8 +117,8 @@ def _connected(neighbours, start, targets) -> bool:
 def _gc_paused(fn):
     """`fn` run with CPython's cyclic garbage collector paused, and the
     caller's setting restored however it returns. Building and running a
-    simulation leave no unreachable reference cycle, and a simulation that
-    has run holds no reference to itself (both tested), so the collector's
+    simulation leave no unreachable reference cycle, and a simulation, run
+    or not, holds no reference to itself (both tested), so the collector's
     passes over its objects, which grow with every node, link and event,
     would free nothing: reference counting frees what the build and the
     run let go of, and the simulation once it is dropped."""
@@ -248,14 +248,17 @@ class Simulation:
         """Run `handler(*payload)` at time `t`, after every event already
         due at `t`: the heap orders events by `(t, seq)`. `handler` is a
         bound `_ev_*` method, looked up at schedule time, so a wrapper put on
-        the class before construction is the one that runs. A beacon's
-        receptions take their seqs here too, but share one heap entry
-        (`_ev_hello`, `_deliver_hellos`)."""
+        the class before construction is the one that runs. The heap keeps
+        its function, which `run()` calls with the simulation: no event
+        refers to the simulation, so a simulation that is dropped, run or
+        not, is freed by reference counting. A beacon's receptions take
+        their seqs here too, but share one heap entry (`_ev_hello`,
+        `_deliver_hellos`)."""
         if t < self.now - 1e-12:
             raise RuntimeError(f"event {handler.__name__} scheduled in the past "
                                f"({t} < {self.now})")
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, handler, payload))
+        heapq.heappush(self._heap, (t, self._seq, handler.__func__, payload))
 
     def _log(self, node, kind, packet_id="-", detail="", *args):
         # `detail` is formatted only for a trace that is written
@@ -281,36 +284,28 @@ class Simulation:
             if t > self._stop_at:
                 break
             self.now = t
-            handler(*payload)
-        # The events left hold bound handlers: dropped, so that a finished
-        # simulation holds no reference to itself and is freed by reference
-        # counting, with no collector pass, once its caller lets it go.
-        heap.clear()
+            handler(self, *payload)
         return self.metrics
 
     # ---- energy / death --------------------------------------------------
 
-    def _charge(self, node: _Node, cost_nj: int) -> int:
-        """Deduct `cost_nj` from `node`. Returns the amount deducted: less
-        than `cost_nj` exactly when the node could not afford it. Sinks are
-        mains-powered: they always afford it, and nothing is recorded."""
+    def _spend(self, node: _Node, cost_nj: int) -> bool:
+        """Pay or die: deduct `cost_nj` from `node`, or all it has left if
+        that is less, and then kill it. Returns whether it could afford the
+        cost. Every charge of a run comes here. Sinks are mains-powered:
+        they always afford it, and nothing is recorded."""
         if node.is_sink:
-            return cost_nj
+            return True
         energy = node.energy
         actual = energy.deduct(cost_nj)
         self.metrics.record_energy(actual)
         if energy.spent_nj > self._drain_after_nj and self._drain_until is None:
             self._log(node.id, "energy_low")
             self._begin_drain()
-        return actual
-
-    def _spend(self, node: _Node, cost_nj: int) -> bool:
-        """Pay or die: charge `node`, then kill it if it could not afford the
-        cost. Returns whether it could."""
-        affordable = self._charge(node, cost_nj) == cost_nj
-        if not affordable:
-            self._die(node)
-        return affordable
+        if actual == cost_nj:
+            return True
+        self._die(node)
+        return False
 
     def _die(self, node: _Node):
         if not node.alive:
@@ -392,7 +387,7 @@ class Simulation:
             if t < self.now - 1e-12:
                 raise RuntimeError(f"HELLO reception scheduled in the past "
                                    f"({t} < {self.now})")
-            heapq.heappush(self._heap, (t, seq, self._deliver_hellos,
+            heapq.heappush(self._heap, (t, seq, type(self)._deliver_hellos,
                                         (nid, hello, receptions)))
         self._log(nid, "hello")
         self._schedule(self.now + cfg.hello_period, self._ev_hello, nid)
@@ -414,7 +409,7 @@ class Simulation:
             t, order, peer, seq = receptions[-1]
             # seqs are unique, so the comparison never reaches a handler
             if (heap and heap[0] < (t, order)) or t > self._stop_at:
-                heapq.heappush(heap, (t, order, self._deliver_hellos,
+                heapq.heappush(heap, (t, order, type(self)._deliver_hellos,
                                       (sender, hello, receptions)))
                 return
             receptions.pop()
@@ -654,7 +649,12 @@ class Simulation:
             self._schedule(ack_t, self._ev_ack_rx, sender_id, receiver_id, state)
         else:
             self._schedule(state.timeout, self._ev_ack_timeout, sender_id, state)
-        self._charge(receiver, self._idle_nj)
+        if not self._spend(receiver, self._idle_nj):
+            # dead paying for its ACK, which still goes out: a fresh packet
+            # dies with the receiver
+            if fresh:
+                self._drop(packet, "dead_node", receiver_id)
+            return
         if not fresh:
             return
         if receiver.is_sink:
@@ -672,7 +672,10 @@ class Simulation:
         if not node.alive:
             # no timer follows: the exchange delivered, so there is no drop
             return
-        self._charge(node, self._idle_nj)
+        if not self._spend(node, self._idle_nj):
+            # dead paying for the ACK: the transmission ends, and nothing else
+            self._finish_tx(node)
+            return
         peer = self.nodes[receiver_id]
         node.delays.dt_update(receiver_id, state.t_s, self.now, self._ack_ser)
         # piggybacked state of the ACKing node

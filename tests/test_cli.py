@@ -1,6 +1,11 @@
 """Command-line front-end tests: exit codes, reproducible outputs, and the
 sweep harness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -260,6 +265,41 @@ def test_sweep_runs_grid_and_writes_outputs(tmp_path, capsys):
     plot = (out_dir / "plot_prr_critical.csv").read_text().splitlines()
     assert plot[0] == "critical_rate,protocol,mean,min,max"
     assert len(plot) == 1 + 4  # one line per (protocol, value)
+
+
+def test_a_parallel_sweep_writes_what_a_serial_one_does(tmp_path, capsys):
+    # the workers get each run's config, positions included, by pickling
+    _write_config(tmp_path / "base.yaml", _fast_cfg(duration=20.0))
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(yaml.safe_dump({
+        "base_config": "base.yaml",
+        "parameter": "critical_rate",
+        "values": [0.2, 0.8],
+        "seeds": 2,
+        "protocols": ["tdthr", "greedy_geo"],
+    }))
+    outputs = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out_dir),
+                     "--jobs", jobs]) == EXIT_OK
+        outputs.append({f.name: f.read_bytes() for f in out_dir.iterdir()})
+    capsys.readouterr()
+    serial, parallel = outputs
+    assert len(serial["sweep.csv"].splitlines()) == 1 + 2 * 2 * 2
+    assert parallel == serial
+
+
+def test_importing_the_cli_loads_no_worker_pool():
+    # the pool, and `multiprocessing` with it, is imported by a sweep that
+    # runs more than one job, not by every process that imports the CLI
+    src = Path(cli.__file__).resolve().parents[1]
+    shown = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tdthr.cli; print('concurrent.futures' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=True)
+    assert shown.stdout == "False\n"
 
 
 def test_sweep_plots_group_by_the_swept_parameter(tmp_path, capsys):

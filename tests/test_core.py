@@ -8,8 +8,9 @@ import pytest
 from tdthr.core import (EnergyBudget, Packet, PacketClass, Position, dist,
                         joules_to_nj, path_loss_factor)
 from tdthr.estimators import DelayEstimator, PrrEstimator
-from tdthr.neighborhood import ForwarderPair, HelloMessage, NeighborRecord
-from tdthr.queueing import QueueEntry
+from tdthr.neighborhood import (ForwarderPair, HelloMessage, NeighborRecord,
+                                NeighborTable)
+from tdthr.queueing import QueueBank, QueueEntry
 
 EPS = 1e-12
 
@@ -138,13 +139,14 @@ def test_joules_round_trip():
 
 def test_records_made_per_event_are_slotted():
     # the records made per packet, beacon, pair, queue entry or neighbour,
-    # and each node's estimators and energy budget, are slotted dataclasses:
-    # no per-instance __dict__ to build or read
+    # each node's estimators, energy budget, neighbour table and queues, and
+    # its position are slotted: no per-instance __dict__ to build or read
     packet = Packet(0, PacketClass.REGULAR, 0, lag_time=0.1, deadline=0.1)
     instances = [packet, EnergyBudget(1), PrrEstimator(), DelayEstimator(),
                  NeighborRecord(1, 1.0, {}, 1.0, 0.0),
                  HelloMessage(1, 1.0, {}, {}, {}),
                  ForwarderPair(1, 2, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
-                 QueueEntry(packet, 0.0, None)]
+                 QueueEntry(packet, 0.0, None), NeighborTable(0, 1.0),
+                 QueueBank(), Position(0.0, 0.0)]
     for obj in instances:
         assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -437,6 +437,11 @@ def test_a_run_leaves_no_reference_cycle_and_the_collector_as_it_was(protocol):
         sim = None
         assert finished() is None
         assert gc.collect() == 0
+        # built and dropped without running: its pending events hold no
+        # reference to it either
+        unrun = weakref.ref(Simulation(cfg))
+        assert unrun() is None
+        assert gc.collect() == 0
     finally:
         gc.enable()
     trace = buf.getvalue()
@@ -661,19 +666,19 @@ def test_every_charge_is_a_cost_fixed_at_set_up(monkeypatch, protocol):
     cfg = _congested_config(protocol)
     rx_nj, idle_nj = joules_to_nj(cfg.energy_rx), joules_to_nj(cfg.energy_idle)
     charges, ranked = [], []
-    charge = Simulation._charge
+    spend = Simulation._spend
     pairs_of = NeighborTable.favorable_pairs
 
     def watched(self, node, cost_nj):
         charges.append((node.id, cost_nj))
-        return charge(self, node, cost_nj)
+        return spend(self, node, cost_nj)
 
     def priced(self, *args):
         pairs = pairs_of(self, *args)
         ranked.extend((self.owner, p.y, p.tx_cost_y) for p in pairs)
         return pairs
 
-    monkeypatch.setattr(Simulation, "_charge", watched)
+    monkeypatch.setattr(Simulation, "_spend", watched)
     monkeypatch.setattr(NeighborTable, "favorable_pairs", priced)
     sim = Simulation(cfg)
     sim.run()
@@ -825,6 +830,76 @@ def test_unaffordable_cost_is_charged_then_kills():
     assert kinds[:2] == ["energy_low", "death"]
 
 
+def _starve_first(monkeypatch, name, pick, residual_nj):
+    """Run a mini simulation with `Simulation.<name>` wrapped: at the first
+    call for which `pick(sim, *args)` returns `(node id, ...)`, that node
+    is left `residual_nj(sim)` before the handler runs, and must be dead
+    with nothing left after it. Returns the trace lines' fields after the
+    time stamp, the simulation, and what `pick` returned."""
+    handler = getattr(Simulation, name)
+    starved, taken = [], []
+
+    def starving(self, *args):
+        chosen = None if starved else pick(self, *args)
+        if chosen is not None:
+            energy = self.nodes[chosen[0]].energy
+            taken.append(energy.initial_nj - residual_nj(self) - energy.spent_nj)
+            energy.spent_nj += taken[0]
+            starved.append(chosen)
+        handler(self, *args)
+        if chosen is not None:
+            node = self.nodes[chosen[0]]
+            assert not node.alive and node.energy.residual_nj == 0
+
+    monkeypatch.setattr(Simulation, name, starving)
+    buf = io.StringIO()
+    sim = Simulation(mini_config(rng_seed=3), trace=buf)
+    ledger = sim.run()
+    assert len(starved) == 1
+    assert ledger.accounting_closed()
+    # conservation, counting the energy taken outside the ledger
+    assert ledger.total_energy_nj + taken[0] == sim.energy_spent_by_nodes_nj()
+    return [line.split()[1:] for line in buf.getvalue().splitlines()], sim, \
+        starved[0]
+
+
+def test_a_receiver_that_cannot_pay_for_its_ack_dies(monkeypatch):
+    # a relay that affords a reception but not its ACK's idle charge pays
+    # what it has and dies. The ACK still goes out, and the fresh packet
+    # dies with the relay.
+    def fresh_at_relay(sim, receiver_id, sender_id, state, seq):
+        receiver = sim.nodes[receiver_id]
+        if (receiver.alive and not receiver.is_sink
+                and state.packet.packet_id not in receiver.seen_packets):
+            return receiver_id, sender_id, state.packet.packet_id
+        return None
+
+    fields, _, (relay, sender, pid) = _starve_first(
+        monkeypatch, "_ev_data_rx", fresh_at_relay,
+        lambda sim: sim._rx_nj + sim._idle_nj // 2)
+    relay, sender, pid = str(relay), str(sender), str(pid)
+    death = fields.index([relay, "death", "-"])
+    assert fields[death - 1] == [relay, "data_rx", pid, f"from={sender}"]
+    assert [relay, "drop", pid, "dead_node"] in fields[death:]
+    assert [sender, "ack_rx", pid, f"from={relay}"] in fields[death:]
+
+
+def test_a_sender_that_cannot_pay_for_an_ack_dies(monkeypatch):
+    # a relay that hears the ACK of its transmission but cannot pay for it
+    # pays what it has, dies and ends the transmission, recording nothing
+    # of the ACK
+    def relay_sender(sim, sender_id, receiver_id, state):
+        if sim.nodes[sender_id].alive and sender_id != SOURCE:
+            return sender_id, state.packet.packet_id
+        return None
+
+    fields, sim, (relay, pid) = _starve_first(
+        monkeypatch, "_ev_ack_rx", relay_sender, lambda sim: sim._idle_nj // 2)
+    assert not sim.nodes[relay].busy
+    assert [str(relay), "death", "-"] in fields
+    assert not any(f[:3] == [str(relay), "ack_rx", str(pid)] for f in fields)
+
+
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_a_node_that_dies_transmitting_pays_what_it_had(seed):
     # small batteries and no energy stop: relays and the source die, some
@@ -869,7 +944,7 @@ _DYADIC = st.integers(0, 63).map(lambda k: k / 64)   # exact products
 @example(initial_nj=2**60, fraction=0.5)
 @example(initial_nj=10**15, fraction=0.0)
 def test_the_integer_drain_threshold_is_the_float_test(initial_nj, fraction):
-    # `_charge` starts the drain when a node's spent nanojoules pass an
+    # `_spend` starts the drain when a node's spent nanojoules pass an
     # integer fixed at set-up; the rule it replaced was residual <
     # `fraction * initial_nj`, a float. Both must agree on every `spent_nj`
     # near the threshold, and at fraction 0 nothing drains.
@@ -885,7 +960,7 @@ def test_the_integer_drain_threshold_is_the_float_test(initial_nj, fraction):
     for spent in spent_values:
         relay.energy.spent_nj = spent
         sim._drain_until = None
-        sim._charge(relay, 0)
+        sim._spend(relay, 0)
         old = initial - spent < fraction * initial
         assert (sim._drain_until is not None) == old, spent
         assert not (fraction == 0 and old)
