@@ -23,9 +23,12 @@ _PRIORITY = {
 
 @dataclass(slots=True)
 class QueueEntry:
+    """One visit of a packet to a bank; a packet that comes back gets a new
+    one. `timer_deadline` is None once the entry's timer cannot promote it:
+    never armed, or the entry was dequeued, promoted or flushed."""
     packet: Packet
     enqueue_time: float
-    timer_deadline: float | None   # None for critical-queue packets
+    timer_deadline: float | None
 
 
 class QueueBank:
@@ -38,55 +41,47 @@ class QueueBank:
     shipped configs), so taking its head with `pop(0)` moves a short
     array."""
 
-    __slots__ = ("capacity", "single_queue", "queues", "_armed")
+    __slots__ = ("capacity", "single_queue", "queues")
 
     def __init__(self, capacity: int = 64, single_queue: bool = False):
         self.capacity = capacity
         self.single_queue = single_queue
         # the three FIFOs, indexed by priority: served in that order
         self.queues = ([], [], [])
-        # packet_id -> entry, for every entry whose promotion timer is armed,
-        # so that a timer that lost the race to a dequeue costs one lookup.
-        # A packet sits in a bank at most once at a time.
-        self._armed = {}
 
     def _target_queue(self, cls: PacketClass) -> int:
         return RELIABILITY_Q if self.single_queue else _PRIORITY[cls]
 
-    def enqueue(self, packet: Packet, now: float, timer_deadline: float | None) -> bool:
-        """Returns False on tail drop (queue full). Non-critical packets get
-        a promotion timer; the caller is responsible for scheduling its
-        expiry event."""
+    def enqueue(self, packet: Packet, now: float,
+                timer_deadline: float) -> QueueEntry | None:
+        """Returns the packet's new entry, or None on a tail drop (queue
+        full). The bank alone decides which entries are armed: one in the
+        critical queue or a single-queue bank holds None, not the deadline."""
         index = self._target_queue(packet.cls)
         q = self.queues[index]
         if len(q) >= self.capacity:
-            return False
+            return None
         if index == CRITICAL_Q or self.single_queue:
             timer_deadline = None
         entry = QueueEntry(packet, now, timer_deadline)
         q.append(entry)
-        if timer_deadline is not None:
-            self._armed[packet.packet_id] = entry
-        return True
+        return entry
 
     def dequeue_next(self, now: float):
         """Head of the first non-empty queue in priority order, with the
-        realized queue wait (the packet's queuing-delay sample). The
-        promotion timer, if still armed, is implicitly cancelled because the
-        packet leaves the bank."""
+        realized queue wait (the packet's queuing-delay sample). The entry's
+        promotion timer, if still armed, is disarmed as it leaves the bank."""
         for q in self.queues:
             if q:
                 entry = q.pop(0)
-                if entry.timer_deadline is not None:
-                    del self._armed[entry.packet.packet_id]
+                entry.timer_deadline = None
                 return entry.packet, now - entry.enqueue_time
         return None
 
-    def on_timer_expire(self, packet_id: int, now: float) -> bool:
-        """Move an aged packet to the tail of the critical queue. A timer
-        that raced with (and lost to) a dequeue is a no-op."""
-        entry = self._armed.pop(packet_id, None)
-        if entry is None:
+    def on_timer_expire(self, entry: QueueEntry, now: float) -> bool:
+        """Move an aged entry to the tail of the critical queue. The timer of
+        an entry that has left the bank, or was never armed, is a no-op."""
+        if entry.timer_deadline is None:
             return False
         q = self.queues[self._target_queue(entry.packet.cls)]
         for i, queued in enumerate(q):
@@ -98,13 +93,14 @@ class QueueBank:
         return True
 
     def flush(self):
-        """Empties every queue and returns the stranded packets (a node
-        going down takes its backlog with it)."""
+        """Empties every queue, disarming its entries, and returns the
+        stranded packets (a node going down takes its backlog with it)."""
         stranded = []
         for q in self.queues:
-            stranded.extend(entry.packet for entry in q)
+            for entry in q:
+                entry.timer_deadline = None
+                stranded.append(entry.packet)
             q.clear()
-        self._armed.clear()
         return stranded
 
     def __len__(self) -> int:

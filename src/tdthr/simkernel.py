@@ -22,7 +22,7 @@ from .estimators import DelayEstimator, PrrEstimator
 from .forwarding import PROTOCOLS, DeadlineExpired, VoidRegion, update_lag_time
 from .metrics import MetricsLedger
 from .neighborhood import HelloMessage, NeighborTable
-from .queueing import QueueBank
+from .queueing import QueueBank, QueueEntry
 
 
 _TOPOLOGY_RETRIES = 50
@@ -136,8 +136,7 @@ def _gc_paused(fn):
 
 class _Node:
     __slots__ = ("id", "is_sink", "alive", "energy", "table", "delays",
-                 "prr_in", "hellos", "data_out", "queues", "busy",
-                 "seen_packets")
+                 "prr_in", "hellos", "data_out", "queues", "busy")
 
     def __init__(self, nid, is_sink, cfg: SimConfig, priority_queues: bool,
                  initial_nj: int, dt_prior: float):
@@ -156,7 +155,6 @@ class _Node:
         self.queues = QueueBank(capacity=cfg.queue_capacity,
                                 single_queue=not priority_queues)
         self.busy = False
-        self.seen_packets = set()
 
     @property
     def reported_energy(self) -> float:
@@ -279,9 +277,11 @@ class Simulation:
     def run(self) -> MetricsLedger:
         heap = self._heap
         while heap:
-            t, _, handler, payload = heapq.heappop(heap)
-            # the stop test, which `_deliver_hellos` repeats
+            t, seq, handler, payload = heapq.heappop(heap)
+            # the stop test, which `_deliver_hellos` repeats. The event that
+            # fails it goes back: the heap holds every event not run.
             if t > self._stop_at:
+                heapq.heappush(heap, (t, seq, handler, payload))
                 break
             self.now = t
             handler(self, *payload)
@@ -491,25 +491,23 @@ class Simulation:
     # ---- queueing --------------------------------------------------------
 
     def _accept_packet(self, node: _Node, packet: Packet):
-        """Enqueue at `node` and kick the transmitter."""
+        """Enqueue at `node` and kick the transmitter. The bank decides
+        whether the new entry's promotion timer is armed."""
         cfg = self.cfg
-        timer = None
-        if (self._protocol.priority_queues
-                and packet.cls is not PacketClass.CRITICAL):
-            timer = self.now + max(cfg.promotion_floor,
-                                   cfg.promotion_fraction * packet.lag_time)
-        if not node.queues.enqueue(packet, self.now, timer):
+        entry = node.queues.enqueue(packet, self.now, self.now + max(
+            cfg.promotion_floor, cfg.promotion_fraction * packet.lag_time))
+        if entry is None:
             self._drop(packet, "queue_full", node.id)
             return
-        if timer is not None:
-            self._schedule(timer, self._ev_promo, node.id, packet.packet_id)
+        if entry.timer_deadline is not None:
+            self._schedule(entry.timer_deadline, self._ev_promo, node.id, entry)
         self._schedule(self.now, self._ev_kick, node.id)
 
-    def _ev_promo(self, nid: NodeId, packet_id: int):
-        node = self.nodes[nid]
-        if node.alive and node.queues.on_timer_expire(packet_id, self.now):
+    def _ev_promo(self, nid: NodeId, entry: QueueEntry):
+        # a dead node's bank was flushed, which disarmed its entries
+        if self.nodes[nid].queues.on_timer_expire(entry, self.now):
             self.metrics.promotions += 1
-            self._log(nid, "promoted", packet_id)
+            self._log(nid, "promoted", entry.packet.packet_id)
 
     def _ev_kick(self, nid: NodeId):
         node = self.nodes[nid]
@@ -636,11 +634,12 @@ class Simulation:
             self._schedule(state.timeout, self._ev_ack_timeout, sender_id, state)
             return
         self._note_reception(receiver, sender_id, seq)
+        # every attempt of one hop shares `state`: a frame after the first
+        # delivered one is a repeat of the same exchange
+        fresh = not state.delivered_any
         state.delivered_any = True
         packet = state.packet
-        fresh = packet.packet_id not in receiver.seen_packets
         if fresh:
-            receiver.seen_packets.add(packet.packet_id)
             self._log(receiver_id, "data_rx", packet.packet_id, "from={}", sender_id)
         # ACK back (control-plane energy, idle rate), subject to reverse loss
         p, prop, _ = self.links[receiver_id][sender_id]

@@ -19,6 +19,7 @@ from tdthr.cli import config_hash, load_config
 from tdthr.core import LIGHT_SPEED, EnergyBudget, Position, dist, joules_to_nj
 from tdthr.forwarding import PROTOCOLS
 from tdthr.neighborhood import NeighborTable
+from tdthr.queueing import QueueBank
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _neighbours,
                              delivery_probability, generate_topology, run)
@@ -392,6 +393,49 @@ def test_run_invariants_per_protocol(protocol):
             assert delay > 0
 
 
+def test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops():
+    # No orphan: a copy the ledger still holds open is in some node's queue,
+    # or in the `_TxState` of an exchange that has not delivered it, pending
+    # on the heap (which keeps every event not run). A delivered exchange
+    # handed the copy to its receiver. No node dies and nothing drains, so
+    # the runs stop with traffic in flight. Accounting closes and energy
+    # agrees three ways.
+    open_copies = []
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(protocol=st.sampled_from(sorted(PROTOCOLS)),
+           seed=st.integers(0, 10**6),
+           mix=st.tuples(*[st.floats(0.0, 1 / 3)] * 3),
+           rate=st.floats(1000.0, 16000.0), deadline=st.floats(0.02, 0.5),
+           capacity=st.integers(1, 64), retries=st.integers(0, 4),
+           traffic_s=st.floats(1.0, 6.0))
+    def run_stops(protocol, seed, mix, rate, deadline, capacity, retries,
+                  traffic_s):
+        cfg = mini_config(
+            protocol=protocol, rng_seed=seed, critical_rate=mix[0],
+            delay_responsive_rate=mix[1], reliability_responsive_rate=mix[2],
+            rate_bytes_per_s=rate, deadline=deadline, queue_capacity=capacity,
+            max_retries=retries, traffic_start=11.0,
+            duration=11.0 + traffic_s, energy_initial=1000.0,
+            stop_energy_fraction=0.0)
+        sim = Simulation(cfg)
+        ledger = sim.run()
+        assert ledger.accounting_closed()
+        assert (ledger.total_energy_nj == sim.initial_minus_residual_nj()
+                == sim.energy_spent_by_nodes_nj())
+        held = {entry.packet.packet_id for node in sim.nodes.values()
+                for q in node.queues.queues for entry in q}
+        held.update(item.packet.packet_id for *_, payload in sim._heap
+                    for item in payload if isinstance(item, simkernel._TxState)
+                    and not item.delivered_any)
+        copies = {pid for _, _, ids, _ in ledger._open.values() for pid in ids}
+        assert copies <= held, sorted(copies - held)
+        open_copies.append(len(copies))
+
+    run_stops()
+    assert sum(n > 0 for n in open_copies) >= len(open_copies) // 4
+
+
 @pytest.mark.parametrize("protocol", ["tdthr", "one_hop_velocity", "greedy_geo"])
 def test_a_run_leaves_no_reference_cycle_and_the_collector_as_it_was(protocol):
     # `Simulation` pauses the cyclic collector while it builds and runs,
@@ -453,8 +497,9 @@ def test_a_run_leaves_no_reference_cycle_and_the_collector_as_it_was(protocol):
 
 # sha256 of the event trace and the metrics CSV row of one short, congested
 # run per protocol: duplicates, promotions, deadline drops, missed
-# velocities, voids and deaths all occur in these runs. A refactor must keep
-# them; a change of behaviour updates them on purpose.
+# velocities, voids and deaths all occur in these runs. `desk_revisit` is
+# the desk run in which packets come back to the source. A refactor must
+# keep them; a change of behaviour updates them on purpose.
 _FINGERPRINTS = {
     "tdthr": (
         "f5d64a85a887bae158172f307815fbce1095bb0ba10629b7b4b6294bc6b244d3",
@@ -471,6 +516,11 @@ _FINGERPRINTS = {
         "b5292150eb84,1,greedy_geo,0.25,0.833333,0.75,0.714286,1,0.101355,"
         "0.0994352,0.0648396,0.0740819,0.138558,0.131165,0.110847,0.106294,"
         "0.655172,0.499747,20,11.9939,5,0,0,0,0,29,24,0,0"),
+    "desk_revisit": (
+        "15f21ac781143f1c8dc93bf4fdc6af7710169ca8ae79ebd7b9a8b00943a7d8dd",
+        "e3266b5aa6de,1000,tdthr,0.25,0.435897,0.567568,0.363636,0.6,0.168087,"
+        "0.180022,0.120082,0.146894,0.530555,0.445143,0.185819,0.492384,"
+        "0.0447761,4.43242,20,288.108,56,0,5,0,0,134,65,4,0"),
 }
 
 
@@ -482,18 +532,80 @@ def _congested_config(protocol):
                        duration=20.0)
 
 
-@pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
-def test_behaviour_fingerprint(protocol):
-    cfg = _congested_config(protocol)
+def _revisit_config():
+    """`configs/desk.yaml` under the benchmark's desk_mixed_load overrides,
+    at the seed of its first job: four classes at 4 kB/s, no energy stop."""
+    cfg = load_config(f"{CONFIG_DIR}/desk.yaml")
+    cfg.critical_rate = cfg.delay_responsive_rate = 0.25
+    cfg.reliability_responsive_rate = 0.25
+    cfg.rate_bytes_per_s = 4000.0
+    cfg.energy_initial = 1000.0
+    cfg.stop_energy_fraction = 0.0
+    cfg.duration = 20.0
+    cfg.rng_seed = 1000
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(_FINGERPRINTS))
+def test_behaviour_fingerprint(name):
+    cfg = (_revisit_config() if name == "desk_revisit"
+           else _congested_config(name))
     buf = io.StringIO()
     ledger = Simulation(cfg, trace=buf).run()
     row = metrics.csv_row(ledger, config_hash(cfg), cfg.rng_seed, cfg.protocol,
                           cfg.critical_rate, cfg.duration)
     trace_sha = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert (trace_sha, row) == _FINGERPRINTS[protocol]
+    assert (trace_sha, row) == _FINGERPRINTS[name]
 
 
-@pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
+def test_a_packet_back_at_its_source_is_forwarded_and_promoted_by_its_own_visit(
+        monkeypatch):
+    # Greedy hops approach the sink, and a detour skips the nodes of the
+    # packet's `hop_trace`, which leaves out the source: a packet may come
+    # back to its source. In this run some do (packet 32 by node 38, to
+    # name one). None is discarded silently: each is forwarded again,
+    # dropped for a cause, or still queued when the run stops. Every
+    # promotion fires at the deadline armed by its own visit's enqueue,
+    # never at an earlier one's.
+    armed = {}      # (bank, packet id) -> deadline of the packet's last entry
+    promotions = []
+    enqueue, expire = QueueBank.enqueue, QueueBank.on_timer_expire
+
+    def enqueued(bank, packet, now, deadline):
+        entry = enqueue(bank, packet, now, deadline)
+        if entry is not None:
+            armed[bank, packet.packet_id] = entry.timer_deadline
+        return entry
+
+    def expired(bank, entry, now):
+        promoted = expire(bank, entry, now)
+        if promoted:
+            promotions.append((now, armed[bank, entry.packet.packet_id]))
+        return promoted
+
+    monkeypatch.setattr(QueueBank, "enqueue", enqueued)
+    monkeypatch.setattr(QueueBank, "on_timer_expire", expired)
+    buf = io.StringIO()
+    sim = Simulation(_revisit_config(), trace=buf)
+    sim.run()
+    source = str(SOURCE)
+    back, forwarded, dropped = set(), set(), set()
+    for fields in (line.split() for line in buf.getvalue().splitlines()):
+        if fields[1:3] == [source, "data_rx"]:
+            back.add(fields[3])
+        elif fields[1:3] == [source, "tx_attempt"] and fields[3] in back:
+            forwarded.add(fields[3])
+        elif fields[1:3] == [source, "drop"] and fields[3] in back:
+            dropped.add(fields[3])
+    assert "32" in forwarded and len(back) > 10
+    queued = {str(e.packet.packet_id) for q in sim.nodes[SOURCE].queues.queues
+              for e in q}
+    assert back == forwarded | dropped | queued
+    assert promotions
+    assert all(now == deadline for now, deadline in promotions)
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_traced_and_untraced_runs_agree(protocol):
     # writing the trace changes nothing the run computes: details are
     # formatted only for a trace that is written
@@ -509,7 +621,7 @@ def test_traced_and_untraced_runs_agree(protocol):
     assert rows[0] == rows[1]
 
 
-@pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_one_decision_reads_the_table_once(monkeypatch, protocol):
     # each forwarding decision reads its node's table once, through
     # `live_records`, and filters F1 at most once; a decision that a packet
@@ -631,7 +743,7 @@ def test_neighbor_records_keep_the_dq_they_were_sent(monkeypatch):
     assert sum(rec.dq != current[rec.neighbor] for _, rec in records) > 50
 
 
-@pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_every_ack_timer_can_act(monkeypatch, protocol):
     # a timer is armed only for an exchange that failed, so none finds its
     # exchange already acknowledged or abandoned. The finished states are
@@ -658,7 +770,7 @@ def test_every_ack_timer_can_act(monkeypatch, protocol):
     assert not any(late)
 
 
-@pytest.mark.parametrize("protocol", sorted(_FINGERPRINTS))
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_every_charge_is_a_cost_fixed_at_set_up(monkeypatch, protocol):
     # a data transmission costs its link's transmit cost; a reception costs
     # rx; everything else costs idle. The power score ranks by the same
@@ -870,7 +982,7 @@ def test_a_receiver_that_cannot_pay_for_its_ack_dies(monkeypatch):
     def fresh_at_relay(sim, receiver_id, sender_id, state, seq):
         receiver = sim.nodes[receiver_id]
         if (receiver.alive and not receiver.is_sink
-                and state.packet.packet_id not in receiver.seen_packets):
+                and not state.delivered_any):
             return receiver_id, sender_id, state.packet.packet_id
         return None
 
