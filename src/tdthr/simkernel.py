@@ -150,6 +150,8 @@ class _Node:
         # Every frame to a peer, HELLO or data attempt, takes the next
         # sequence number on that link: a beacon goes to every peer, so the
         # number is `hellos + data_out[peer]`, counted after the frame.
+        # test_every_frame_carries_its_link_number counts the frames sent
+        # on each link and checks the number each reception carries.
         self.hellos = 0        # beacons sent
         self.data_out = {}     # receiver -> data attempts sent to it
         self.queues = QueueBank(capacity=cfg.queue_capacity,
@@ -179,7 +181,11 @@ class _TxState:
 
 class Simulation:
     """One protocol run. `run()` drives events until the configured duration
-    elapses or the source node dies."""
+    elapses or a drain ends. A drain stops traffic generation and ends the
+    run `drain_window` later; it starts when a node's residual falls below
+    the energy floor, when the source dies, when a death cuts the source
+    off from both sinks, or at the first death under `stop_at_first_death`
+    (`_begin_drain`)."""
 
     @_gc_paused
     def __init__(self, cfg: SimConfig, trace=None):
@@ -192,8 +198,10 @@ class Simulation:
         self.positions, neighbours = generate_topology(cfg, cfg.rng_seed)
         # Energy in integer nanojoules. What each action costs is the same
         # for every node and the whole run, so it is fixed here; a data
-        # transmission costs its link's cost, fixed with the links below.
+        # transmission costs its link's cost, fixed with the links below
+        # from `_tx_nj`, the cost at full range.
         initial_nj = joules_to_nj(cfg.energy_initial)
+        self._tx_nj = joules_to_nj(cfg.energy_tx)
         self._rx_nj = joules_to_nj(cfg.energy_rx)
         self._idle_nj = joules_to_nj(cfg.energy_idle)
         # A node whose residual falls below D = `stop_energy_fraction *
@@ -222,7 +230,7 @@ class Simulation:
         # distances being equal bit for bit; nodes ascend, so the lower
         # end's exists.
         tx_range, alpha = cfg.tx_range, cfg.path_loss_alpha
-        tx_nj = joules_to_nj(cfg.energy_tx)
+        tx_nj = self._tx_nj
         links = self.links = {}
         for x in self.nodes:
             links[x] = {y: links[y][x] if y < x else
@@ -249,9 +257,10 @@ class Simulation:
         the class before construction is the one that runs. The heap keeps
         its function, which `run()` calls with the simulation: no event
         refers to the simulation, so a simulation that is dropped, run or
-        not, is freed by reference counting. A beacon's receptions take
-        their seqs here too, but share one heap entry (`_ev_hello`,
-        `_deliver_hellos`)."""
+        not, is freed by reference counting. A beacon's receptions share
+        one heap entry (`_deliver_hellos`) and do not come here: `_ev_hello`
+        gives each the seq that a `_schedule` of its own would, advancing
+        `self._seq` itself."""
         if t < self.now - 1e-12:
             raise RuntimeError(f"event {handler.__name__} scheduled in the past "
                                f"({t} < {self.now})")

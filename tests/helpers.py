@@ -3,11 +3,15 @@ configurations.
 
 The oracles here deliberately re-derive every rule from scratch with plain
 loops — they must not share logic with the package, or the oracle tests
-would only prove the code agrees with itself.
+would only prove the code agrees with itself. The one exception is
+`ReferenceSimulation`, the kernel itself with one method replaced: it is
+the oracle of a single decision, how a beacon's receptions are batched on
+the heap, and differs from the kernel in nothing else.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from tdthr.core import PacketClass, Position, dist, joules_to_nj
@@ -59,62 +63,19 @@ def mini_config(**overrides) -> SimConfig:
 # ---- the beacon plane with one event per reception -------------------------
 
 class ReferenceSimulation(Simulation):
-    """The kernel with its earlier beacon plane, kept as the oracle of event
-    order and link numbering: a HELLO schedules each of its receptions as an
-    `_ev_hello_rx` event of its own through `_schedule`, and every frame to
-    a peer, HELLO or data attempt, takes the next number of a per-link
-    counter, `seq_out[(sender, receiver)]`. Every other rule is the
-    kernel's own."""
+    """The kernel with one heap entry per beacon reception, kept as the
+    oracle of event order: `_deliver_hellos` runs one reception and puts the
+    rest back on the heap under the next one's `(t, seq)`, so `run()`'s own
+    ordering and stop test decide when each runs. Every other rule, the
+    link numbering included, is the kernel's own."""
 
-    def __init__(self, cfg, trace=None):
-        self.seq_out = {}
-        super().__init__(cfg, trace)
-
-    def _next_seq(self, sender, receiver):
-        seq = self.seq_out[sender, receiver] = \
-            self.seq_out.get((sender, receiver), 0) + 1
-        return seq
-
-    def _ev_hello(self, nid):
-        node = self.nodes[nid]
-        if not node.alive:
-            return
-        cfg = self.cfg
-        live = node.table.evict_stale(self.now)
-        if not self._spend(node, self._idle_nj):
-            return
-        hello = self._build_hello(node, live)
-        self.metrics.hello_sent += 1
-        sent = self.now + hello.size_bytes * 8 / cfg.bandwidth_bps
-        for peer, (p, prop, _) in self.links[nid].items():
-            seq = self._next_seq(nid, peer)
-            if self.rng.random() < p:
-                self._schedule(sent + prop, self._ev_hello_rx, peer, nid,
-                               hello, seq)
-        self._log(nid, "hello")
-        self._schedule(self.now + cfg.hello_period, self._ev_hello, nid)
-
-    def _begin_attempt(self, node, state):
-        cfg = self.cfg
-        packet = state.packet
-        peer = state.next_hop
-        p, prop, cost = self.links[node.id][peer]
-        if not self._spend(node, cost):
-            if not state.delivered_any:
-                self._drop(packet, "dead_node", node.id)
-            return
-        state.attempts += 1
-        seq = self._next_seq(node.id, peer)
-        backoff = cfg.backoff_window * self.rng.random()
-        arrival = self.now + backoff + self._payload_ser + prop
-        delivered = self.rng.random() < p
-        self._log(node.id, "tx_attempt", packet.packet_id, "to={} n={} seq={}",
-                  peer, state.attempts, seq)
-        state.timeout = arrival + self._ack_ser + prop + cfg.ack_timeout_guard
-        if delivered:
-            self._schedule(arrival, self._ev_data_rx, peer, node.id, state, seq)
-        else:
-            self._schedule(state.timeout, self._ev_ack_timeout, node.id, state)
+    def _deliver_hellos(self, sender, hello, receptions):
+        _, _, peer, seq = receptions.pop()
+        self._ev_hello_rx(peer, sender, hello, seq)
+        if receptions:
+            t, order = receptions[-1][:2]
+            heapq.heappush(self._heap, (t, order, type(self)._deliver_hellos,
+                                        (sender, hello, receptions)))
 
 
 # ---- the receiver's sequence mark, as the kernel kept it -----------------

@@ -1,10 +1,12 @@
 """The beacon plane: one heap entry per HELLO must run its receptions in the
-order, and with the link sequence numbers, of one event per reception
-(`helpers.ReferenceSimulation`), and a failed hop leaves the table until its
-next HELLO."""
+order of one event per reception (`helpers.ReferenceSimulation`); every
+frame, beacon or data attempt, carries its link's count of frames sent,
+checked by an observer that restates no kernel rule (`Observed`); and a
+failed hop leaves the table until its next HELLO."""
 
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,24 +20,58 @@ from helpers import ReferenceSimulation, mini_config
 PROTOCOLS = ("tdthr", "one_hop_velocity", "greedy_geo")
 
 
-class HelloRxLog:
-    """Mixin for a `Simulation` class: keeps every `_ev_hello_rx` call as
-    `(now, receiver, sender, seq)` in `hello_rx_calls`."""
+class Observed:
+    """Mixin for a `Simulation` class that watches the frames of a run from
+    outside. It keeps every `_ev_hello_rx` call as `(now, receiver, sender,
+    seq)` in `hello_rx_calls`, and counts the frames that actually go out on
+    each directed link: each built beacon is one frame to every peer in
+    `links` (a beacon is built only once it is paid for), and each
+    `_begin_attempt` call that raised `state.attempts` is one data frame.
+    Every reception must carry its link's count from when its frame was
+    sent; `checked` counts the receptions checked, by kind."""
 
     def __init__(self, cfg, trace=None):
         self.hello_rx_calls = []
+        self.frames = {}           # (sender, receiver) -> frames sent
+        self.beacon_numbers = {}   # id(hello) -> (hello, {peer: number})
+        self.attempt_numbers = {}  # tx state -> its last attempt's number
+        self.checked = {"hello": 0, "data": 0, "retry": 0}
         super().__init__(cfg, trace)
+
+    def _sent(self, sender, receiver):
+        n = self.frames[sender, receiver] = \
+            self.frames.get((sender, receiver), 0) + 1
+        return n
+
+    def _build_hello(self, node, live):
+        hello = super()._build_hello(node, live)
+        self.beacon_numbers[id(hello)] = (hello, {
+            peer: self._sent(node.id, peer) for peer in self.links[node.id]})
+        return hello
+
+    def _begin_attempt(self, node, state):
+        attempts = state.attempts
+        super()._begin_attempt(node, state)
+        if state.attempts > attempts:
+            self.attempt_numbers[state] = self._sent(node.id, state.next_hop)
 
     def _ev_hello_rx(self, receiver_id, sender_id, hello, seq):
         self.hello_rx_calls.append((self.now, receiver_id, sender_id, seq))
+        assert seq == self.beacon_numbers[id(hello)][1][receiver_id]
+        self.checked["hello"] += 1
         super()._ev_hello_rx(receiver_id, sender_id, hello, seq)
 
+    def _ev_data_rx(self, receiver_id, sender_id, state, seq):
+        assert seq == self.attempt_numbers[state]
+        self.checked["data" if state.attempts == 1 else "retry"] += 1
+        super()._ev_data_rx(receiver_id, sender_id, state, seq)
 
-class Logged(HelloRxLog, Simulation):
+
+class Logged(Observed, Simulation):
     pass
 
 
-class LoggedReference(HelloRxLog, ReferenceSimulation):
+class LoggedReference(Observed, ReferenceSimulation):
     pass
 
 
@@ -105,6 +141,31 @@ def test_one_heap_entry_per_beacon_keeps_the_event_order(
                       stop_at_first_death=stop_at_first_death,
                       critical_rate=critical_rate)
     _assert_same_run(cfg, synchronised)
+
+
+def test_the_reference_replaces_only_the_beacon_batching():
+    # the oracle differs from the kernel in the one decision it checks;
+    # every other rule it runs is the kernel's own
+    assert {name for name, value in vars(ReferenceSimulation).items()
+            if callable(value) or not name.startswith("__")} == {
+                "_deliver_hellos"}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_frame_carries_its_link_number(protocol):
+    # four classes at 4 kB/s and no energy stop: each link carries beacons,
+    # first attempts and retries, and every reception is checked against
+    # the observer's count of the frames sent on its link
+    cfg = mini_config(protocol=protocol, rng_seed=1, rate_bytes_per_s=4000.0,
+                      critical_rate=0.25, delay_responsive_rate=0.25,
+                      reliability_responsive_rate=0.25, traffic_start=11.0,
+                      duration=20.0, energy_initial=1000.0,
+                      stop_energy_fraction=0.0)
+    sim = Logged(cfg)
+    sim.run()
+    assert sim.now == cfg.duration
+    assert sim.checked["hello"] > 1000
+    assert sim.checked["data"] > 200 and sim.checked["retry"] > 100
 
 
 def test_a_run_can_end_between_two_receptions_of_one_beacon():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash, load_config
-from tdthr.core import LIGHT_SPEED, EnergyBudget, Position, dist, joules_to_nj
+from tdthr.core import LIGHT_SPEED, EnergyBudget, Position, dist
 from tdthr.forwarding import PROTOCOLS
 from tdthr.neighborhood import NeighborTable
 from tdthr.queueing import QueueBank
@@ -215,17 +215,17 @@ def _assert_matches_all_pairs(sim):
             == [(x, [(y, (delivery_probability(d, cfg), d / LIGHT_SPEED))
                      for y, d in peers]) for x, peers in graph.items()])
     # the geometry fixed at set-up is exactly what `dist` gives, and each
-    # link's cost the nominal tx energy times the path-loss law
-    # (d / tx_range) ** alpha, in nJ
+    # link's cost the simulation's cost at full range times the path-loss
+    # law (d / tx_range) ** alpha, in nJ
     for sink in (PRIMARY_SINK, SECONDARY_SINK):
         assert sim.sink_distance[sink] == {
             nid: dist(pos, sim.positions[sink])
             for nid, pos in sim.positions.items()}
-    tx_nj = joules_to_nj(cfg.energy_tx)
     for x, peers in sim.links.items():
         for y, (_, _, cost) in peers.items():
             d = dist(sim.positions[x], sim.positions[y])
-            assert cost == round(tx_nj * (d / cfg.tx_range) ** cfg.path_loss_alpha)
+            assert cost == round(
+                sim._tx_nj * (d / cfg.tx_range) ** cfg.path_loss_alpha)
 
 
 def _default_config():
@@ -770,13 +770,20 @@ def test_every_ack_timer_can_act(monkeypatch, protocol):
     assert not any(late)
 
 
+def test_set_up_converts_each_energy_to_nanojoules():
+    # the shipped energies: a 2 J battery, tx 0.0522 J at full range,
+    # rx 0.0591 J per data reception and 3 uJ per idle charge
+    sim = Simulation(mini_config())
+    assert sim.nodes[SOURCE].energy.initial_nj == 2_000_000_000
+    assert (sim._tx_nj, sim._rx_nj, sim._idle_nj) == (
+        52_200_000, 59_100_000, 3_000)
+
+
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_every_charge_is_a_cost_fixed_at_set_up(monkeypatch, protocol):
     # a data transmission costs its link's transmit cost; a reception costs
     # rx; everything else costs idle. The power score ranks by the same
     # link cost that is charged.
-    cfg = _congested_config(protocol)
-    rx_nj, idle_nj = joules_to_nj(cfg.energy_rx), joules_to_nj(cfg.energy_idle)
     charges, ranked = [], []
     spend = Simulation._spend
     pairs_of = NeighborTable.favorable_pairs
@@ -792,13 +799,13 @@ def test_every_charge_is_a_cost_fixed_at_set_up(monkeypatch, protocol):
 
     monkeypatch.setattr(Simulation, "_spend", watched)
     monkeypatch.setattr(NeighborTable, "favorable_pairs", priced)
-    sim = Simulation(cfg)
+    sim = Simulation(_congested_config(protocol))
     sim.run()
     kinds = []
     for nid, cost in charges:
         tx = {link[2] for link in sim.links[nid].values()}
-        kind = ("tx" if cost in tx else "rx" if cost == rx_nj
-                else "idle" if cost == idle_nj else cost)
+        kind = ("tx" if cost in tx else "rx" if cost == sim._rx_nj
+                else "idle" if cost == sim._idle_nj else cost)
         kinds.append(kind)
     assert set(kinds) == {"tx", "rx", "idle"}
     assert sim.metrics.total_energy_nj == sim.energy_spent_by_nodes_nj()
