@@ -17,7 +17,7 @@ import random
 
 from .config import PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig
 from .core import (LIGHT_SPEED, EnergyBudget, NodeId, Packet, PacketClass,
-                   Position, dist, joules_to_nj, path_loss_factor)
+                   Position, joules_to_nj, path_loss_factor)
 from .estimators import DelayEstimator, PrrEstimator
 from .forwarding import PROTOCOLS, DeadlineExpired, VoidRegion, update_lag_time
 from .metrics import MetricsLedger
@@ -41,23 +41,52 @@ def generate_topology(cfg: SimConfig, seed: int) -> tuple:
     Ids 0 and 1 are the primary and secondary sinks, id 2 the source, the
     rest are relays. Regenerates (bounded) until the source can reach both
     sinks over the range graph; returns the positions and that graph.
+
+    A placement that leaves a sink with no other node in range
+    (`_sink_unheard`) is skipped before its range graph is built: such a
+    sink has an empty list in that graph, so `_connected` would reject the
+    placement too, and the accepted placement and its graph are the same.
     """
-    width, height = cfg.field_width, cfg.field_height
+    width, height, tx_range = cfg.field_width, cfg.field_height, cfg.tx_range
+    sinks = cfg.sink_positions
+    fixed = [(p.x, p.y) for p in (sinks[PRIMARY_SINK], sinks[SECONDARY_SINK],
+                                  cfg.source_position)]
+    unheard = cut_off = 0
     for attempt in range(_TOPOLOGY_RETRIES):
         draw = random.Random(f"topology:{seed}:{attempt}").random
-        positions = dict(cfg.sink_positions)
-        positions[SOURCE] = cfg.source_position
         # `w * draw()` is `uniform(0.0, w)`'s float from the same draw (see
         # `_begin_attempt`); x is drawn before y
-        for nid in range(3, cfg.node_count):
-            positions[nid] = Position(width * draw(), height * draw())
-        neighbours = _neighbours(positions, cfg.tx_range)
+        points = fixed + [(width * draw(), height * draw())
+                          for _ in range(3, cfg.node_count)]
+        if _sink_unheard(points, tx_range):
+            unheard += 1
+            continue
+        positions = {nid: Position(x, y) for nid, (x, y) in enumerate(points)}
+        neighbours = _neighbours(positions, tx_range)
         if _connected(neighbours, SOURCE, {PRIMARY_SINK, SECONDARY_SINK}):
             return positions, neighbours
+        cut_off += 1
     raise ValueError(
         f"could not generate a topology connecting the source to both sinks "
-        f"after {_TOPOLOGY_RETRIES} attempts (seed {seed}); increase density "
-        f"or range")
+        f"after {_TOPOLOGY_RETRIES} attempts (seed {seed}): {unheard} left a "
+        f"sink that no node hears, {cut_off} cut the source off from a sink; "
+        f"increase density or range, or move the sinks inward "
+        f"(network.sink_inset)")
+
+
+def _sink_unheard(points, tx_range) -> bool:
+    """Whether a sink has no other node within tx_range, `points` being the
+    (x, y) of every node by id. Each distance is the `hypot` float that
+    `_neighbours` computes for the pair: `a - b` is exactly `-(b - a)` and
+    `hypot` ignores signs, so this holds exactly when `_neighbours` would
+    give the sink an empty list. A node on top of the sink is in range."""
+    hypot = math.hypot
+    for sink in (PRIMARY_SINK, SECONDARY_SINK):
+        x0, y0 = points[sink]
+        if not any(hypot(x0 - x, y0 - y) <= tx_range
+                   for x, y in points[:sink] + points[sink + 1:]):
+            return True
+    return False
 
 
 def _neighbours(positions, tx_range) -> dict:
@@ -218,25 +247,32 @@ class Simulation:
                        self._protocol.priority_queues, initial_nj,
                        self._payload_ser)
             for nid in sorted(self.positions)}
-        # Positions never move: sink -> {nid: distance to that sink}, fixed here.
-        self.sink_distance = {sink: {nid: dist(pos, self.positions[sink])
-                                     for nid, pos in self.positions.items()}
-                              for sink in (PRIMARY_SINK, SECONDARY_SINK)}
+        # Positions never move: sink -> {nid: distance to that sink}, fixed
+        # here as `dist(pos, sink)` computes it.
+        hypot = math.hypot
+        self.sink_distance = {}
+        for sink in (PRIMARY_SINK, SECONDARY_SINK):
+            at = self.positions[sink]
+            sx, sy = at.x, at.y
+            self.sink_distance[sink] = {nid: hypot(pos.x - sx, pos.y - sy)
+                                        for nid, pos in self.positions.items()}
         # The hidden link truth, one entry per directed edge: nid -> {peer:
         # (delivery probability, propagation delay, transmit cost in nJ)},
         # peers ascending. The cost, the transmit energy times the path-loss
         # factor, is what `_begin_attempt` charges and what `favorable_pairs`
         # ranks by. An edge's two directions share one tuple, their `hypot`
-        # distances being equal bit for bit; nodes ascend, so the lower
-        # end's exists.
+        # distances being equal bit for bit: it is built once, from the
+        # lower end, and stored at both. Nodes ascend, so each end's peers
+        # are stored in ascending order.
         tx_range, alpha = cfg.tx_range, cfg.path_loss_alpha
         tx_nj = self._tx_nj
-        links = self.links = {}
-        for x in self.nodes:
-            links[x] = {y: links[y][x] if y < x else
-                        (delivery_probability(d, cfg), d / LIGHT_SPEED,
-                         round(tx_nj * path_loss_factor(d, tx_range, alpha)))
-                        for y, d in neighbours[x]}
+        links = self.links = {nid: {} for nid in self.nodes}
+        for x, found in links.items():
+            for y, d in neighbours[x]:
+                if y > x:
+                    found[y] = links[y][x] = (
+                        delivery_probability(d, cfg), d / LIGHT_SPEED,
+                        round(tx_nj * path_loss_factor(d, tx_range, alpha)))
         self.metrics = MetricsLedger()
         self.trace = trace                     # file-like or None
         self.now = 0.0
@@ -257,10 +293,11 @@ class Simulation:
         the class before construction is the one that runs. The heap keeps
         its function, which `run()` calls with the simulation: no event
         refers to the simulation, so a simulation that is dropped, run or
-        not, is freed by reference counting. A beacon's receptions share
-        one heap entry (`_deliver_hellos`) and do not come here: `_ev_hello`
-        gives each the seq that a `_schedule` of its own would, advancing
-        `self._seq` itself."""
+        not, is freed by reference counting. The first beacons
+        (`_schedule_initial`) and a beacon's receptions, which share one
+        heap entry (`_deliver_hellos`), do not come here: each gets the seq
+        that a `_schedule` of its own would, and `self._seq` is advanced
+        for it."""
         if t < self.now - 1e-12:
             raise RuntimeError(f"event {handler.__name__} scheduled in the past "
                                f"({t} < {self.now})")
@@ -276,9 +313,15 @@ class Simulation:
     def _schedule_initial(self):
         cfg = self.cfg
         draw = self.rng.random
-        for nid in self.nodes:   # built in ascending id order
-            # `uniform(0.0, hello_period)`'s float (see `_begin_attempt`)
-            self._schedule(cfg.hello_period * draw(), self._ev_hello, nid)
+        # The first beacons, one per node in ascending id order, each at
+        # `uniform(0.0, hello_period)`'s float (see `_begin_attempt`), with
+        # the seqs `_schedule` would give them, heapified at once: their
+        # `(t, seq)` keys are unique, so the heap pops them as if pushed.
+        hello, seq = self._ev_hello.__func__, self._seq
+        self._heap.extend((cfg.hello_period * draw(), seq + i, hello, (nid,))
+                          for i, nid in enumerate(self.nodes, 1))
+        heapq.heapify(self._heap)
+        self._seq = seq + len(self.nodes)
         self._schedule(cfg.traffic_start, self._ev_cbr)
         self._schedule(cfg.audit_period, self._ev_audit)
 

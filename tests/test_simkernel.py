@@ -157,11 +157,112 @@ def _bfs_reachable(positions, tx_range, start, goal) -> bool:
     return False
 
 
-def test_impossible_topology_raises():
-    cfg = mini_config(node_count=4, field_width=5000.0, field_height=5000.0,
-                      node_density=4 / 25_000_000, sink_inset=0.0)
-    with pytest.raises(ValueError):
+def _observed(monkeypatch, name, calls):
+    """Wrap `simkernel.<name>` so that each call appends `(args, result)`."""
+    original = getattr(simkernel, name)
+
+    def observed(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+    monkeypatch.setattr(simkernel, name, observed)
+
+
+def _assert_failure_counts(monkeypatch, n, side, unheard, cut_off):
+    # The failure counts each cause, as the placements showed it, and names
+    # the remedies.
+    cfg = mini_config(node_count=n, field_width=side, field_height=side,
+                      node_density=n / (side * side), sink_inset=0.0)
+    checks, walks = [], []
+    _observed(monkeypatch, "_sink_unheard", checks)
+    _observed(monkeypatch, "_connected", walks)
+    with pytest.raises(ValueError) as failure:
         generate_topology(cfg, seed=1)
+    assert [result for _, result in checks].count(True) == unheard
+    assert [result for _, result in walks] == [False] * cut_off
+    assert len(checks) == 50
+    message = str(failure.value)
+    assert message.startswith("could not generate a topology")
+    assert (f"{unheard} left a sink that no node hears, {cut_off} cut the "
+            f"source off from a sink") in message
+    assert "density or range" in message and "network.sink_inset" in message
+
+
+def test_impossible_topology_raises(monkeypatch):
+    # one relay on a field 50 ranges wide
+    _assert_failure_counts(monkeypatch, 4, 5000.0, unheard=50, cut_off=0)
+
+
+def test_topology_failure_counts_both_causes(monkeypatch):
+    # two relays: now and then both sinks hear one
+    _assert_failure_counts(monkeypatch, 5, 250.0, unheard=48, cut_off=2)
+
+
+def _unheard_by_graph(points, tx_range) -> bool:
+    positions = {nid: Position(x, y) for nid, (x, y) in enumerate(points)}
+    graph = _neighbours(positions, tx_range)
+    return not (graph[PRIMARY_SINK] and graph[SECONDARY_SINK])
+
+
+def test_early_rejection_is_exactly_an_unheard_sink(monkeypatch):
+    # `generate_topology` skips a placement before building its range graph
+    # exactly when that graph would give a sink an empty list. Watched on
+    # default.yaml at its seed, 1, whose third of four placements leaves a
+    # sink unheard, and on small random fields with the sinks on the
+    # corners, where both outcomes are common.
+    checks = []
+    _observed(monkeypatch, "_sink_unheard", checks)
+    cfg = _default_config()
+    generate_topology(cfg, cfg.rng_seed)
+    assert [result for _, result in checks] == [False, False, True, False]
+    rng = random.Random(3)
+    for seed in range(40):
+        tx_range = rng.choice([100.0, 33.3, 7.1, 0.3])
+        n = rng.randint(4, 30)
+        side = tx_range * rng.uniform(1.5, 5.0)
+        cfg = mini_config(node_count=n, field_width=side, field_height=side,
+                          node_density=n / (side * side), sink_inset=0.0,
+                          tx_range=tx_range)
+        try:
+            generate_topology(cfg, seed)
+        except ValueError:
+            pass
+    assert {result for _, result in checks} == {True, False}
+    for (points, tx_range), result in checks:
+        assert result == _unheard_by_graph(points, tx_range)
+
+
+@pytest.mark.parametrize("tx_range", [100.0, 33.3, 7.1, 0.3])
+def test_early_rejection_on_cell_boundaries(tx_range):
+    # Points snapped to half ranges, so that a node lies exactly tx_range
+    # from a sink, or on top of one, and the `<=` decides.
+    side = 3 * tx_range
+    fixed = [(0.0, 0.0), (side, side), (side / 2, side / 2)]   # sinks, source
+    rng = random.Random(tx_range)
+    outcomes = set()
+    for _ in range(300):
+        points = fixed + [(rng.randint(0, 6) * tx_range / 2,
+                           rng.randint(0, 6) * tx_range / 2)
+                          for _ in range(rng.randint(1, 6))]
+        unheard = simkernel._sink_unheard(points, tx_range)
+        assert unheard == _unheard_by_graph(points, tx_range)
+        outcomes.add(unheard)
+    assert outcomes == {True, False}
+    # a node exactly tx_range from each sink; one on top of each; sinks
+    # that only hear each other; a sink that only hears the source
+    at_range = fixed + [(tx_range, 0.0), (side - tx_range, side)]
+    coincident = fixed + fixed[:2]
+    each_other = [(0.0, 0.0), (3 * tx_range / 5, 4 * tx_range / 5),
+                  (side, side)]
+    source = [(0.0, 0.0), (side, side), (side - tx_range, side),
+              (0.0, tx_range)]
+    for points in (at_range, coincident, each_other, source):
+        assert (simkernel._sink_unheard(points, tx_range)
+                == _unheard_by_graph(points, tx_range))
+    assert not simkernel._sink_unheard(coincident, tx_range)
+    if tx_range == 100.0:   # the distances are exact in binary
+        for points in (at_range, each_other, source):
+            assert not simkernel._sink_unheard(points, tx_range)
 
 
 def test_connected_agrees_with_bfs_on_accepted_and_rejected_placements():
@@ -317,11 +418,15 @@ def test_each_range_graph_edge_is_measured_once(monkeypatch):
 
 
 def test_set_up_builds_one_range_graph_per_placement(monkeypatch):
-    # Each placement attempt buckets its positions into cells once, in
-    # `_neighbours`, and the accepted placement's graph is the one the links
-    # are built from: cell indices are counted by their `math.floor` calls,
-    # two per node, so a second index anywhere in set-up shows here.
-    calls = {"_neighbours": 0, "_connected": 0, "floor": 0}
+    # Each placement attempt whose sinks both hear a node buckets its
+    # positions into cells once, in `_neighbours`, and the accepted
+    # placement's graph is the one the links are built from: cell indices
+    # are counted by their `math.floor` calls, two per node, so a second
+    # index anywhere in set-up shows here. At default.yaml's seed, 1, four
+    # placements are drawn and the third leaves a sink unheard: it makes no
+    # positions and no graph.
+    calls = {"_sink_unheard": 0, "_neighbours": 0, "_connected": 0,
+             "floor": 0, "Position": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -329,15 +434,16 @@ def test_set_up_builds_one_range_graph_per_placement(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("_neighbours", "_connected"):
+    for name in ("_sink_unheard", "_neighbours", "_connected", "Position"):
         monkeypatch.setattr(simkernel, name,
                             counted(name, getattr(simkernel, name)))
     monkeypatch.setattr(math, "floor", counted("floor", math.floor))
     cfg = _default_config()
     sim = Simulation(cfg)
-    assert calls["_connected"] >= 1
-    assert calls["_neighbours"] == calls["_connected"]
-    assert calls["floor"] == 2 * cfg.node_count * calls["_connected"]
+    assert calls["_sink_unheard"] == 4
+    assert calls["_neighbours"] == calls["_connected"] == 3
+    assert calls["floor"] == 2 * cfg.node_count * 3
+    assert calls["Position"] == cfg.node_count * 3
     assert not hasattr(simkernel, "_Grid")
     assert len(sim.links) == cfg.node_count
 
