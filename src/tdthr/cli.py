@@ -172,6 +172,8 @@ def run_sweep(spec: dict, out_dir, jobs: int = 1):
     failures); failures are (job-description, error) pairs."""
     parameter = spec["parameter"]
     configs = _sweep_configs(spec)
+    # a forked pool starts all its workers at once: one per run at most
+    jobs = min(jobs, len(configs))
     if jobs > 1:
         # imported here: the pool pulls in `multiprocessing`, which a
         # process that runs no pool need not hold in memory

@@ -37,16 +37,6 @@ def dist(a: Position, b: Position) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def path_loss_factor(d: float, tx_range: float, alpha: float) -> float:
-    """(d / tx_range)**alpha: the cost of one transmission over distance d
-    as a share of a full-range one, so that a link's cost can be fixed once."""
-    if d <= 0:
-        raise ValueError(f"transmission distance must be positive, got {d}")
-    if d > tx_range:
-        raise ValueError(f"distance {d} m exceeds transmission range {tx_range} m")
-    return (d / tx_range) ** alpha
-
-
 @dataclass(slots=True)
 class Packet:
     packet_id: int

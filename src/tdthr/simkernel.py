@@ -17,7 +17,7 @@ import random
 
 from .config import PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig
 from .core import (LIGHT_SPEED, EnergyBudget, NodeId, Packet, PacketClass,
-                   Position, joules_to_nj, path_loss_factor)
+                   Position, joules_to_nj)
 from .estimators import DelayEstimator, PrrEstimator
 from .forwarding import PROTOCOLS, DeadlineExpired, VoidRegion, update_lag_time
 from .metrics import MetricsLedger
@@ -26,13 +26,6 @@ from .queueing import QueueBank, QueueEntry
 
 
 _TOPOLOGY_RETRIES = 50
-
-
-def delivery_probability(d: float, cfg: SimConfig) -> float:
-    """Hidden per-link delivery probability: degrades with distance, clamped
-    to [min_delivery_prob, 1]. Never read by the protocol side."""
-    p = 1.0 - (d / cfg.tx_range) ** cfg.loss_exponent
-    return min(1.0, max(cfg.min_delivery_prob, p))
 
 
 def generate_topology(cfg: SimConfig, seed: int) -> tuple:
@@ -143,6 +136,36 @@ def _connected(neighbours, start, targets) -> bool:
     return not remaining
 
 
+def _link_table(neighbours, cfg: SimConfig, tx_nj: int) -> dict:
+    """The hidden link truth, never read by the protocol side: nid -> {peer:
+    (delivery probability, propagation delay, transmit cost in nJ)} for each
+    edge of the range graph, nodes and peers ascending. With r = d /
+    tx_range, the probability is 1 - r ** loss_exponent clamped to
+    [min_delivery_prob, 1], and the cost, which `_begin_attempt` charges and
+    `favorable_pairs` ranks by, is round(tx_nj * r ** path_loss_alpha).
+    An edge's two directions share one tuple (their `hypot` distances are
+    equal bit for bit), built from the lower end."""
+    tx_range, exponent, light = cfg.tx_range, cfg.loss_exponent, LIGHT_SPEED
+    floor, alpha = cfg.min_delivery_prob, cfg.path_loss_alpha
+    links = {nid: {} for nid in sorted(neighbours)}
+    for x, found in links.items():
+        for y, d in neighbours[x]:
+            if y > x:
+                if d <= 0:   # two coincident nodes: a link with no cost
+                    raise ValueError(
+                        f"transmission distance must be positive, got {d}")
+                if d > tx_range:
+                    raise ValueError(f"distance {d} m exceeds transmission "
+                                     f"range {tx_range} m")
+                r = d / tx_range
+                # min(1.0, max(floor, p)) to the bit, without builtin calls
+                p = 1.0 - r ** exponent
+                p = p if p > floor else floor
+                found[y] = links[y][x] = (p if p < 1.0 else 1.0, d / light,
+                                          round(tx_nj * r ** alpha))
+    return links
+
+
 def _gc_paused(fn):
     """`fn` run with CPython's cyclic garbage collector paused, and the
     caller's setting restored however it returns. Building and running a
@@ -167,14 +190,15 @@ class _Node:
     __slots__ = ("id", "is_sink", "alive", "energy", "table", "delays",
                  "prr_in", "hellos", "data_out", "queues", "busy")
 
-    def __init__(self, nid, is_sink, cfg: SimConfig, priority_queues: bool,
-                 initial_nj: int, dt_prior: float):
+    def __init__(self, nid, is_sink, expiry: float, gamma: float,
+                 capacity: int, single_queue: bool, initial_nj: int,
+                 dt_prior: float):
         self.id = nid
         self.is_sink = is_sink
         self.alive = True
         self.energy = EnergyBudget(initial_nj)   # a sink's is never charged
-        self.table = NeighborTable(nid, cfg.neighbor_expiry)
-        self.delays = DelayEstimator(gamma=cfg.delay_gamma, dt_prior=dt_prior)
+        self.table = NeighborTable(nid, expiry)
+        self.delays = DelayEstimator(gamma, dt_prior)
         self.prr_in = {}       # sender -> PrrEstimator (receiver-side)
         # Every frame to a peer, HELLO or data attempt, takes the next
         # sequence number on that link: a beacon goes to every peer, so the
@@ -183,8 +207,7 @@ class _Node:
         # on each link and checks the number each reception carries.
         self.hellos = 0        # beacons sent
         self.data_out = {}     # receiver -> data attempts sent to it
-        self.queues = QueueBank(capacity=cfg.queue_capacity,
-                                single_queue=not priority_queues)
+        self.queues = QueueBank(capacity, single_queue)
         self.busy = False
 
     @property
@@ -242,11 +265,12 @@ class Simulation:
         # Airtimes in seconds; a HELLO's depends on its size (`_ev_hello`).
         self._payload_ser = cfg.payload_bytes * 8 / cfg.bandwidth_bps
         self._ack_ser = cfg.ack_bytes * 8 / cfg.bandwidth_bps
-        self.nodes = {
-            nid: _Node(nid, nid in (PRIMARY_SINK, SECONDARY_SINK), cfg,
-                       self._protocol.priority_queues, initial_nj,
-                       self._payload_ser)
-            for nid in sorted(self.positions)}
+        # every node is built from these run-wide constants, read once
+        node_args = (cfg.neighbor_expiry, cfg.delay_gamma, cfg.queue_capacity,
+                     not self._protocol.priority_queues, initial_nj,
+                     self._payload_ser)
+        self.nodes = {nid: _Node(nid, nid in (PRIMARY_SINK, SECONDARY_SINK),
+                                 *node_args) for nid in sorted(self.positions)}
         # Positions never move: sink -> {nid: distance to that sink}, fixed
         # here as `dist(pos, sink)` computes it.
         hypot = math.hypot
@@ -256,23 +280,7 @@ class Simulation:
             sx, sy = at.x, at.y
             self.sink_distance[sink] = {nid: hypot(pos.x - sx, pos.y - sy)
                                         for nid, pos in self.positions.items()}
-        # The hidden link truth, one entry per directed edge: nid -> {peer:
-        # (delivery probability, propagation delay, transmit cost in nJ)},
-        # peers ascending. The cost, the transmit energy times the path-loss
-        # factor, is what `_begin_attempt` charges and what `favorable_pairs`
-        # ranks by. An edge's two directions share one tuple, their `hypot`
-        # distances being equal bit for bit: it is built once, from the
-        # lower end, and stored at both. Nodes ascend, so each end's peers
-        # are stored in ascending order.
-        tx_range, alpha = cfg.tx_range, cfg.path_loss_alpha
-        tx_nj = self._tx_nj
-        links = self.links = {nid: {} for nid in self.nodes}
-        for x, found in links.items():
-            for y, d in neighbours[x]:
-                if y > x:
-                    found[y] = links[y][x] = (
-                        delivery_probability(d, cfg), d / LIGHT_SPEED,
-                        round(tx_nj * path_loss_factor(d, tx_range, alpha)))
+        self.links = _link_table(neighbours, cfg, self._tx_nj)
         self.metrics = MetricsLedger()
         self.trace = trace                     # file-like or None
         self.now = 0.0

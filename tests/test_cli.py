@@ -290,6 +290,45 @@ def test_a_parallel_sweep_writes_what_a_serial_one_does(tmp_path, capsys):
     assert parallel == serial
 
 
+@pytest.mark.parametrize("runs, jobs, workers", [
+    (3, "500", 3), (3, "2", 2), (3, "1", None), (1, "500", None),
+], ids=["more_jobs_than_runs", "fewer_jobs_than_runs", "one_job", "one_run"])
+def test_a_sweep_starts_no_more_workers_than_runs(tmp_path, capsys, monkeypatch,
+                                                  runs, jobs, workers):
+    # A forked pool starts every worker at its first submit, so `--jobs 500`
+    # must not size the pool for a 3-run sweep; a pool of one is the serial
+    # path. The stand-in pool records its size and maps in this process, so
+    # the test starts no process.
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    _write_config(tmp_path / "base.yaml", _fast_cfg(duration=20.0))
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(yaml.safe_dump({
+        "base_config": "base.yaml", "parameter": "critical_rate",
+        "values": [0.2, 0.5, 0.8][:runs], "protocols": ["greedy_geo"]}))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out_dir),
+                 "--jobs", jobs]) == EXIT_OK
+    capsys.readouterr()
+    assert sizes == ([] if workers is None else [workers])
+    assert len((out_dir / "sweep.csv").read_text().splitlines()) == 1 + runs
+
+
 def test_importing_the_cli_loads_no_worker_pool():
     # the pool, and `multiprocessing` with it, is imported by a sweep that
     # runs more than one job, not by every process that imports the CLI

@@ -1,4 +1,4 @@
-"""Domain-type unit tests: geometry, transmission cost, packets, energy."""
+"""Domain-type unit tests: geometry, packets, energy."""
 
 import math
 import random
@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tdthr.core import (EnergyBudget, Packet, PacketClass, Position, dist,
-                        joules_to_nj, path_loss_factor)
+                        joules_to_nj)
 from tdthr.estimators import DelayEstimator, PrrEstimator
 from tdthr.neighborhood import (ForwarderPair, HelloMessage, NeighborRecord,
                                 NeighborTable)
@@ -41,40 +41,6 @@ def test_position_rejects_non_finite():
         Position(float("nan"), 0.0)
     with pytest.raises(ValueError):
         Position(0.0, float("inf"))
-
-
-# ---- transmission power cost ---------------------------------------------
-# A transmission over distance d costs its nominal cost times
-# path_loss_factor(d, tx_range, alpha), fixed once per link at set-up.
-
-def test_tx_power_cost_full_range():
-    assert path_loss_factor(100.0, 100.0, 2.0) == 1.0
-
-
-def test_tx_power_cost_half_range_quarter_cost():
-    full = path_loss_factor(100.0, 100.0, 2.0)
-    half = path_loss_factor(50.0, 100.0, 2.0)
-    assert abs(half - full / 4) <= EPS
-
-
-def test_tx_power_cost_rejects_degenerate_distances():
-    with pytest.raises(ValueError):
-        path_loss_factor(0.0, 100.0, 2.0)
-    with pytest.raises(ValueError):
-        path_loss_factor(100.1, 100.0, 2.0)
-
-
-def test_tx_power_cost_monotone():
-    rng = random.Random(11)
-    for _ in range(200):
-        d1 = rng.uniform(1, 99)
-        d2 = rng.uniform(d1, 100)
-        alpha = rng.uniform(2, 4)
-        assert (path_loss_factor(d1, 100.0, alpha)
-                <= path_loss_factor(d2, 100.0, alpha) + EPS)
-        # below full range, a steeper exponent can only make the hop cheaper
-        assert (path_loss_factor(d1, 100.0, alpha + 1)
-                <= path_loss_factor(d1, 100.0, alpha) + EPS)
 
 
 # ---- packet classes and packets ------------------------------------------

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash, load_config
-from tdthr.core import LIGHT_SPEED, EnergyBudget, Position, dist
+from tdthr.core import LIGHT_SPEED, EnergyBudget, Position, dist, joules_to_nj
 from tdthr.forwarding import PROTOCOLS
 from tdthr.neighborhood import NeighborTable
 from tdthr.queueing import QueueBank
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
-                             Simulation, _connected, _neighbours,
-                             delivery_probability, generate_topology, run)
+                             Simulation, _connected, _link_table, _neighbours,
+                             generate_topology, run)
 
 from helpers import mini_config
 
@@ -109,16 +109,70 @@ def test_derived_intervals():
 
 
 # ---- channel model -------------------------------------------------------
+# `_link_table` states both laws of the channel: a link of length d, r = d /
+# tx_range, delivers with probability 1 - r ** loss_exponent clamped to
+# [min_delivery_prob, 1], and costs round(tx_nj * r ** path_loss_alpha) nJ.
+
+def delivery_probability(d, cfg):
+    """The loss law with the builtin clamp: the reference each built link's
+    probability is checked against."""
+    p = 1.0 - (d / cfg.tx_range) ** cfg.loss_exponent
+    return min(1.0, max(cfg.min_delivery_prob, p))
+
+
+def _one_link(d, cfg):
+    """The link `_link_table` builds for a hand-made two-node graph whose one
+    edge is d long, at the simulation's transmit cost for `cfg`."""
+    links = _link_table({0: [(1, d)], 1: [(0, d)]}, cfg,
+                        joules_to_nj(cfg.energy_tx))
+    assert links[0][1] is links[1][0]
+    return links[0][1]
+
 
 def test_delivery_probability_shape():
+    # p(0) = 1 is out of reach: a link has positive length (see
+    # test_coincident_nodes_rejected_at_construction); a link too short for
+    # r ** loss_exponent to register against 1 delivers with probability 1
     cfg = mini_config()
-    assert delivery_probability(0.0, cfg) == 1.0
-    assert delivery_probability(cfg.tx_range, cfg) == cfg.min_delivery_prob
+    assert _one_link(cfg.tx_range * 1e-6, cfg)[0] == 1.0
+    assert _one_link(cfg.tx_range, cfg)[0] == cfg.min_delivery_prob
     last = 1.0
     for step in range(1, 11):
-        p = delivery_probability(cfg.tx_range * step / 10, cfg)
+        p = _one_link(cfg.tx_range * step / 10, cfg)[0]
         assert cfg.min_delivery_prob <= p <= last
         last = p
+
+
+def test_tx_power_cost_full_range():
+    cfg = mini_config(tx_range=100.0, path_loss_alpha=2.0)
+    assert _one_link(100.0, cfg)[2] == joules_to_nj(cfg.energy_tx)
+
+
+def test_tx_power_cost_half_range_quarter_cost():
+    cfg = mini_config(tx_range=100.0, path_loss_alpha=2.0, energy_tx=0.0522)
+    assert _one_link(100.0, cfg)[2] == 52_200_000
+    assert _one_link(50.0, cfg)[2] == 52_200_000 // 4
+
+
+def test_tx_power_cost_rejects_degenerate_distances():
+    cfg = mini_config(tx_range=100.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        _one_link(0.0, cfg)
+    with pytest.raises(ValueError, match="exceeds transmission range"):
+        _one_link(100.1, cfg)
+
+
+def test_tx_power_cost_monotone():
+    rng = random.Random(11)
+    for _ in range(200):
+        d1 = rng.uniform(1, 99)
+        d2 = rng.uniform(d1, 100)
+        alpha = rng.uniform(2, 4)
+        cfg = mini_config(tx_range=100.0, path_loss_alpha=alpha)
+        steeper = mini_config(tx_range=100.0, path_loss_alpha=alpha + 1)
+        assert _one_link(d1, cfg)[2] <= _one_link(d2, cfg)[2]
+        # below full range, a steeper exponent can only make the hop cheaper
+        assert _one_link(d1, steeper)[2] <= _one_link(d1, cfg)[2]
 
 
 # ---- topology ------------------------------------------------------------
@@ -392,6 +446,34 @@ def test_coincident_nodes_rejected_at_construction(monkeypatch):
 def test_adjacency_matches_all_pairs_on_the_shipped_full_scale_field():
     # default.yaml puts the sinks on the corners of a field 18 ranges wide
     _assert_matches_all_pairs(Simulation(_default_config()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(exponent=st.floats(0.1, 8.0),
+       floor=st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0),
+       alpha=st.floats(2.0, 6.0), tx_range=st.sampled_from([100.0, 33.3, 7.1]),
+       energy_tx=st.floats(1e-6, 1.0), seed=st.integers(1, 30))
+def test_link_table_is_exact_over_the_channel_parameters(
+        exponent, floor, alpha, tx_range, energy_tx, seed):
+    # Each built link is the two laws with the builtin clamp, bit for bit:
+    # the clamp's floor end is reached by long links (and by every link at
+    # floor 1.0), its upper end by short ones.
+    n = 30
+    cfg = _field_config(n, tx_range * math.sqrt(n * math.pi / 10), tx_range)
+    cfg.rng_seed, cfg.energy_tx = seed, energy_tx
+    cfg.loss_exponent, cfg.min_delivery_prob = exponent, floor
+    cfg.path_loss_alpha = alpha
+    sim = Simulation(cfg)
+    tx_nj = joules_to_nj(energy_tx)
+    graph = _all_pairs(sim.positions, tx_range)
+    assert {x: list(peers) for x, peers in sim.links.items()} == {
+        x: [y for y, _ in peers] for x, peers in graph.items()}
+    for x, peers in sim.links.items():
+        for y, link in peers.items():
+            d = dist(sim.positions[x], sim.positions[y])
+            assert link == (
+                min(1.0, max(floor, 1.0 - (d / tx_range) ** exponent)),
+                d / LIGHT_SPEED, round(tx_nj * (d / tx_range) ** alpha))
 
 
 def test_each_range_graph_edge_is_measured_once(monkeypatch):
