@@ -62,7 +62,8 @@ class SimConfig:
     reliability_responsive_rate: float = _f("traffic", 0.0, _UNIT)
     deadline: float = _f("traffic", 0.3, _POSITIVE)
 
-    # joules per event; sleep is validated, pinned by acceptance 9, never charged
+    # joules: the battery, and per action as `simkernel.energy_costs_nj` reads
+    # them; sleep is validated, pinned by acceptance 9, never charged
     energy_initial: float = _f("energy", 2.0, _POSITIVE, _FINITE_NJ, key="initial")
     energy_tx: float = _f("energy", 0.0522, _POSITIVE, _FINITE_NJ, key="tx")
     energy_rx: float = _f("energy", 0.0591, _POSITIVE, _FINITE_NJ, key="rx")

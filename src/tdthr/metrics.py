@@ -105,9 +105,9 @@ class MetricsLedger:
         c = self.per_class[cls]
         if not c.delays:
             return None
+        # nearest rank ceil(0.95 n), in integers: exact where 0.95 n is whole
         ordered = sorted(c.delays)
-        idx = min(len(ordered) - 1, int(0.95 * len(ordered)))
-        return ordered[idx]
+        return ordered[(19 * len(ordered) + 19) // 20 - 1]
 
     @property
     def total_energy_j(self) -> float:

@@ -136,6 +136,17 @@ def _connected(neighbours, start, targets) -> bool:
     return not remaining
 
 
+def energy_costs_nj(cfg: SimConfig) -> tuple:
+    """How the config's energies become what an action costs, in integer
+    nanojoules: `(tx, rx, idle)`, a data transmission at full range, a data
+    reception, and every other charge (a beacon sent or heard, an ACK, an
+    audit). Each of `energy_tx`, `energy_rx` and `energy_idle` is read as
+    the joules of one such action. The one statement of that reading: the
+    kernel fixes its costs from it, and the tests size batteries by it."""
+    return (joules_to_nj(cfg.energy_tx), joules_to_nj(cfg.energy_rx),
+            joules_to_nj(cfg.energy_idle))
+
+
 def _link_table(neighbours, cfg: SimConfig, tx_nj: int) -> dict:
     """The hidden link truth, never read by the protocol side: nid -> {peer:
     (delivery probability, propagation delay, transmit cost in nJ)} for each
@@ -253,9 +264,7 @@ class Simulation:
         # transmission costs its link's cost, fixed with the links below
         # from `_tx_nj`, the cost at full range.
         initial_nj = joules_to_nj(cfg.energy_initial)
-        self._tx_nj = joules_to_nj(cfg.energy_tx)
-        self._rx_nj = joules_to_nj(cfg.energy_rx)
-        self._idle_nj = joules_to_nj(cfg.energy_idle)
+        self._tx_nj, self._rx_nj, self._idle_nj = energy_costs_nj(cfg)
         # A node whose residual falls below D = `stop_energy_fraction *
         # initial_nj` starts the drain. A residual r is an integer, so r < D
         # exactly when r < ceil(D): the drain starts once a node has spent

@@ -14,10 +14,10 @@ from __future__ import annotations
 import heapq
 import random
 
-from tdthr.core import PacketClass, Position, dist, joules_to_nj
+from tdthr.core import PacketClass, Position, dist
 from tdthr.estimators import DelayEstimator
 from tdthr.neighborhood import ForwarderPair, HelloMessage, NeighborTable
-from tdthr.simkernel import SimConfig, Simulation
+from tdthr.simkernel import SimConfig, Simulation, energy_costs_nj
 
 
 # ---- desk-scale configuration -------------------------------------------
@@ -58,6 +58,17 @@ def mini_config(**overrides) -> SimConfig:
     overrides.setdefault("sink_inset", 60.0)
     overrides.setdefault("duration", 30.0)
     return desk_config(**overrides)
+
+
+def battery_j(cfg: SimConfig, tx: int = 0, rx: int = 0, idle: int = 0) -> float:
+    """The joules of a battery that pays exactly `tx` full-range
+    transmissions, `rx` receptions and `idle` idle charges at the costs
+    `energy_costs_nj` reads from `cfg`. A test that needs a node to die or
+    drain sizes its battery here, in actions, so the battery follows the
+    energy reading. Exact: `joules_to_nj` of the result gives the sum back
+    (tested), since the sum stays far below 2**51 nJ."""
+    tx_nj, rx_nj, idle_nj = energy_costs_nj(cfg)
+    return (tx * tx_nj + rx * rx_nj + idle * idle_nj) / 1e9
 
 
 # ---- the beacon plane with one event per reception -------------------------
@@ -163,18 +174,19 @@ def favorable_one_hop(table: NeighborTable, positions: dict, dest: Position,
                                    to_dest[table.owner], to_dest)
 
 
-_TX_NJ = joules_to_nj(SimConfig().energy_tx)
+_TX_NJ = energy_costs_nj(SimConfig())[0]
 
 
 def favorable_pairs(table: NeighborTable, positions: dict, dest: Position,
                     cls: PacketClass, dq_x: float, delays, now: float,
-                    tx_range: float = 100.0) -> list:
+                    tx_range: float = 100.0, tx_nj: int = _TX_NJ) -> list:
     """The forwarder pairs over that F1. The owner's links carry the
-    transmit cost in nJ of each first hop, as the kernel's do: the default
-    nominal cost times the path-loss factor (d / tx_range)**2."""
+    transmit cost in nJ of each first hop, as the kernel's do: the
+    full-range cost `tx_nj`, by default the default config's, times the
+    path-loss factor (d / tx_range)**2."""
     to_dest = distances_to(positions, dest)
     own = positions[table.owner]
-    links = {y: (1.0, 0.0, round(_TX_NJ * (dist(own, pos) / tx_range) ** 2))
+    links = {y: (1.0, 0.0, round(tx_nj * (dist(own, pos) / tx_range) ** 2))
              for y, pos in positions.items()}
     return table.favorable_pairs(favorable_one_hop(table, positions, dest, now),
                                  to_dest, to_dest[table.owner], cls, dq_x,
@@ -259,12 +271,13 @@ def brute_select(pairs, v_req: float, cls: PacketClass):
 
 
 def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0, prr_xy=0.9, prr_yz=0.9,
-               energy=2.0):
+               energy=2.0, tx_nj=_TX_NJ):
     """The forwarder pairs node 1 at x=0 sees toward a destination at x=200
     through the engine's own `favorable_pairs`: one pair, relay 2 at x=30 and
     second hop 3 at x=60, so progress is 60 m. The delays are the four terms
     of the offered-velocity denominator; relay 2 reports `energy`, the
-    reliability `prr_xy` of link 1->2 and `prr_yz` of link 2->3."""
+    reliability `prr_xy` of link 1->2 and `prr_yz` of link 2->3, and link
+    1->2 costs `tx_nj` at full range."""
     cls = PacketClass.CRITICAL
     positions = {1: Position(0.0, 0.0), 2: Position(30.0, 0.0),
                  3: Position(60.0, 0.0)}
@@ -273,7 +286,7 @@ def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0, prr_xy=0.9, prr_yz=0.9,
         sender=2, energy=energy, dq={cls: dq_y}, reverse_prr={1: prr_xy},
         one_hop={3: (dt_yz, prr_yz)}), 0.0)
     return favorable_pairs(table, positions, Position(200.0, 0.0), cls, dq_x,
-                           DelayEstimator(dt_prior=dt_xy), 0.0)
+                           DelayEstimator(dt_prior=dt_xy), 0.0, tx_nj=tx_nj)
 
 
 def delay_estimator_with(dt: float, gamma: float = 0.5) -> DelayEstimator:

@@ -18,7 +18,7 @@ from tdthr.config import SimConfig
 from tdthr.forwarding import PROTOCOLS
 from tdthr.simkernel import Simulation
 
-from helpers import mini_config
+from helpers import battery_j, mini_config
 
 FIELDS = fields(SimConfig)
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,12 +158,14 @@ def test_every_config_field_reaches_the_engine():
     # small batteries and all four classes reach deaths, partitions, the
     # drain and every protocol's rules
     read = set()
+    battery = battery_j(mini_config(), tx=3, rx=2)
     for protocol in sorted(PROTOCOLS):
         for seed in (1, 2, 3):
             cfg = _RecordingConfig(**asdict(mini_config(
                 protocol=protocol, rng_seed=seed, critical_rate=0.25,
                 delay_responsive_rate=0.25, reliability_responsive_rate=0.25,
-                energy_initial=0.3, stop_energy_fraction=0.0, duration=60.0)))
+                energy_initial=battery, stop_energy_fraction=0.0,
+                duration=60.0)))
             Simulation(cfg).run()
             read |= cfg.read
     assert _FIELD_NAMES - read == {

@@ -41,14 +41,14 @@ def test_offered_pair_fields_hand_computed():
     # every field read by name, each value distinct, so that a pair built
     # with two positional arguments swapped fails here
     [pair] = line_pairs(0.01, 0.02, 0.005, 0.015, prr_xy=0.8, prr_yz=0.6,
-                        energy=2.5)
+                        energy=2.5, tx_nj=52_200_000)
     assert (pair.y, pair.z) == (2, 3)
     assert pair.progress == 60.0
     assert abs(pair.denominator - 0.05) <= EPS
     assert abs(pair.velocity - 1200.0) <= 1e-9
     assert (pair.prr_xy, pair.prr_yz) == (0.8, 0.6)
     assert pair.energy_y == 2.5
-    # default nominal cost 0.0522 J times the path-loss factor (30/100)**2,
+    # a full-range cost of 52.2 mJ times the path-loss factor (30/100)**2,
     # in nJ
     assert pair.tx_cost_y == round(52_200_000 * (30 / 100) ** 2) == 4_698_000
 

@@ -168,6 +168,15 @@ def test_delay_statistics():
         ledger.record_delivery(lid, lid, arrival=delay, deadline=1.0)
     assert abs(ledger.mean_delay(C) - 0.25) < 1e-12
     assert ledger.delay_p95(C) == 0.4
+    # the nearest rank ceil(0.95 n), where 0.95 n is whole: the 19th of 20
+    # delays and the 38th of 40, not the 20th and the 39th
+    for n, p95 in ((20, 0.19), (40, 0.38)):
+        ledger = MetricsLedger()
+        for lid in reversed(range(n)):
+            _gen(ledger, lid=lid, copies=(lid,))
+            ledger.record_delivery(lid, lid, arrival=(lid + 1) / 100,
+                                   deadline=1.0)
+        assert ledger.delay_p95(C) == p95
 
 
 def test_energy_and_ecpp():

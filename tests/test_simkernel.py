@@ -22,9 +22,9 @@ from tdthr.neighborhood import NeighborTable
 from tdthr.queueing import QueueBank
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _link_table, _neighbours,
-                             generate_topology, run)
+                             energy_costs_nj, generate_topology, run)
 
-from helpers import mini_config
+from helpers import battery_j, mini_config
 
 CONFIG_DIR = "configs"
 
@@ -120,11 +120,13 @@ def delivery_probability(d, cfg):
     return min(1.0, max(cfg.min_delivery_prob, p))
 
 
-def _one_link(d, cfg):
+def _one_link(d, cfg, tx_nj=None):
     """The link `_link_table` builds for a hand-made two-node graph whose one
-    edge is d long, at the simulation's transmit cost for `cfg`."""
-    links = _link_table({0: [(1, d)], 1: [(0, d)]}, cfg,
-                        joules_to_nj(cfg.energy_tx))
+    edge is d long, at a full-range transmit cost of `tx_nj`, by default the
+    simulation's for `cfg`."""
+    if tx_nj is None:
+        tx_nj = energy_costs_nj(cfg)[0]
+    links = _link_table({0: [(1, d)], 1: [(0, d)]}, cfg, tx_nj)
     assert links[0][1] is links[1][0]
     return links[0][1]
 
@@ -145,13 +147,14 @@ def test_delivery_probability_shape():
 
 def test_tx_power_cost_full_range():
     cfg = mini_config(tx_range=100.0, path_loss_alpha=2.0)
-    assert _one_link(100.0, cfg)[2] == joules_to_nj(cfg.energy_tx)
+    assert _one_link(100.0, cfg)[2] == energy_costs_nj(cfg)[0]
 
 
 def test_tx_power_cost_half_range_quarter_cost():
-    cfg = mini_config(tx_range=100.0, path_loss_alpha=2.0, energy_tx=0.0522)
-    assert _one_link(100.0, cfg)[2] == 52_200_000
-    assert _one_link(50.0, cfg)[2] == 52_200_000 // 4
+    # the law alone, at a given full-range cost whatever the energy reading
+    cfg = mini_config(tx_range=100.0, path_loss_alpha=2.0)
+    assert _one_link(100.0, cfg, 52_200_000)[2] == 52_200_000
+    assert _one_link(50.0, cfg, 52_200_000)[2] == 52_200_000 // 4
 
 
 def test_tx_power_cost_rejects_degenerate_distances():
@@ -464,7 +467,7 @@ def test_link_table_is_exact_over_the_channel_parameters(
     cfg.loss_exponent, cfg.min_delivery_prob = exponent, floor
     cfg.path_loss_alpha = alpha
     sim = Simulation(cfg)
-    tx_nj = joules_to_nj(energy_tx)
+    tx_nj = energy_costs_nj(cfg)[0]
     graph = _all_pairs(sim.positions, tx_range)
     assert {x: list(peers) for x, peers in sim.links.items()} == {
         x: [y for y, _ in peers] for x, peers in graph.items()}
@@ -581,14 +584,25 @@ def test_run_invariants_per_protocol(protocol):
             assert delay > 0
 
 
-def test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops():
+def test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops(
+        monkeypatch):
     # No orphan: a copy the ledger still holds open is in some node's queue,
     # or in the `_TxState` of an exchange that has not delivered it, pending
     # on the heap (which keeps every event not run). A delivered exchange
     # handed the copy to its receiver. No node dies and nothing drains, so
     # the runs stop with traffic in flight. Accounting closes and energy
-    # agrees three ways.
+    # agrees three ways. A copy's lag time never rises along its path: at
+    # each hop's `_start_tx` it is at most what it was at the hop before.
     open_copies = []
+    relayed = []
+    lags = {}   # packet id -> its lag time after each `_start_tx`, in order
+    start_tx = Simulation._start_tx
+
+    def started(self, node, packet, queue_wait):
+        start_tx(self, node, packet, queue_wait)
+        lags.setdefault(packet.packet_id, []).append(packet.lag_time)
+
+    monkeypatch.setattr(Simulation, "_start_tx", started)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(protocol=st.sampled_from(sorted(PROTOCOLS)),
@@ -606,11 +620,15 @@ def test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops():
             max_retries=retries, traffic_start=11.0,
             duration=11.0 + traffic_s, energy_initial=1000.0,
             stop_energy_fraction=0.0)
+        lags.clear()
         sim = Simulation(cfg)
         ledger = sim.run()
         assert ledger.accounting_closed()
         assert (ledger.total_energy_nj == sim.initial_minus_residual_nj()
                 == sim.energy_spent_by_nodes_nj())
+        for pid, seen in lags.items():
+            assert all(a >= b for a, b in zip(seen, seen[1:])), (pid, seen)
+        relayed.append(sum(len(seen) > 1 for seen in lags.values()))
         held = {entry.packet.packet_id for node in sim.nodes.values()
                 for q in node.queues.queues for entry in q}
         held.update(item.packet.packet_id for *_, payload in sim._heap
@@ -622,6 +640,7 @@ def test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops():
 
     run_stops()
     assert sum(n > 0 for n in open_copies) >= len(open_copies) // 4
+    assert sum(n > 0 for n in relayed) >= len(relayed) // 2
 
 
 @pytest.mark.parametrize("protocol", ["tdthr", "one_hop_velocity", "greedy_geo"])
@@ -641,6 +660,9 @@ def test_a_run_leaves_no_reference_cycle_and_the_collector_as_it_was(protocol):
                       reliability_responsive_rate=0.25, traffic_start=11.0,
                       duration=60.0, stop_energy_fraction=0.02,
                       drain_window=2.0)
+    # the idle charges cover the beacon warm-up, so the transmissions decide
+    # when the first node runs low and dies
+    cfg.energy_initial = battery_j(cfg, tx=38, idle=60)
     assert gc.isenabled()
     sim = Simulation(cfg)
     assert gc.isenabled()
@@ -967,6 +989,37 @@ def test_set_up_converts_each_energy_to_nanojoules():
         52_200_000, 59_100_000, 3_000)
 
 
+def test_set_up_takes_every_cost_from_the_energy_reading(monkeypatch):
+    # `energy_costs_nj` is the one statement of how energies become costs:
+    # given three other costs, set-up fixes those, and every link costs the
+    # transmission's times its path-loss factor, which is 1 at full range
+    costs = (7_000_003, 500_009, 11)
+    monkeypatch.setattr(simkernel, "energy_costs_nj", lambda cfg: costs)
+    cfg = mini_config()
+    sim = Simulation(cfg)
+    assert (sim._tx_nj, sim._rx_nj, sim._idle_nj) == costs
+    for x, peers in sim.links.items():
+        for y, link in peers.items():
+            r = dist(sim.positions[x], sim.positions[y]) / cfg.tx_range
+            assert link[2] == round(costs[0] * r ** cfg.path_loss_alpha)
+
+
+@pytest.mark.parametrize("energies", [(0.0522, 0.0591, 0.000003),
+                                      (0.3, 1.7, 1e-6), (1e-9, 2.5e-4, 0.02)])
+def test_a_battery_sized_in_costs_pays_exactly_those_costs(energies):
+    # tests size a battery as a number of actions (`helpers.battery_j`); in
+    # nanojoules it is exactly the sum of their costs
+    cfg = mini_config()
+    cfg.energy_tx, cfg.energy_rx, cfg.energy_idle = energies
+    tx, rx, idle = energy_costs_nj(cfg)
+    counts = [0, 1, 2, 3, 38, 60] + list(range(499, 10**4, 1000)) + [10**4]
+    for k in counts:
+        for m in counts:
+            for i in counts:
+                assert joules_to_nj(battery_j(cfg, tx=k, rx=m, idle=i)) == (
+                    k * tx + m * rx + i * idle)
+
+
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_every_charge_is_a_cost_fixed_at_set_up(monkeypatch, protocol):
     # a data transmission costs its link's transmit cost; a reception costs
@@ -1072,6 +1125,7 @@ def test_the_per_event_path_reads_no_property(monkeypatch):
         return getter(self)
     monkeypatch.setattr(EnergyBudget, "residual_nj", property(counted))
     cfg = _congested_config("tdthr")
+    cfg.energy_initial = battery_j(cfg, tx=38)
     assert cfg.stop_energy_fraction > 0
     buf = io.StringIO()
     sim = Simulation(cfg, trace=buf)
@@ -1209,10 +1263,11 @@ def test_a_sender_that_cannot_pay_for_an_ack_dies(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_a_node_that_dies_transmitting_pays_what_it_had(seed):
-    # small batteries and no energy stop: relays and the source die, some
-    # while transmitting, and each pays its last nanojoules before it dies
-    cfg = mini_config(energy_initial=0.3, stop_energy_fraction=0.0,
-                      duration=60.0, rng_seed=seed)
+    # batteries of a few data frames and no energy stop: relays and the
+    # source die, some while transmitting, and each pays its last
+    # nanojoules before it dies
+    cfg = mini_config(stop_energy_fraction=0.0, duration=60.0, rng_seed=seed)
+    cfg.energy_initial = battery_j(cfg, tx=3, rx=2)
     sim = Simulation(cfg)
     ledger = sim.run()
     dead = [node for node in sim.nodes.values()
@@ -1225,8 +1280,9 @@ def test_a_node_that_dies_transmitting_pays_what_it_had(seed):
 
 def test_first_death_ends_the_run_after_drain():
     # tiny batteries kill the first relay almost as soon as traffic starts
-    cfg = mini_config(energy_initial=0.12, stop_energy_fraction=0.0,
-                      stop_at_first_death=True, rng_seed=8)
+    cfg = mini_config(stop_energy_fraction=0.0, stop_at_first_death=True,
+                      rng_seed=8)
+    cfg.energy_initial = battery_j(cfg, tx=1, rx=1)
     sim = Simulation(cfg)
     ledger = sim.run()
     assert ledger.first_death_time is not None
@@ -1234,8 +1290,11 @@ def test_first_death_ends_the_run_after_drain():
 
 
 def test_energy_floor_stops_generation_early():
-    stopped = run(mini_config(stop_energy_fraction=0.9, rng_seed=9))
-    full = run(mini_config(stop_energy_fraction=0.0, rng_seed=9))
+    battery = battery_j(mini_config(), tx=38)
+    stopped = run(mini_config(stop_energy_fraction=0.9, rng_seed=9,
+                              energy_initial=battery))
+    full = run(mini_config(stop_energy_fraction=0.0, rng_seed=9,
+                           energy_initial=battery))
     assert stopped.generated_total < full.generated_total
 
 
