@@ -1,4 +1,5 @@
-"""Command-line front end: single runs, parameter sweeps, config validation.
+"""Command-line front end: single runs, parameter sweeps, config validation,
+and `run_grid`, the one runner of a batch of simulations.
 
 Exit codes: 0 success, 1 validation failure (a bad config, spec or command
 line), 2 runtime failure.
@@ -63,22 +64,33 @@ def _output_path(path, directory=False) -> Path:
     return path
 
 
-def execute_run(cfg: SimConfig, trace_path=None) -> str:
-    """One simulation; returns the metrics CSV row."""
-    with open(trace_path, "w") if trace_path else nullcontext() as trace:
-        ledger = Simulation(cfg, trace=trace).run()
+def _valid_config(path, seed=None) -> SimConfig:
+    """The config at `path` with `seed` put in, if given, then validated:
+    one ValueError names the file once per problem."""
+    cfg = load_config(path)
+    if seed is not None:
+        cfg.rng_seed = seed
+    errors = cfg.validate()
+    if errors:
+        raise ValueError("\n".join(f"{path}: {e}" for e in errors))
+    return cfg
+
+
+def _csv_row(cfg: SimConfig, ledger) -> str:
     return metrics_mod.csv_row(ledger, config_hash(cfg), cfg.rng_seed,
                                cfg.protocol, cfg.critical_rate, cfg.duration)
 
 
+def execute_run(cfg: SimConfig, trace_path=None) -> str:
+    """One simulation; returns the metrics CSV row."""
+    with open(trace_path, "w") if trace_path else nullcontext() as trace:
+        ledger = Simulation(cfg, trace=trace).run()
+    return _csv_row(cfg, ledger)
+
+
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.rng_seed = args.seed
-        errors = cfg.validate()
-        if errors:
-            raise ValueError("\n".join(f"{args.config}: {e}" for e in errors))
+        cfg = _valid_config(args.config, seed=args.seed)
         out = _output_path(args.out)
         if args.trace:
             _output_path(args.trace)
@@ -96,10 +108,7 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        cfg = load_config(args.config)
-        errors = cfg.validate()
-        if errors:
-            raise ValueError("\n".join(f"{args.config}: {e}" for e in errors))
+        cfg = _valid_config(args.config)
     except LOAD_ERRORS as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
@@ -167,28 +176,42 @@ def _sweep_configs(spec: dict) -> list:
             for proto in spec["protocols"] or [base.protocol]]
 
 
+def run_grid(configs: list, jobs: int = 1) -> list:
+    """Runs one simulation per config, on up to `jobs` worker processes.
+    Returns, in input order, each run's `MetricsLedger`, or for a run that
+    raised, its error as "ExceptionType: message"."""
+    # a forked pool starts all its workers at once: one per run at most
+    jobs = min(jobs, len(configs))
+    if jobs <= 1:
+        return [_grid_run(cfg) for cfg in configs]
+    # imported here: the pool pulls in `multiprocessing`, which a process
+    # that runs no pool need not hold in memory
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_grid_run, configs))
+
+
+def _grid_run(cfg: SimConfig):
+    # module level, so that a pool can pickle it under every start method
+    try:
+        return Simulation(cfg).run()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def run_sweep(spec: dict, out_dir, jobs: int = 1):
     """Runs all (value, seed, protocol) combinations. Returns (rows,
     failures); failures are (job-description, error) pairs."""
     parameter = spec["parameter"]
     configs = _sweep_configs(spec)
-    # a forked pool starts all its workers at once: one per run at most
-    jobs = min(jobs, len(configs))
-    if jobs > 1:
-        # imported here: the pool pulls in `multiprocessing`, which a
-        # process that runs no pool need not hold in memory
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_guarded_run, configs)
-    else:
-        results = map(_guarded_run, configs)
     rows, failures, plotted = [], [], []
-    for cfg, (row, err) in zip(configs, results):
+    for cfg, result in zip(configs, run_grid(configs, jobs)):
         value = getattr(cfg, parameter)
-        if err is not None:
+        if isinstance(result, str):
             failures.append((f"{parameter}={value} seed={cfg.rng_seed} "
-                             f"protocol={cfg.protocol}", err))
+                             f"protocol={cfg.protocol}", result))
         else:
+            row = _csv_row(cfg, result)
             rows.append(row)
             plotted.append((value, row))
     out = _output_path(out_dir, directory=True)
@@ -199,13 +222,6 @@ def run_sweep(spec: dict, out_dir, jobs: int = 1):
             "".join(f"{desc}: {err}\n" for desc, err in failures))
     _write_plot_data(plotted, parameter, out)
     return rows, failures
-
-
-def _guarded_run(cfg: SimConfig):
-    try:
-        return execute_run(cfg), None
-    except Exception as exc:
-        return None, f"{type(exc).__name__}: {exc}"
 
 
 PLOT_METRICS = ("prr_regular", "prr_critical", "prr_delay_responsive",

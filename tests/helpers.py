@@ -11,9 +11,12 @@ the heap, and differs from the kernel in nothing else.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import random
+from pathlib import Path
 
+from tdthr.cli import load_config
 from tdthr.core import PacketClass, Position, dist
 from tdthr.estimators import DelayEstimator
 from tdthr.neighborhood import ForwarderPair, HelloMessage, NeighborTable
@@ -22,26 +25,16 @@ from tdthr.simkernel import SimConfig, Simulation, energy_costs_nj
 
 # ---- desk-scale configuration -------------------------------------------
 
+# the shipped desk scenario, read once; every desk_config() is a fresh copy
+_DESK = load_config(Path(__file__).resolve().parents[1] / "configs" / "desk.yaml")
+
+
 def desk_config(**overrides) -> SimConfig:
-    """100 nodes on 600x600 m, range 100 m, 120 s: the small field used by
-    the trend tests. Sinks sit 80 m in from the corners so they stay
-    surrounded by relays; traffic starts after three beacon rounds."""
-    cfg = SimConfig(
-        node_count=100,
-        field_width=600.0,
-        field_height=600.0,
-        node_density=0.000278,
-        sink_inset=80.0,
-        tx_range=100.0,
-        rate_bytes_per_s=1000.0,
-        payload_bytes=150,
-        traffic_start=15.0,
-        deadline=0.3,
-        max_retries=4,
-        min_delivery_prob=0.6,
-        duration=120.0,
-        stop_energy_fraction=0.05,
-    )
+    """`configs/desk.yaml` with no critical traffic: 100 nodes on 600x600 m,
+    range 100 m, 120 s, the small field used by the trend tests. Sinks sit
+    80 m in from the corners so they stay surrounded by relays; traffic
+    starts after three beacon rounds."""
+    cfg = dataclasses.replace(_DESK, critical_rate=0.0)
     for name, value in overrides.items():
         if not hasattr(cfg, name):
             raise AttributeError(f"unknown config field {name}")
@@ -287,10 +280,6 @@ def line_pairs(dq_x, dt_xy, dq_y=0.0, dt_yz=0.0, prr_xy=0.9, prr_yz=0.9,
         one_hop={3: (dt_yz, prr_yz)}), 0.0)
     return favorable_pairs(table, positions, Position(200.0, 0.0), cls, dq_x,
                            DelayEstimator(dt_prior=dt_xy), 0.0, tx_nj=tx_nj)
-
-
-def delay_estimator_with(dt: float, gamma: float = 0.5) -> DelayEstimator:
-    return DelayEstimator(gamma=gamma, dt_prior=dt)
 
 
 # ---- logical-packet ledger oracle ----------------------------------------

@@ -8,11 +8,13 @@ with the measured numbers.
 """
 
 import io
+import os
 import random
 
 import pytest
 import yaml
 
+from tdthr.cli import run_grid
 from tdthr.core import PacketClass, Position, dist
 from tdthr.estimators import DelayEstimator, PrrEstimator
 from tdthr.forwarding import NoQualifyingPair, select_next_hop, update_lag_time
@@ -214,25 +216,33 @@ def test_07_energy_conservation():
 # -- 8 ---------------------------------------------------------------------
 
 def _mean(values):
-    return sum(values) / len(values)
+    """The mean of the values that are not None, or None if none is."""
+    known = [v for v in values if v is not None]
+    return sum(known) / len(known) if known else None
+
+
+def _runs(field, keys, **fixed):
+    """{key: [(config, ledger) of each seed]} for the desk runs with `field`
+    set to each key, all run in one grid spread over the usable CPUs."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    configs = [desk_config(**{field: key}, rng_seed=seed, **fixed)
+               for key in keys for seed in SEEDS]
+    ledgers = run_grid(configs, jobs=cpus)
+    failed = [r for r in ledgers if isinstance(r, str)]
+    assert not failed, failed
+    runs = iter(zip(configs, ledgers))
+    return {key: [next(runs) for _ in SEEDS] for key in keys}
 
 
 @pytest.fixture(scope="module")
 def reliability_sweep():
     """Logical reception ratios per class, swept over the critical-traffic
     share, averaged over the ten seeds."""
-    points = {}
-    for cr in [round(0.1 * k, 1) for k in range(1, 11)]:
-        crit, reg = [], []
-        for seed in SEEDS:
-            ledger = Simulation(desk_config(critical_rate=cr,
-                                            rng_seed=seed)).run()
-            if ledger.prr(PacketClass.CRITICAL) is not None:
-                crit.append(ledger.prr(PacketClass.CRITICAL))
-            if ledger.prr(PacketClass.REGULAR) is not None:
-                reg.append(ledger.prr(PacketClass.REGULAR))
-        points[cr] = (_mean(crit), _mean(reg) if reg else None)
-    return points
+    runs = _runs("critical_rate", [round(0.1 * k, 1) for k in range(1, 11)])
+    return {cr: tuple(_mean(ledger.prr(cls) for _, ledger in per_seed)
+                      for cls in (PacketClass.CRITICAL, PacketClass.REGULAR))
+            for cr, per_seed in runs.items()}
 
 
 def test_08a_critical_beats_regular(reliability_sweep):
@@ -260,19 +270,12 @@ def test_08b_critical_prr_trend(reliability_sweep):
 def test_08c_two_hop_delay_advantage():
     """Under congestion, the two-hop protocol delivers deadline-bound
     traffic faster than the single-hop velocity baseline, mean over seeds."""
-    delays = {}
-    for protocol in ("tdthr", "one_hop_velocity"):
-        per_seed = []
-        for seed in SEEDS:
-            cfg = desk_config(protocol=protocol, rate_bytes_per_s=18000.0,
-                              delay_responsive_rate=0.2, rng_seed=seed,
-                              stop_energy_fraction=0.0,
-                              stop_at_first_death=True)
-            ledger = Simulation(cfg).run()
-            d = ledger.mean_delay(PacketClass.DELAY_RESPONSIVE)
-            if d is not None:
-                per_seed.append(d)
-        delays[protocol] = _mean(per_seed)
+    runs = _runs("protocol", ("tdthr", "one_hop_velocity"),
+                 rate_bytes_per_s=18000.0, delay_responsive_rate=0.2,
+                 stop_energy_fraction=0.0, stop_at_first_death=True)
+    delays = {protocol: _mean(ledger.mean_delay(PacketClass.DELAY_RESPONSIVE)
+                              for _, ledger in per_seed)
+              for protocol, per_seed in runs.items()}
     ok = delays["tdthr"] <= delays["one_hop_velocity"]
     _verdict("8c delay-advantage", ok,
              f"two-hop {delays['tdthr']:.3f} s vs single-hop "
@@ -282,19 +285,13 @@ def test_08c_two_hop_delay_advantage():
 def test_08d_lifetime_advantage():
     """Energy-aware relay rotation keeps the first node alive at least as
     long as pure greedy forwarding, on identical seeds."""
-    lifetimes = {}
-    for protocol in ("tdthr", "greedy_geo"):
-        per_seed = []
-        for seed in SEEDS:
-            cfg = desk_config(protocol=protocol, delay_responsive_rate=0.5,
-                              reliability_responsive_rate=0.5,
-                              duplicate_critical=False,
-                              duplicate_reliability=False, rng_seed=seed,
-                              stop_energy_fraction=0.0,
-                              stop_at_first_death=True)
-            ledger = Simulation(cfg).run()
-            per_seed.append(ledger.lifetime(cfg.duration))
-        lifetimes[protocol] = _mean(per_seed)
+    runs = _runs("protocol", ("tdthr", "greedy_geo"),
+                 delay_responsive_rate=0.5, reliability_responsive_rate=0.5,
+                 duplicate_critical=False, duplicate_reliability=False,
+                 stop_energy_fraction=0.0, stop_at_first_death=True)
+    lifetimes = {protocol: _mean([ledger.lifetime(cfg.duration)
+                                  for cfg, ledger in per_seed])
+                 for protocol, per_seed in runs.items()}
     ok = lifetimes["tdthr"] >= lifetimes["greedy_geo"]
     _verdict("8d lifetime-advantage", ok,
              f"two-hop {lifetimes['tdthr']:.2f} s vs greedy "

@@ -164,6 +164,17 @@ def test_run_writes_csv_and_respects_seed_flag(tmp_path):
     assert int(rec["generated"]) > 0
 
 
+def test_run_validates_the_seed_flag_with_the_config(tmp_path, capsys):
+    # argparse takes any int, and one beyond the largest float is no seed
+    path = _write_config(tmp_path / "cfg.yaml", _fast_cfg())
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", path, "--seed", str(10 ** 309),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{path}: run.rng_seed must be finite" in err
+    assert not out.exists()
+
+
 def test_run_is_reproducible_byte_for_byte(tmp_path):
     path = _write_config(tmp_path / "cfg.yaml", _fast_cfg(rng_seed=3))
     outputs, traces = [], []
@@ -288,6 +299,15 @@ def test_a_parallel_sweep_writes_what_a_serial_one_does(tmp_path, capsys):
     serial, parallel = outputs
     assert len(serial["sweep.csv"].splitlines()) == 1 + 2 * 2 * 2
     assert parallel == serial
+    # the grid itself: the same ledgers on one worker and two, in input order
+    configs = cli._sweep_configs(load_sweep_spec(spec))
+    rows = [[cli._csv_row(cfg, ledger)
+             for cfg, ledger in zip(configs, cli.run_grid(configs, jobs))]
+            for jobs in (1, 2)]
+    assert rows[1] == rows[0]
+    assert [row.split(",")[1:4] for row in rows[0]] == [
+        [str(cfg.rng_seed), cfg.protocol, str(cfg.critical_rate)]
+        for cfg in configs]
 
 
 @pytest.mark.parametrize("runs, jobs, workers", [
@@ -374,20 +394,27 @@ def test_sweep_spec_validation(tmp_path):
 
 
 def test_sweep_reports_runtime_failures(tmp_path, capsys):
-    base = _write_config(tmp_path / "base.yaml", _fast_cfg())
+    _write_config(tmp_path / "base.yaml", _fast_cfg())
     spec = tmp_path / "spec.yaml"
     # a 5 m range is valid, but no placement of the field connects the
-    # source to the sinks, so the run fails
+    # source to the sinks, so that run fails; the 100 m run still completes
     spec.write_text(yaml.safe_dump({"base_config": "base.yaml",
                                     "parameter": "tx_range",
-                                    "values": [5.0]}))
-    out_dir = tmp_path / "out"
-    assert main(["sweep", "--spec", str(spec),
-                 "--out", str(out_dir)]) == EXIT_RUNTIME
-    capsys.readouterr()
-    failures = (out_dir / "failures.txt").read_text()
-    assert "tx_range=5.0" in failures
-    assert "could not generate a topology" in failures
+                                    "values": [5.0, 100.0],
+                                    "protocols": ["greedy_geo"]}))
+    configs = cli._sweep_configs(load_sweep_spec(spec))
+    for jobs in (1, 2):
+        out_dir = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out_dir),
+                     "--jobs", str(jobs)]) == EXIT_RUNTIME
+        capsys.readouterr()
+        failures = (out_dir / "failures.txt").read_text()
+        assert "tx_range=5.0" in failures
+        assert "could not generate a topology" in failures
+        assert len((out_dir / "sweep.csv").read_text().splitlines()) == 1 + 1
+        failed, done = cli.run_grid(configs, jobs)
+        assert failed.startswith("ValueError: could not generate a topology")
+        assert isinstance(done, metrics.MetricsLedger)
 
 
 @pytest.mark.parametrize("point, field", [
