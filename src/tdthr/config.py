@@ -20,6 +20,10 @@ PRIMARY_SINK: NodeId = 0
 SECONDARY_SINK: NodeId = 1
 SOURCE: NodeId = 2
 
+# A neighbour unheard for this many HELLO periods expires
+# (`SimConfig.neighbor_expiry`); above 1, so one late beacon is forgiven.
+NEIGHBOR_EXPIRY_PERIODS = 2.5
+
 # Range rules, (predicate, message). A predicate only sees values that
 # passed the field's type check, so numbers are finite.
 _POSITIVE = (lambda v: v > 0, "must be positive")
@@ -77,19 +81,12 @@ class SimConfig:
 
     protocol: str = _f("protocol", "tdthr")  # a PROTOCOLS name, see validate
     hello_period: float = _f("protocol", 5.0, _POSITIVE)
-    neighbor_expiry_factor: float = _f("protocol", 2.5, (lambda v: v > 1, "must be > 1"))
     duplicate_critical: bool = _f("protocol", True)
     duplicate_reliability: bool = _f("protocol", True)
-    promotion_floor: float = _f("protocol", 0.010, _POSITIVE)
-    promotion_fraction: float = _f("protocol", 0.5, _UNIT_OPEN_LOW)
     queue_capacity: int = _f("protocol", 64, _at_least(1))
 
     bandwidth_bps: float = _f("mac", 250000.0, _POSITIVE)
-    backoff_window: float = _f("mac", 0.008, _NON_NEGATIVE)
     max_retries: int = _f("mac", 3, _NON_NEGATIVE)
-    ack_bytes: int = _f("mac", 12, _POSITIVE)
-    # the ACK timeout must outlast the ACK's round trip; at 0 the two tie
-    ack_timeout_guard: float = _f("mac", 0.001, _POSITIVE)
     loss_exponent: float = _f("mac", 4.0, _POSITIVE)
     min_delivery_prob: float = _f("mac", 0.1, _UNIT_OPEN_LOW)
 
@@ -169,7 +166,7 @@ class SimConfig:
 
     @property
     def neighbor_expiry(self) -> float:
-        return self.neighbor_expiry_factor * self.hello_period
+        return NEIGHBOR_EXPIRY_PERIODS * self.hello_period
 
     @property
     def cbr_interval(self) -> float:

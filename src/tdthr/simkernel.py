@@ -242,6 +242,19 @@ class _TxState:
         self.timeout = 0.0   # when the current attempt's ACK timer fires
 
 
+# An ACK frame's size, which gives its airtime `_ack_ser`.
+ACK_BYTES = 12
+# `_begin_attempt`: a data frame waits a backoff drawn from [0, window), and
+# its ACK timer fires the guard after the ACK's round trip. The ACK timeout
+# must outlast the ACK's round trip; at a guard of 0 the two would tie.
+BACKOFF_WINDOW_S = 0.008
+ACK_TIMEOUT_GUARD_S = 0.001
+# `_accept_packet`: an armed promotion timer fires after the larger of the
+# floor and this fraction of the packet's lag time.
+PROMOTION_FLOOR_S = 0.010
+PROMOTION_FRACTION = 0.5
+
+
 class Simulation:
     """One protocol run. `run()` drives events until the configured duration
     elapses or a drain ends. A drain stops traffic generation and ends the
@@ -273,7 +286,7 @@ class Simulation:
             cfg.stop_energy_fraction * initial_nj)
         # Airtimes in seconds; a HELLO's depends on its size (`_ev_hello`).
         self._payload_ser = cfg.payload_bytes * 8 / cfg.bandwidth_bps
-        self._ack_ser = cfg.ack_bytes * 8 / cfg.bandwidth_bps
+        self._ack_ser = ACK_BYTES * 8 / cfg.bandwidth_bps
         # every node is built from these run-wide constants, read once
         node_args = (cfg.neighbor_expiry, cfg.delay_gamma, cfg.queue_capacity,
                      not self._protocol.priority_queues, initial_nj,
@@ -562,9 +575,8 @@ class Simulation:
     def _accept_packet(self, node: _Node, packet: Packet):
         """Enqueue at `node` and kick the transmitter. The bank decides
         whether the new entry's promotion timer is armed."""
-        cfg = self.cfg
         entry = node.queues.enqueue(packet, self.now, self.now + max(
-            cfg.promotion_floor, cfg.promotion_fraction * packet.lag_time))
+            PROMOTION_FLOOR_S, PROMOTION_FRACTION * packet.lag_time))
         if entry is None:
             self._drop(packet, "queue_full", node.id)
             return
@@ -669,7 +681,6 @@ class Simulation:
     # ---- MAC: attempts, ACKs, retries ------------------------------------
 
     def _begin_attempt(self, node: _Node, state: _TxState):
-        cfg = self.cfg
         packet = state.packet
         peer = state.next_hop
         p, prop, cost = self.links[node.id][peer]
@@ -683,14 +694,14 @@ class Simulation:
         # CPython's `uniform(0.0, w)` is `0.0 + (w - 0.0) * random()`: the
         # same one draw and the same float, without the call (checked by
         # test_backoff_draw_equals_uniform_bit_for_bit)
-        backoff = cfg.backoff_window * self.rng.random()
+        backoff = BACKOFF_WINDOW_S * self.rng.random()
         arrival = self.now + backoff + self._payload_ser + prop
         delivered = self.rng.random() < p
         self._log(node.id, "tx_attempt", packet.packet_id, "to={} n={} seq={}",
                   peer, state.attempts, seq)
         # An ACK timer is armed only where the exchange fails: here if the
         # data is lost, else in `_ev_data_rx`. An ACK beats its timer.
-        state.timeout = arrival + self._ack_ser + prop + cfg.ack_timeout_guard
+        state.timeout = arrival + self._ack_ser + prop + ACK_TIMEOUT_GUARD_S
         if delivered:
             self._schedule(arrival, self._ev_data_rx, peer, node.id, state, seq)
         else:

@@ -42,6 +42,15 @@ def desk_config(**overrides) -> SimConfig:
     return cfg
 
 
+# `section.key` pairs that were config fields and are now constants of the
+# rule that reads them; a config that still sets one is refused as unknown
+RETIRED_FIELDS = [("protocol", "neighbor_expiry_factor"),
+                  ("protocol", "promotion_floor"),
+                  ("protocol", "promotion_fraction"),
+                  ("mac", "backoff_window"), ("mac", "ack_bytes"),
+                  ("mac", "ack_timeout_guard")]
+
+
 def mini_config(**overrides) -> SimConfig:
     """A fast variant for plumbing tests (a run takes well under a second)."""
     overrides.setdefault("node_count", 60)

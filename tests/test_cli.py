@@ -14,7 +14,7 @@ from tdthr.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, config_hash,
                        load_config, load_sweep_spec, main)
 from tdthr.simkernel import SimConfig
 
-from helpers import mini_config
+from helpers import RETIRED_FIELDS, mini_config
 
 
 def _write_config(path, cfg: SimConfig):
@@ -73,8 +73,6 @@ def test_validate_rejects_mistyped_values(tmp_path, capsys, section, key, value)
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("mac", "ack_timeout_guard", -1.0),   # the ACK timeout fired in the past
-    ("mac", "ack_timeout_guard", 0.0),    # and at 0 tied with the ACK
     ("energy", "initial", -1.0),
     ("network", "field_width", 0.0),      # the density check divided by it
     ("network", "field_height", 0.0),
@@ -122,9 +120,12 @@ def test_validate_rejects_missing_and_malformed_files(tmp_path, capsys):
                                   "warp: {factor: 9}\n",
                                   "network: [1, 2]\n",
                                   # too long for PyYAML to convert
-                                  "network: {node_count: 1%s}\n" % ("0" * 5000)],
+                                  "network: {node_count: 1%s}\n" % ("0" * 5000)]
+                         + [f"{section}: {{{key}: 1}}\n"
+                            for section, key in RETIRED_FIELDS],
                          ids=["list_root", "unknown_section", "list_section",
-                              "int_of_5001_digits"])
+                              "int_of_5001_digits"]
+                         + [f"retired_{key}" for _, key in RETIRED_FIELDS])
 def test_load_errors_name_the_file_once(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)

@@ -1,11 +1,14 @@
 """Configuration declarations: every field round-trips under its YAML key
 and reports errors as `section.key`, `validate` never raises, a run reads
-every field but two, and the README names only real fields."""
+every field but two, every field has a scenario, and the README names only
+real fields."""
 
 import hashlib
+import importlib.util
 import math
 import re
-from dataclasses import asdict, fields
+import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -13,12 +16,13 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdthr.cli import config_hash, load_config
+from tdthr.cli import config_hash, load_config, load_sweep_spec
 from tdthr.config import SimConfig
 from tdthr.forwarding import PROTOCOLS
 from tdthr.simkernel import Simulation
 
 from helpers import battery_j, mini_config
+from test_acceptance import GOLDEN_DEFAULTS
 
 FIELDS = fields(SimConfig)
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,8 +74,8 @@ def test_each_field_round_trips_under_its_yaml_key(f):
 def test_shipped_configs_keep_their_hash_and_echo():
     # to_dict() content and key order: config_hash fingerprints every CSV
     # row, and `tdthr validate` echoes the dict in order
-    pinned = {"default": ("794eaca0aeac", "0154f6c3f81369a9"),
-              "desk": ("3172922fcfe8", "d16fb9ca94f66b12")}
+    pinned = {"default": ("5c957b292877", "928f08bb856b7604"),
+              "desk": ("d9182c8141a8", "a04c70736da93d8e")}
     for name, (cfg_hash, echo_sha) in pinned.items():
         cfg = load_config(f"configs/{name}.yaml")
         echo = yaml.safe_dump(cfg.to_dict(), sort_keys=False)
@@ -174,6 +178,68 @@ def test_every_config_field_reaches_the_engine():
         "node_density",
         "energy_sleep",  # never charged: ROADMAP item 1a decides its meaning
     }
+
+
+# Fields that neither acceptance 9 documents nor the shipped scenarios vary,
+# each with the test that sets it to another value
+SET_BY_TEST = {
+    "duplicate_critical": "test_08d_lifetime_advantage",
+    "duplicate_reliability": "test_08d_lifetime_advantage",
+    "stop_at_first_death": "test_08d_lifetime_advantage",
+    "queue_capacity":
+        "test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops",
+    "loss_exponent": "test_link_table_is_exact_over_the_channel_parameters",
+    "path_loss_alpha": "test_link_table_is_exact_over_the_channel_parameters",
+    "audit_period": "test_one_heap_entry_per_beacon_keeps_the_event_order",
+    "drain_window": "test_one_heap_entry_per_beacon_keeps_the_event_order",
+}
+
+
+def _scenario_configs(monkeypatch) -> list:
+    """Both shipped configs, every config of the shipped sweep and every
+    job of the benchmark's three workloads."""
+    configs = ROOT / "configs"
+    out = [load_config(configs / name) for name in ("default.yaml", "desk.yaml")]
+    spec = load_sweep_spec(configs / "sweep_critical_rate.yaml")
+    out += [replace(spec["_base"], protocol=protocol,
+                    **{spec["parameter"]: value})
+            for value in spec["values"] for protocol in spec["protocols"]]
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(loader)
+    # its dataclass looks its module up in sys.modules while executing
+    monkeypatch.setitem(sys.modules, loader.name, workloads)
+    loader.loader.exec_module(workloads)
+    out += [job.cfg for name in workloads.WORKLOADS
+            for job in workloads.build(name, configs, 1)]
+    return out
+
+
+def _test_source(name: str) -> str:
+    """The source of the test function `name` in `tests/`."""
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        found = re.search(rf"^def {name}\(.*?(?=^\S|\Z)", path.read_text(),
+                          re.M | re.S)
+        if found:
+            return found.group()
+    raise AssertionError(f"no test named {name}")
+
+
+def test_every_config_field_has_a_scenario(monkeypatch):
+    # Add no knob without a scenario that needs it: each field is a
+    # documented constant of the paper (acceptance 9), takes two values
+    # among the shipped scenarios and the benchmark's jobs, or is set by a
+    # named test.
+    documented = {(section, key) for section, keys in GOLDEN_DEFAULTS.items()
+                  for key in keys}
+    configs = _scenario_configs(monkeypatch)
+    unvaried = {f.name for f in FIELDS
+                if (f.metadata["section"], YAML_SPELLING.get(f.name, f.name))
+                not in documented
+                and len({getattr(cfg, f.name) for cfg in configs}) < 2}
+    assert sorted(unvaried) == sorted(SET_BY_TEST)
+    for name, test in SET_BY_TEST.items():
+        assert re.search(rf"\b{name}\b", _test_source(test)), (name, test)
 
 
 def test_readme_names_only_config_fields():

@@ -24,7 +24,7 @@ from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _link_table, _neighbours,
                              energy_costs_nj, generate_topology, run)
 
-from helpers import battery_j, mini_config
+from helpers import RETIRED_FIELDS, battery_j, mini_config
 
 CONFIG_DIR = "configs"
 
@@ -52,6 +52,10 @@ def test_unknown_sections_and_fields_rejected():
         SimConfig.from_dict({"network": {"warp_factor": 9}})
     with pytest.raises(ValueError):
         SimConfig.from_dict({"network": "not a mapping"})
+    for section, key in RETIRED_FIELDS:
+        with pytest.raises(ValueError,
+                           match=f"^unknown config field {section}.{key}$"):
+            SimConfig.from_dict({section: {key: 1}})
 
 
 def test_validation_messages():
@@ -713,22 +717,22 @@ def test_a_run_leaves_no_reference_cycle_and_the_collector_as_it_was(protocol):
 _FINGERPRINTS = {
     "tdthr": (
         "f5d64a85a887bae158172f307815fbce1095bb0ba10629b7b4b6294bc6b244d3",
-        "3ba487251258,1,tdthr,0.25,0.4,0.857143,0,0.333333,0.109878,0.130924,,"
+        "a7f43d70d891,1,tdthr,0.25,0.4,0.857143,0,0.333333,0.109878,0.130924,,"
         "0.0719006,0.113661,0.169884,,0.0768293,0.833333,1.22511,11.4631,"
         "13.4762,0,0,1,9,3,24,11,26,8"),
     "one_hop_velocity": (
         "1bbd4dd3c4fd1455e2839b6f78d2fc95e219a053415bf1ed8bbaae817a084d4c",
-        "a1489b54e8fa,1,one_hop_velocity,0.25,0.6,0.4,0.538462,0.625,0.111197,"
+        "30ac0c127641,1,one_hop_velocity,0.25,0.6,0.4,0.538462,0.625,0.111197,"
         "0.109084,0.0982245,0.0798591,0.119673,0.114864,0.132523,0.116329,"
         "0.516129,0.633807,11.5962,10.7747,13,0,0,0,1,31,17,0,68"),
     "greedy_geo": (
         "a9b311a7b487206a933b7db37ca4a1ba67ccd991006cd16e1093f146c953dede",
-        "b5292150eb84,1,greedy_geo,0.25,0.833333,0.75,0.714286,1,0.101355,"
+        "3f03822c95d6,1,greedy_geo,0.25,0.833333,0.75,0.714286,1,0.101355,"
         "0.0994352,0.0648396,0.0740819,0.138558,0.131165,0.110847,0.106294,"
         "0.655172,0.499747,20,11.9939,5,0,0,0,0,29,24,0,0"),
     "desk_revisit": (
         "15f21ac781143f1c8dc93bf4fdc6af7710169ca8ae79ebd7b9a8b00943a7d8dd",
-        "e3266b5aa6de,1000,tdthr,0.25,0.435897,0.567568,0.363636,0.6,0.168087,"
+        "9f3c587d9cb5,1000,tdthr,0.25,0.435897,0.567568,0.363636,0.6,0.168087,"
         "0.180022,0.120082,0.146894,0.530555,0.445143,0.185819,0.492384,"
         "0.0447761,4.43242,20,288.108,56,0,5,0,0,134,65,4,0"),
 }
