@@ -9,7 +9,7 @@ from .forwarding import (DeadlineExpired, NoQualifyingPair, VoidRegion,
 from .metrics import MetricsLedger
 from .neighborhood import ForwarderPair, HelloMessage, NeighborTable
 from .queueing import QueueBank
-from .simkernel import Simulation, generate_topology, run
+from .simkernel import Simulation, generate_topology
 
 __all__ = [
     "NodeId", "Packet", "PacketClass", "Position", "dist",
@@ -17,7 +17,7 @@ __all__ = [
     "DeadlineExpired", "NoQualifyingPair", "VoidRegion",
     "required_velocity", "select_next_hop", "update_lag_time",
     "MetricsLedger", "ForwarderPair", "HelloMessage", "NeighborTable",
-    "QueueBank", "SimConfig", "Simulation", "generate_topology", "run",
+    "QueueBank", "SimConfig", "Simulation", "generate_topology",
 ]
 
 __version__ = "0.1.0"

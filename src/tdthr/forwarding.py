@@ -1,5 +1,6 @@
 """Next-hop selection: velocity computation, deadline bookkeeping, the
-class-differentiated decision rules, and the table of routing protocols.
+class-differentiated decision rules, tdthr's void recovery, and the table
+of routing protocols.
 
 Delay-responsive and critical packets are routed with the two-hop velocity
 rule: among forwarder pairs whose offered velocity meets the required
@@ -9,9 +10,10 @@ Regular traffic is plain greedy-geographic; reliability-responsive traffic
 maximizes path reliability unconditionally. Offered velocities are computed
 where the pairs are built, in `NeighborTable.favorable_pairs`.
 
-`PROTOCOLS` holds each protocol's next-hop rule and the traits the kernel
-reads, so that the kernel never knows which protocol it runs. A rule reads
-no config: it sees only the decision's node, packet and neighbourhood.
+`PROTOCOLS` holds each protocol's next-hop rule, its recovery rule and the
+traits the kernel reads, so that the kernel never knows which protocol it
+runs. A rule reads no config: it sees only the decision's node, packet and
+neighbourhood.
 """
 
 from __future__ import annotations
@@ -123,12 +125,13 @@ def route_reliability(pairs, one_hop_fallback=()) -> NodeId:
 @dataclass(frozen=True)
 class RoutingProtocol:
     """All the kernel knows of a routing protocol; see `PROTOCOLS`."""
-    # `Simulation._select` calls (node, packet, to_dest, d_own, f1, links)
-    # -> (next hop, whether it is slower than the deadline requires)
+    # `Simulation._select` calls (node, packet, to_dest, d_own, live, links)
+    # -> (next hop, whether it is slower than the deadline requires); a
+    # next hop of None hands the packet to `recover`, VoidRegion drops it
     select: Callable
     priority_queues: bool  # three priority queues with promotion, else one FIFO
     duplicates: bool       # honours duplicate_critical / duplicate_reliability
-    recovers: bool = False  # a void enters recovery (`Simulation._detour`)
+    recover: Callable | None = None  # same arguments -> next hop, or VoidRegion
     expire_in_network: frozenset = frozenset()  # classes dropped once late
 
 
@@ -137,30 +140,58 @@ def _progress(d_own: float, f1) -> list:
     return [(r.neighbor, d_own - d_y) for r, d_y in f1]
 
 
-def select_greedy_geo(node, packet, to_dest, d_own, f1, links):
+def select_greedy_geo(node, packet, to_dest, d_own, live, links):
+    f1 = node.table.favorable_one_hop(live, d_own, to_dest)
     return route_regular(_progress(d_own, f1)), False
 
 
-def select_tdthr(node, packet, to_dest, d_own, f1, links):
+def select_tdthr(node, packet, to_dest, d_own, live, links):
+    anchor = packet.recovery_anchor
+    if anchor is not None:
+        if d_own >= anchor:
+            return None, False   # still in recovery: `detour` again
+        packet.recovery_anchor = None  # escaped the dead-end region
+    f1 = node.table.favorable_one_hop(live, d_own, to_dest)
     cls = packet.cls
-    if cls is PacketClass.REGULAR:
-        return route_regular(_progress(d_own, f1)), False
-    pairs = node.table.favorable_pairs(
-        f1, to_dest, d_own, cls, node.delays.dq[cls], node.delays, links)
-    if cls is PacketClass.RELIABILITY_RESPONSIVE:
-        fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
-        return route_reliability(pairs, fallback), False
-    # critical / delay-responsive: velocity-filtered two-hop selection
-    v_req = required_velocity(d_own, packet.lag_time)
     try:
-        return select_next_hop(pairs, v_req, cls).y, False
-    except NoQualifyingPair:
-        if pairs:
-            return best_effort_pair(pairs).y, True
-        return route_regular(_progress(d_own, f1)), False
+        if cls is PacketClass.REGULAR:
+            return route_regular(_progress(d_own, f1)), False
+        pairs = node.table.favorable_pairs(
+            f1, to_dest, d_own, cls, node.delays.dq[cls], node.delays, links)
+        if cls is PacketClass.RELIABILITY_RESPONSIVE:
+            fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
+            return route_reliability(pairs, fallback), False
+        # critical / delay-responsive: velocity-filtered two-hop selection
+        v_req = required_velocity(d_own, packet.lag_time)
+        try:
+            return select_next_hop(pairs, v_req, cls).y, False
+        except NoQualifyingPair:
+            if pairs:
+                return best_effort_pair(pairs).y, True
+            return route_regular(_progress(d_own, f1)), False
+    except VoidRegion:
+        return None, False   # a void enters recovery
 
 
-def select_one_hop_velocity(node, packet, to_dest, d_own, f1, links):
+def detour(node, packet, to_dest, d_own, live, links):
+    """tdthr's recovery, a local-minimum escape: no live neighbor offers
+    positive progress, so hand the packet to the neighbor closest to the
+    destination that it has not visited yet. The packet stays in recovery
+    mode until it gets strictly closer to the destination than where the
+    detour began (`select_tdthr`); the hop trace breaks routing loops and
+    the deadline bounds the excursion."""
+    if packet.recovery_anchor is None:
+        packet.recovery_anchor = d_own
+    visited = {node.id, *packet.hop_trace}
+    candidates = [(to_dest[r.neighbor], r.neighbor)
+                  for r in live if r.neighbor not in visited]
+    if not candidates:
+        raise VoidRegion("no unvisited neighbor for detour")
+    return min(candidates)[1]
+
+
+def select_one_hop_velocity(node, packet, to_dest, d_own, live, links):
+    f1 = node.table.favorable_one_hop(live, d_own, to_dest)
     if not f1:
         raise VoidRegion("no favorable one-hop forwarder")
     speeds = [(nid, progress / node.delays.dt_for(nid))
@@ -176,10 +207,11 @@ def select_one_hop_velocity(node, packet, to_dest, d_own, f1, links):
     return min(qualifying, key=lambda s: (-s[1], s[0]))[0], missed
 
 
-# Adding a protocol takes one entry here and one select function above.
+# Adding a protocol takes one entry here and one select function above
+# (and a recover function, if a void should not drop the packet).
 PROTOCOLS = {
     "tdthr": RoutingProtocol(
-        select_tdthr, priority_queues=True, duplicates=True, recovers=True,
+        select_tdthr, priority_queues=True, duplicates=True, recover=detour,
         expire_in_network=frozenset({PacketClass.CRITICAL,
                                      PacketClass.DELAY_RESPONSIVE})),
     "one_hop_velocity": RoutingProtocol(

@@ -634,10 +634,9 @@ class Simulation:
 
     def _select(self, node: _Node, packet: Packet) -> NodeId:
         """One view of the neighborhood per decision: the live records, read
-        once, the owner's distance `d_own` to the destination, and F1, the
-        favorable records with their own distances, filtered once. The one
-        entry into recovery: a packet still in recovery, or a void of a
-        protocol that `recovers`, goes to `_detour`."""
+        once, and the owner's distance `d_own` to the destination. A sink in
+        the table takes the packet; otherwise the protocol's select function
+        decides, and a next hop of None goes to `_detour`."""
         dest = packet.destination_sink
         live = node.table.live_records(self.now)
         for r in live:
@@ -645,38 +644,19 @@ class Simulation:
                 return dest
         to_dest = self.sink_distance[dest]
         d_own = to_dest[node.id]
-        if packet.recovery_anchor is not None:
-            if d_own < packet.recovery_anchor:
-                packet.recovery_anchor = None  # escaped the dead-end region
-            else:
-                return self._detour(node, packet, to_dest, d_own, live)
-        f1 = node.table.favorable_one_hop(live, d_own, to_dest)
-        try:
-            next_hop, missed = self._protocol.select(
-                node, packet, to_dest, d_own, f1, self.links[node.id])
-        except VoidRegion:
-            if not self._protocol.recovers:
-                raise
-            return self._detour(node, packet, to_dest, d_own, live)
+        links = self.links[node.id]
+        next_hop, missed = self._protocol.select(
+            node, packet, to_dest, d_own, live, links)
+        if next_hop is None:
+            return self._detour(node, packet, to_dest, d_own, live, links)
         if missed:   # the packet leaves slower than its deadline requires
             self.metrics.missed_velocity += 1
         return next_hop
 
-    def _detour(self, node: _Node, packet: Packet, to_dest, d_own, live) -> NodeId:
-        """Local-minimum escape: no live neighbor offers positive progress, so
-        hand the packet to the neighbor closest to the destination that it has
-        not visited yet. The packet stays in recovery mode until it gets
-        strictly closer to the destination than where the detour began; the
-        hop trace breaks routing loops and the deadline bounds the
-        excursion."""
-        if packet.recovery_anchor is None:
-            packet.recovery_anchor = d_own
-        visited = {node.id, *packet.hop_trace}
-        candidates = [(to_dest[r.neighbor], r.neighbor)
-                      for r in live if r.neighbor not in visited]
-        if not candidates:
-            raise VoidRegion("no unvisited neighbor for detour")
-        return min(candidates)[1]
+    def _detour(self, node: _Node, packet: Packet, to_dest, d_own, live,
+                links) -> NodeId:
+        """The protocol's recovery, given the decision's view."""
+        return self._protocol.recover(node, packet, to_dest, d_own, live, links)
 
     # ---- MAC: attempts, ACKs, retries ------------------------------------
 
@@ -804,8 +784,3 @@ class Simulation:
     def initial_minus_residual_nj(self) -> int:
         return sum(node.energy.initial_nj - node.energy.residual_nj
                    for node in self.nodes.values())
-
-
-def run(cfg: SimConfig, trace=None) -> MetricsLedger:
-    sim = Simulation(cfg, trace=trace)
-    return sim.run()

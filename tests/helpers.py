@@ -169,8 +169,8 @@ def distances_to(positions: dict, dest: Position) -> dict:
 
 def favorable_one_hop(table: NeighborTable, positions: dict, dest: Position,
                       now: float) -> list:
-    """F1 as `Simulation._select` derives it: one read of the table, one
-    filter."""
+    """F1 as a decision derives it: `Simulation._select` reads the table
+    once, and the protocol's select function filters it once."""
     to_dest = distances_to(positions, dest)
     return table.favorable_one_hop(table.live_records(now),
                                    to_dest[table.owner], to_dest)

@@ -3,10 +3,12 @@ class-differentiated decision rules, and a brute-force selection oracle."""
 
 import inspect
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from tdthr import forwarding
+from tdthr import forwarding, simkernel
 from tdthr.config import PRIMARY_SINK
 from tdthr.core import Packet, PacketClass
 from tdthr.forwarding import (DeadlineExpired, NoQualifyingPair, RoutingProtocol,
@@ -220,10 +222,23 @@ def test_selection_matches_brute_force_oracle():
 
 @pytest.mark.parametrize("name", sorted(forwarding.PROTOCOLS))
 def test_a_select_function_takes_the_decision_view_and_no_config(name):
-    # the six arguments `Simulation._select` passes, and nothing else
-    select = forwarding.PROTOCOLS[name].select
-    assert list(inspect.signature(select).parameters) == [
-        "node", "packet", "to_dest", "d_own", "f1", "links"]
+    # the six arguments `Simulation._select` passes, and nothing else; a
+    # recover function takes the same view
+    protocol = forwarding.PROTOCOLS[name]
+    view = ["node", "packet", "to_dest", "d_own", "live", "links"]
+    assert list(inspect.signature(protocol.select).parameters) == view
+    if protocol.recover is not None:
+        assert list(inspect.signature(protocol.recover).parameters) == view
+
+
+def test_the_kernel_names_no_recovery_rule():
+    # recovery belongs to the protocol: the kernel hands a next hop of None
+    # to its `recover`, and neither reads the packet's recovery state nor
+    # asks whether a protocol recovers
+    source = Path(simkernel.__file__).read_text()
+    for name in ("recovery_anchor", "recovers"):
+        assert name not in source
+    assert "except" not in inspect.getsource(Simulation._select)
 
 
 def test_a_protocol_is_one_table_entry(monkeypatch):
@@ -235,8 +250,9 @@ def test_a_protocol_is_one_table_entry(monkeypatch):
     assert any(e.startswith("protocol.protocol") for e in cfg.validate())
     calls = []
 
-    def select_lowest_id(node, packet, to_dest, d_own, f1, links):
+    def select_lowest_id(node, packet, to_dest, d_own, live, links):
         calls.append(node.id)
+        f1 = node.table.favorable_one_hop(live, d_own, to_dest)
         if not f1:
             raise VoidRegion("no favorable one-hop forwarder")
         return min(r.neighbor for r, _ in f1), False
@@ -258,24 +274,31 @@ _HOLDER = 5
 _TO_SINK = {5: 100.0, 6: 120.0, 7: 90.0, 8: 130.0}
 
 
+def _table(neighbours):
+    """Node 5's table, built by hand from one HELLO of each of
+    `neighbours`, heard at 1.0 s."""
+    table = NeighborTable(_HOLDER, expiry=10.0)
+    for y in neighbours:
+        table.process_hello(HelloMessage(
+            y, 2.0, dict.fromkeys(PacketClass, 0.0), {_HOLDER: 0.9}, {}), 1.0)
+    return table
+
+
 def _holder(protocol, neighbours):
-    """A run's state with node 5's table built by hand from one HELLO of
-    each of `neighbours`, and the sink distances above."""
+    """A run's state with node 5's table built by `_table`, and the sink
+    distances above."""
     sim = Simulation(mini_config(protocol=protocol))
     sim.now = 1.0
     sim.sink_distance = {PRIMARY_SINK: _TO_SINK}
     node = sim.nodes[_HOLDER]
-    node.table = NeighborTable(_HOLDER, expiry=10.0)
-    for y in neighbours:
-        node.table.process_hello(HelloMessage(
-            y, 2.0, dict.fromkeys(PacketClass, 0.0), {_HOLDER: 0.9}, {}), 1.0)
+    node.table = _table(neighbours)
     return sim, node
 
 
-def _packet(anchor=None, visited=()):
-    return Packet(packet_id=0, cls=PacketClass.REGULAR,
-                  destination_sink=PRIMARY_SINK, lag_time=0.3, deadline=0.3,
-                  hop_trace=list(visited), recovery_anchor=anchor)
+def _packet(anchor=None, visited=(), cls=PacketClass.REGULAR, lag_time=0.3):
+    return Packet(packet_id=0, cls=cls, destination_sink=PRIMARY_SINK,
+                  lag_time=lag_time, deadline=0.3, hop_trace=list(visited),
+                  recovery_anchor=anchor)
 
 
 @pytest.mark.parametrize("anchor", [100.0, 95.0])
@@ -306,3 +329,74 @@ def test_a_void_enters_recovery_only_where_the_protocol_recovers():
         with pytest.raises(VoidRegion):
             sim._select(node, packet)
         assert packet.recovery_anchor is None
+
+
+# ---- tdthr's recovery, driven on a hand-built table -----------------------
+
+def _detour_on_table(packet, neighbours=(6, 7, 8)):
+    """tdthr's `recover` on node 5's view, with no `Simulation`. Node 9,
+    80 m from the sink, was last heard long before the decision, so it is
+    not live."""
+    table = _table(neighbours)
+    table.process_hello(HelloMessage(
+        9, 2.0, dict.fromkeys(PacketClass, 0.0), {_HOLDER: 0.9}, {}), -20.0)
+    node = SimpleNamespace(id=_HOLDER, table=table)
+    to_dest = {**_TO_SINK, 9: 80.0}
+    return forwarding.PROTOCOLS["tdthr"].recover(
+        node, packet, to_dest, _TO_SINK[_HOLDER], table.live_records(1.0), {})
+
+
+def test_a_detour_takes_the_closest_unvisited_live_neighbour():
+    packet = _packet(visited=(7,))
+    assert _detour_on_table(packet) == 6
+    assert packet.recovery_anchor == _TO_SINK[_HOLDER]   # entered here
+    packet = _packet()
+    assert _detour_on_table(packet) == 7
+
+
+def test_a_detour_keeps_an_anchor_already_set():
+    packet = _packet(anchor=95.0, visited=(7,))
+    assert _detour_on_table(packet) == 6
+    assert packet.recovery_anchor == 95.0
+
+
+def test_a_detour_with_every_live_neighbour_visited_is_a_void():
+    with pytest.raises(VoidRegion):
+        _detour_on_table(_packet(visited=(6, 7, 8)))
+
+
+# ---- the decisions that count `missed_velocity` ---------------------------
+
+def _holder_with_pair():
+    """`_holder`'s tdthr state in which neighbour 7 lists node 9, 80 m from
+    the sink: the one forwarder pair (7, 9), which offers at most 20 m of
+    progress over its delays."""
+    sim, node = _holder("tdthr", (6, 7, 8))
+    node.table.process_hello(HelloMessage(
+        7, 2.0, dict.fromkeys(PacketClass, 0.0), {_HOLDER: 0.9},
+        {9: (0.01, 0.9)}), 1.0)
+    sim.sink_distance = {PRIMARY_SINK: {**_TO_SINK, 9: 80.0}}
+    sim.links[_HOLDER] = {7: (0.9, 0.0, 1000)}
+    return sim, node
+
+
+def test_a_pair_short_of_the_required_velocity_counts_one_miss():
+    sim, node = _holder_with_pair()
+    packet = _packet(cls=PacketClass.DELAY_RESPONSIVE, lag_time=1e-6)
+    assert sim._select(node, packet) == 7   # the best-effort pair
+    assert sim.metrics.missed_velocity == 1
+
+
+def test_a_one_hop_velocity_packet_with_no_lag_time_counts_one_miss():
+    sim, node = _holder("one_hop_velocity", (6, 7, 8))
+    assert sim._select(node, _packet(lag_time=0.0)) == 7
+    assert sim.metrics.missed_velocity == 1
+
+
+def test_a_hop_in_recovery_counts_no_miss():
+    # the same short pair, but the packet has not escaped its anchor
+    sim, node = _holder_with_pair()
+    packet = _packet(anchor=100.0, visited=(7,),
+                     cls=PacketClass.DELAY_RESPONSIVE, lag_time=1e-6)
+    assert sim._select(node, packet) == 6
+    assert sim.metrics.missed_velocity == 0

@@ -22,7 +22,7 @@ from tdthr.neighborhood import NeighborTable
 from tdthr.queueing import QueueBank
 from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _link_table, _neighbours,
-                             energy_costs_nj, generate_topology, run)
+                             energy_costs_nj, generate_topology)
 
 from helpers import RETIRED_FIELDS, battery_j, mini_config
 
@@ -563,8 +563,8 @@ def test_run_is_deterministic_to_the_byte():
 
 
 def test_different_seeds_diverge():
-    a = run(mini_config(rng_seed=1))
-    b = run(mini_config(rng_seed=2))
+    a = Simulation(mini_config(rng_seed=1)).run()
+    b = Simulation(mini_config(rng_seed=2)).run()
     assert (a.generated_total, a.total_energy_nj) \
         != (b.generated_total, b.total_energy_nj)
 
@@ -891,7 +891,7 @@ def test_one_decision_reads_the_table_once(monkeypatch, protocol):
     assert sim.metrics.hello_sent > 100
     assert set(f1_per_decision) <= {0, 1}
     assert anchored_detours == [0] * len(anchored_detours)
-    if PROTOCOLS[protocol].recovers:
+    if PROTOCOLS[protocol].recover is not None:
         assert len(anchored_detours) > 10
     else:
         assert calls["_detour"] == 0
@@ -1093,9 +1093,10 @@ def test_single_copies_alternate_between_the_sinks(monkeypatch):
         return make(self, cls, sink, logical)
 
     monkeypatch.setattr(Simulation, "_make_packet", watched)
-    ledger = run(mini_config(critical_rate=0.5, reliability_responsive_rate=0.25,
-                             duplicate_critical=False,
-                             duplicate_reliability=False, duration=20.0))
+    ledger = Simulation(mini_config(
+        critical_rate=0.5, reliability_responsive_rate=0.25,
+        duplicate_critical=False, duplicate_reliability=False,
+        duration=20.0)).run()
     assert len(made) == ledger.generated_total > 10
     assert made == [(PRIMARY_SINK, SECONDARY_SINK)[i % 2]
                     for i in range(len(made))]
@@ -1159,9 +1160,9 @@ def test_backoff_draw_equals_uniform_bit_for_bit(w):
 def test_duplication_only_for_loss_averse_classes():
     base = dict(critical_rate=0.5, reliability_responsive_rate=0.25,
                 delay_responsive_rate=0.25, rng_seed=6, duration=25.0)
-    dup = run(mini_config(**base))
-    plain = run(mini_config(duplicate_critical=False,
-                            duplicate_reliability=False, **base))
+    dup = Simulation(mini_config(**base)).run()
+    plain = Simulation(mini_config(duplicate_critical=False,
+                                   duplicate_reliability=False, **base)).run()
     assert dup.duplicates_generated > 0
     assert plain.duplicates_generated == 0
 
@@ -1295,10 +1296,10 @@ def test_first_death_ends_the_run_after_drain():
 
 def test_energy_floor_stops_generation_early():
     battery = battery_j(mini_config(), tx=38)
-    stopped = run(mini_config(stop_energy_fraction=0.9, rng_seed=9,
-                              energy_initial=battery))
-    full = run(mini_config(stop_energy_fraction=0.0, rng_seed=9,
-                           energy_initial=battery))
+    stopped = Simulation(mini_config(stop_energy_fraction=0.9, rng_seed=9,
+                                     energy_initial=battery)).run()
+    full = Simulation(mini_config(stop_energy_fraction=0.0, rng_seed=9,
+                                  energy_initial=battery)).run()
     assert stopped.generated_total < full.generated_total
 
 
