@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 
-from .core import NodeId, Position
+from .core import NodeId, PacketClass, Position
 from .forwarding import PROTOCOLS
 
 PRIMARY_SINK: NodeId = 0
@@ -171,6 +171,13 @@ class SimConfig:
     @property
     def cbr_interval(self) -> float:
         return self.payload_bytes / self.rate_bytes_per_s
+
+    @property
+    def duplicated_classes(self) -> frozenset:
+        """The classes whose duplicate_* switch is on."""
+        on = {PacketClass.CRITICAL: self.duplicate_critical,
+              PacketClass.RELIABILITY_RESPONSIVE: self.duplicate_reliability}
+        return frozenset(cls for cls, dup in on.items() if dup)
 
 
 # attribute name -> (section, YAML key), in declaration order

@@ -13,7 +13,7 @@ where the pairs are built, in `NeighborTable.favorable_pairs`.
 `PROTOCOLS` holds each protocol's next-hop rule, its recovery rule and the
 traits the kernel reads, so that the kernel never knows which protocol it
 runs. A rule reads no config: it sees only the decision's node, packet and
-neighbourhood.
+neighbourhood, and says "no next hop" by returning None, never by raising.
 """
 
 from __future__ import annotations
@@ -30,29 +30,23 @@ class NoQualifyingPair(Exception):
 
 
 class VoidRegion(Exception):
-    """No neighbor offers positive progress toward the destination."""
-
-
-class DeadlineExpired(Exception):
-    """The packet's remaining time budget is exhausted."""
+    """No next hop: the kernel's verdict where a protocol's rules give None."""
 
 
 def required_velocity(dist_to_sink: float, lag_time: float) -> float:
     if lag_time <= 0:
-        raise DeadlineExpired(f"lag time {lag_time} s is not positive")
+        raise ValueError(f"lag time {lag_time} s is not positive")
     return dist_to_sink / lag_time
 
 
 def update_lag_time(lt_p: float, t_rx: float, t_tx: float,
                     airtime: float) -> float:
     """Renew the remaining deadline budget at transmission time: subtract
-    the local sojourn (t_tx - t_rx) plus the frame's airtime in seconds."""
+    the local sojourn (t_tx - t_rx) plus the frame's airtime in seconds.
+    A budget at or below 0 means the packet is late."""
     if t_tx < t_rx:
         raise ValueError("transmission cannot precede reception")
-    lt = lt_p - (t_tx - t_rx + airtime)
-    if lt <= 0:
-        raise DeadlineExpired(f"deadline unreachable, lag {lt:.6f} s")
-    return lt
+    return lt_p - (t_tx - t_rx + airtime)
 
 
 def _energy_key(pair: ForwarderPair):
@@ -95,22 +89,20 @@ def select_next_hop(pairs, v_req: float, cls: PacketClass) -> ForwarderPair:
     return min(s_c, key=_efficiency_key)
 
 
-def best_effort_pair(pairs) -> ForwarderPair:
+def best_effort_pair(pairs) -> ForwarderPair | None:
     """Fallback when no pair meets the required velocity: take the fastest
     pair anyway (the packet is flagged as having missed its velocity)."""
-    if not pairs:
-        raise VoidRegion("no forwarder pairs available")
-    return min(pairs, key=lambda p: (-p.velocity, p.y, p.z))
+    return min(pairs, key=lambda p: (-p.velocity, p.y, p.z), default=None)
 
 
-def route_regular(candidates) -> NodeId:
+def route_regular(candidates) -> NodeId | None:
     """Greedy geographic choice over (neighbor, progress) candidates."""
     if not candidates:
-        raise VoidRegion("no favorable one-hop forwarder")
+        return None
     return min(candidates, key=lambda c: (-c[1], c[0]))[0]
 
 
-def route_reliability(pairs, one_hop_fallback=()) -> NodeId:
+def route_reliability(pairs, one_hop_fallback=()) -> NodeId | None:
     """Most reliable path: argmax prr_xy * prr_yz over pairs, ties broken by
     residual energy then lower id. Falls back to the one-hop neighbor with
     the best link reliability when no pair exists."""
@@ -119,20 +111,20 @@ def route_reliability(pairs, one_hop_fallback=()) -> NodeId:
                                          p.tx_cost_y, p.y, p.z)).y
     if one_hop_fallback:
         return min(one_hop_fallback, key=lambda c: (-c[1], c[0]))[0]
-    raise VoidRegion("no favorable forwarder at all")
+    return None
 
 
 @dataclass(frozen=True)
 class RoutingProtocol:
     """All the kernel knows of a routing protocol; see `PROTOCOLS`."""
     # `Simulation._select` calls (node, packet, to_dest, d_own, live, links)
-    # -> (next hop, whether it is slower than the deadline requires); a
-    # next hop of None hands the packet to `recover`, VoidRegion drops it
+    # -> (a neighbor in `live` or None, whether it is slower than the deadline
+    # requires); None goes to `recover`, or is a void where there is none
     select: Callable
     priority_queues: bool  # three priority queues with promotion, else one FIFO
-    duplicates: bool       # honours duplicate_critical / duplicate_reliability
-    recover: Callable | None = None  # same arguments -> next hop, or VoidRegion
+    recover: Callable | None = None  # same arguments -> next hop, or None
     expire_in_network: frozenset = frozenset()  # classes dropped once late
+    duplicated: frozenset = frozenset()  # classes also sent to the other sink
 
 
 def _progress(d_own: float, f1) -> list:
@@ -153,24 +145,21 @@ def select_tdthr(node, packet, to_dest, d_own, live, links):
         packet.recovery_anchor = None  # escaped the dead-end region
     f1 = node.table.favorable_one_hop(live, d_own, to_dest)
     cls = packet.cls
+    if cls is PacketClass.REGULAR:
+        return route_regular(_progress(d_own, f1)), False
+    pairs = node.table.favorable_pairs(
+        f1, to_dest, d_own, cls, node.delays.dq[cls], node.delays, links)
+    if cls is PacketClass.RELIABILITY_RESPONSIVE:
+        fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
+        return route_reliability(pairs, fallback), False
+    # critical / delay-responsive: velocity-filtered two-hop selection
+    v_req = required_velocity(d_own, packet.lag_time)
     try:
-        if cls is PacketClass.REGULAR:
-            return route_regular(_progress(d_own, f1)), False
-        pairs = node.table.favorable_pairs(
-            f1, to_dest, d_own, cls, node.delays.dq[cls], node.delays, links)
-        if cls is PacketClass.RELIABILITY_RESPONSIVE:
-            fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
-            return route_reliability(pairs, fallback), False
-        # critical / delay-responsive: velocity-filtered two-hop selection
-        v_req = required_velocity(d_own, packet.lag_time)
-        try:
-            return select_next_hop(pairs, v_req, cls).y, False
-        except NoQualifyingPair:
-            if pairs:
-                return best_effort_pair(pairs).y, True
-            return route_regular(_progress(d_own, f1)), False
-    except VoidRegion:
-        return None, False   # a void enters recovery
+        return select_next_hop(pairs, v_req, cls).y, False
+    except NoQualifyingPair:
+        if pairs:
+            return best_effort_pair(pairs).y, True
+        return route_regular(_progress(d_own, f1)), False
 
 
 def detour(node, packet, to_dest, d_own, live, links):
@@ -185,15 +174,13 @@ def detour(node, packet, to_dest, d_own, live, links):
     visited = {node.id, *packet.hop_trace}
     candidates = [(to_dest[r.neighbor], r.neighbor)
                   for r in live if r.neighbor not in visited]
-    if not candidates:
-        raise VoidRegion("no unvisited neighbor for detour")
-    return min(candidates)[1]
+    return min(candidates)[1] if candidates else None
 
 
 def select_one_hop_velocity(node, packet, to_dest, d_own, live, links):
     f1 = node.table.favorable_one_hop(live, d_own, to_dest)
     if not f1:
-        raise VoidRegion("no favorable one-hop forwarder")
+        return None, False
     speeds = [(nid, progress / node.delays.dt_for(nid))
               for nid, progress in _progress(d_own, f1)]
     if packet.lag_time > 0:
@@ -211,11 +198,12 @@ def select_one_hop_velocity(node, packet, to_dest, d_own, live, links):
 # (and a recover function, if a void should not drop the packet).
 PROTOCOLS = {
     "tdthr": RoutingProtocol(
-        select_tdthr, priority_queues=True, duplicates=True, recover=detour,
+        select_tdthr, priority_queues=True, recover=detour,
         expire_in_network=frozenset({PacketClass.CRITICAL,
-                                     PacketClass.DELAY_RESPONSIVE})),
+                                     PacketClass.DELAY_RESPONSIVE}),
+        duplicated=frozenset({PacketClass.CRITICAL,
+                              PacketClass.RELIABILITY_RESPONSIVE})),
     "one_hop_velocity": RoutingProtocol(
-        select_one_hop_velocity, priority_queues=False, duplicates=False),
-    "greedy_geo": RoutingProtocol(
-        select_greedy_geo, priority_queues=False, duplicates=False),
+        select_one_hop_velocity, priority_queues=False),
+    "greedy_geo": RoutingProtocol(select_greedy_geo, priority_queues=False),
 }

@@ -19,7 +19,7 @@ from .config import PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig
 from .core import (LIGHT_SPEED, EnergyBudget, NodeId, Packet, PacketClass,
                    Position, joules_to_nj)
 from .estimators import DelayEstimator, PrrEstimator
-from .forwarding import PROTOCOLS, DeadlineExpired, VoidRegion, update_lag_time
+from .forwarding import PROTOCOLS, VoidRegion, update_lag_time
 from .metrics import MetricsLedger
 from .neighborhood import HelloMessage, NeighborTable
 from .queueing import QueueBank, QueueEntry
@@ -270,6 +270,7 @@ class Simulation:
             raise ValueError("invalid configuration: " + "; ".join(errors))
         self.cfg = cfg
         self._protocol = PROTOCOLS[cfg.protocol]
+        self._duplicated = self._protocol.duplicated & cfg.duplicated_classes
         self.rng = random.Random(f"run:{cfg.rng_seed}")
         self.positions, neighbours = generate_topology(cfg, cfg.rng_seed)
         # Energy in integer nanojoules. What each action costs is the same
@@ -536,11 +537,7 @@ class Simulation:
         nearest, other = ((PRIMARY_SINK, SECONDARY_SINK) if logical % 2 == 0
                           else (SECONDARY_SINK, PRIMARY_SINK))
         copies = [self._make_packet(cls, nearest, logical)]
-        duplicated = (self._protocol.duplicates
-                      and ((cls is PacketClass.CRITICAL and cfg.duplicate_critical)
-                           or (cls is PacketClass.RELIABILITY_RESPONSIVE
-                               and cfg.duplicate_reliability)))
-        if duplicated:
+        if cls in self._duplicated:
             copies.append(self._make_packet(cls, other, logical))
             self.metrics.duplicates_generated += 1
         self.metrics.record_generated(logical, cls, self.now,
@@ -610,11 +607,9 @@ class Simulation:
 
     def _start_tx(self, node: _Node, packet: Packet, queue_wait: float):
         node.delays.dq_update(packet.cls, queue_wait)
-        try:
-            packet.lag_time = update_lag_time(
-                packet.lag_time, packet.received_time, self.now,
-                self._payload_ser)
-        except DeadlineExpired:
+        lag = update_lag_time(packet.lag_time, packet.received_time, self.now,
+                              self._payload_ser)
+        if lag <= 0:
             # Only the protocol's expiring classes are discarded in-network;
             # everything else is delivered late (and scored as a deadline
             # miss at the sink).
@@ -622,7 +617,8 @@ class Simulation:
                 self._drop(packet, "deadline", node.id)
                 self._finish_tx(node)
                 return
-            packet.lag_time = 0.0
+            lag = 0.0
+        packet.lag_time = lag
         try:
             next_hop = self._select(node, packet)
         except VoidRegion:
@@ -636,7 +632,8 @@ class Simulation:
         """One view of the neighborhood per decision: the live records, read
         once, and the owner's distance `d_own` to the destination. A sink in
         the table takes the packet; otherwise the protocol's select function
-        decides, and a next hop of None goes to `_detour`."""
+        decides. A next hop of None goes to `_detour` where the protocol has
+        a `recover`; still None, the decision is a `VoidRegion`."""
         dest = packet.destination_sink
         live = node.table.live_records(self.now)
         for r in live:
@@ -647,10 +644,12 @@ class Simulation:
         links = self.links[node.id]
         next_hop, missed = self._protocol.select(
             node, packet, to_dest, d_own, live, links)
-        if next_hop is None:
-            return self._detour(node, packet, to_dest, d_own, live, links)
-        if missed:   # the packet leaves slower than its deadline requires
+        if next_hop is None and self._protocol.recover is not None:
+            next_hop = self._detour(node, packet, to_dest, d_own, live, links)
+        elif missed:   # the packet leaves slower than its deadline requires
             self.metrics.missed_velocity += 1
+        if next_hop is None:
+            raise VoidRegion(f"no next hop at node {node.id}")
         return next_hop
 
     def _detour(self, node: _Node, packet: Packet, to_dest, d_own, live,

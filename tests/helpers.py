@@ -16,9 +16,12 @@ import heapq
 import random
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from tdthr.cli import load_config
 from tdthr.core import PacketClass, Position, dist
 from tdthr.estimators import DelayEstimator
+from tdthr.forwarding import PROTOCOLS
 from tdthr.neighborhood import ForwarderPair, HelloMessage, NeighborTable
 from tdthr.simkernel import SimConfig, Simulation, energy_costs_nj
 
@@ -71,6 +74,32 @@ def battery_j(cfg: SimConfig, tx: int = 0, rx: int = 0, idle: int = 0) -> float:
     (tested), since the sum stays far below 2**51 nJ."""
     tx_nj, rx_nj, idle_nj = energy_costs_nj(cfg)
     return (tx * tx_nj + rx * rx_nj + idle * idle_nj) / 1e9
+
+
+def _small_run(protocol, seed, mix, rate, deadline, capacity, retries,
+               traffic_s) -> SimConfig:
+    return mini_config(
+        protocol=protocol, rng_seed=seed, critical_rate=mix[0],
+        delay_responsive_rate=mix[1], reliability_responsive_rate=mix[2],
+        rate_bytes_per_s=rate, deadline=deadline, queue_capacity=capacity,
+        max_retries=retries, traffic_start=11.0, duration=11.0 + traffic_s,
+        energy_initial=1000.0, stop_energy_fraction=0.0)
+
+
+def small_runs():
+    """A hypothesis strategy of random small runs: any protocol, class mix,
+    load, deadline, queue capacity, retry limit and traffic time. No node
+    dies and nothing drains, so the runs stop with traffic in flight. These
+    are the draws of the no-orphan property
+    (`test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops`),
+    which spells them out so that it names the fields it sets."""
+    return st.builds(
+        _small_run, protocol=st.sampled_from(sorted(PROTOCOLS)),
+        seed=st.integers(0, 10**6),
+        mix=st.tuples(*[st.floats(0.0, 1 / 3)] * 3),
+        rate=st.floats(1000.0, 16000.0), deadline=st.floats(0.02, 0.5),
+        capacity=st.integers(1, 64), retries=st.integers(0, 4),
+        traffic_s=st.floats(1.0, 6.0))
 
 
 # ---- the beacon plane with one event per reception -------------------------

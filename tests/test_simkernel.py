@@ -24,7 +24,7 @@ from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _link_table, _neighbours,
                              energy_costs_nj, generate_topology)
 
-from helpers import RETIRED_FIELDS, battery_j, mini_config
+from helpers import RETIRED_FIELDS, battery_j, mini_config, small_runs
 
 CONFIG_DIR = "configs"
 
@@ -645,6 +645,24 @@ def test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops(
     run_stops()
     assert sum(n > 0 for n in open_copies) >= len(open_copies) // 4
     assert sum(n > 0 for n in relayed) >= len(relayed) // 2
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cfg=small_runs())
+def test_a_random_small_run_is_the_same_traced_untraced_and_twice(cfg):
+    # On the no-orphan property's runs: writing the trace changes nothing
+    # the run computes, and a second run writes the same trace text.
+    def run(trace):
+        ledger = Simulation(cfg, trace=trace).run()
+        return metrics.csv_row(ledger, config_hash(cfg), cfg.rng_seed,
+                               cfg.protocol, cfg.critical_rate, cfg.duration)
+
+    untraced = run(None)
+    traces = [io.StringIO(), io.StringIO()]
+    rows = [run(buf) for buf in traces]
+    assert rows == [untraced, untraced]
+    assert traces[0].getvalue() == traces[1].getvalue()
+    assert " generated " in traces[0].getvalue()
 
 
 @pytest.mark.parametrize("protocol", ["tdthr", "one_hop_velocity", "greedy_geo"])
