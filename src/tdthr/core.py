@@ -63,6 +63,9 @@ class EnergyBudget:
     Integer arithmetic keeps the conservation check exact: initial minus
     residual always equals the sum of logged deductions. What each action
     costs is run-wide and fixed at set-up (`Simulation.__init__`).
+    `Simulation._spend` adds a charge that cannot clamp to `spent_nj`
+    directly and logs it with the ledger's total; every other charge
+    comes through `deduct`.
     """
     initial_nj: int
     spent_nj: int = 0

@@ -144,6 +144,8 @@ def select_tdthr(node, packet, to_dest, d_own, live, links):
             return None, False   # still in recovery: `detour` again
         packet.recovery_anchor = None  # escaped the dead-end region
     f1 = node.table.favorable_one_hop(live, d_own, to_dest)
+    if not f1:
+        return None, False   # a void: every class's rule would end here
     cls = packet.cls
     if cls is PacketClass.REGULAR:
         return route_regular(_progress(d_own, f1)), False

@@ -376,10 +376,21 @@ class Simulation:
         """Pay or die: deduct `cost_nj` from `node`, or all it has left if
         that is less, and then kill it. Returns whether it could afford the
         cost. Every charge of a run comes here. Sinks are mains-powered:
-        they always afford it, and nothing is recorded."""
+        they always afford it, and nothing is recorded.
+
+        A charge that leaves `spent_nj` at or below `_drain_after_nj` is an
+        addition to the budget and to the ledger total: that threshold is at
+        most `initial_nj`, so such a charge is paid in full, kills nothing
+        and starts no drain, and the integer total is the same sum. Any
+        other charge takes the full path: deduct, record, drain test, die."""
         if node.is_sink:
             return True
         energy = node.energy
+        spent = energy.spent_nj + cost_nj
+        if spent <= self._drain_after_nj:
+            energy.spent_nj = spent
+            self.metrics.total_energy_nj += cost_nj
+            return True
         actual = energy.deduct(cost_nj)
         self.metrics.record_energy(actual)
         if energy.spent_nj > self._drain_after_nj and self._drain_until is None:

@@ -3,10 +3,12 @@ configurations.
 
 The oracles here deliberately re-derive every rule from scratch with plain
 loops — they must not share logic with the package, or the oracle tests
-would only prove the code agrees with itself. The one exception is
-`ReferenceSimulation`, the kernel itself with one method replaced: it is
-the oracle of a single decision, how a beacon's receptions are batched on
-the heap, and differs from the kernel in nothing else.
+would only prove the code agrees with itself. Two exceptions are each the
+oracle of a single decision and differ from the kernel in nothing else:
+`ReferenceSimulation`, the kernel with one method replaced, of how a
+beacon's receptions are batched on the heap, and `reference_spend`, a
+charge through the kernel's own deduct, drain and death, of which charges
+may skip them.
 """
 
 from __future__ import annotations
@@ -89,10 +91,10 @@ def _small_run(protocol, seed, mix, rate, deadline, capacity, retries,
 def small_runs():
     """A hypothesis strategy of random small runs: any protocol, class mix,
     load, deadline, queue capacity, retry limit and traffic time. No node
-    dies and nothing drains, so the runs stop with traffic in flight. These
-    are the draws of the no-orphan property
-    (`test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops`),
-    which spells them out so that it names the fields it sets."""
+    dies and nothing drains, so the runs stop with traffic in flight. The
+    no-orphan property
+    (`test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops`)
+    draws its runs here."""
     return st.builds(
         _small_run, protocol=st.sampled_from(sorted(PROTOCOLS)),
         seed=st.integers(0, 10**6),
@@ -130,6 +132,28 @@ def reference_gap_rule(last: int, seq: int) -> tuple:
     if seq == last + 1:
         return seq, [True]
     return max(last, seq), [False] * max(0, seq - last - 1) + [True]
+
+
+# ---- a charge, as the kernel paid every one ------------------------------
+
+def reference_spend(sim: Simulation, node, cost_nj: int) -> bool:
+    """`Simulation._spend` with one path for every charge, as it was before
+    a charge at or below the drain threshold became an addition: deduct
+    (clamped at zero residual), record what was deducted, start the drain
+    once `spent_nj` passes `_drain_after_nj`, and die on a short payment.
+    The kernel's own `_log`, `_begin_drain` and `_die` do the rest."""
+    if node.is_sink:
+        return True
+    energy = node.energy
+    actual = energy.deduct(cost_nj)
+    sim.metrics.record_energy(actual)
+    if energy.spent_nj > sim._drain_after_nj and sim._drain_until is None:
+        sim._log(node.id, "energy_low")
+        sim._begin_drain()
+    if actual == cost_nj:
+        return True
+    sim._die(node)
+    return False
 
 
 # ---- random geometric topologies and neighbor tables --------------------

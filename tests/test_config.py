@@ -181,13 +181,13 @@ def test_every_config_field_reaches_the_engine():
 
 
 # Fields that neither acceptance 9 documents nor the shipped scenarios vary,
-# each with the test that sets it to another value
+# each with the test, or the helper a test draws its configs from, that sets
+# it to another value
 SET_BY_TEST = {
     "duplicate_critical": "test_08d_lifetime_advantage",
     "duplicate_reliability": "test_08d_lifetime_advantage",
     "stop_at_first_death": "test_08d_lifetime_advantage",
-    "queue_capacity":
-        "test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops",
+    "queue_capacity": "_small_run",   # the no-orphan property's draws
     "loss_exponent": "test_link_table_is_exact_over_the_channel_parameters",
     "path_loss_alpha": "test_link_table_is_exact_over_the_channel_parameters",
     "audit_period": "test_one_heap_entry_per_beacon_keeps_the_event_order",
@@ -216,8 +216,10 @@ def _scenario_configs(monkeypatch) -> list:
 
 
 def _test_source(name: str) -> str:
-    """The source of the test function `name` in `tests/`."""
-    for path in sorted((ROOT / "tests").glob("test_*.py")):
+    """The source of the function `name` in `tests/`: a test, or a helper
+    in `tests/helpers.py`."""
+    tests = ROOT / "tests"
+    for path in sorted(tests.glob("test_*.py")) + [tests / "helpers.py"]:
         found = re.search(rf"^def {name}\(.*?(?=^\S|\Z)", path.read_text(),
                           re.M | re.S)
         if found:
@@ -240,6 +242,9 @@ def test_every_config_field_has_a_scenario(monkeypatch):
     assert sorted(unvaried) == sorted(SET_BY_TEST)
     for name, test in SET_BY_TEST.items():
         assert re.search(rf"\b{name}\b", _test_source(test)), (name, test)
+    # the helper's draws reach the test that needs a small queue
+    assert "small_runs()" in _test_source(
+        "test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops")
 
 
 def test_readme_names_only_config_fields():

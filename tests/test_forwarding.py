@@ -294,6 +294,28 @@ def test_only_the_kernel_decision_turns_no_next_hop_into_a_void():
     assert set(named) <= {"Simulation._draw_class"}
 
 
+def test_only_the_charge_paths_write_spent_energy():
+    # A node's spent nanojoules and the ledger's energy total move together:
+    # outside `EnergyBudget.deduct` only `Simulation._spend` stores
+    # `spent_nj`, and only the ledger itself and `_spend` store
+    # `total_energy_nj`.
+    def stores(attr):
+        return lambda n: (isinstance(n, ast.Attribute) and n.attr == attr
+                          and isinstance(n.ctx, ast.Store))
+
+    spent, total = set(), set()
+    for path in Path(forwarding.__file__).parent.glob("*.py"):
+        spent.update((path.name, s) for s in _scopes(path, stores("spent_nj")))
+        total.update((path.name, s)
+                     for s in _scopes(path, stores("total_energy_nj")))
+    assert spent == {("core.py", "EnergyBudget.deduct"),
+                     ("simkernel.py", "Simulation._spend")}
+    assert ("simkernel.py", "Simulation._spend") in total
+    assert all(scope.startswith("MetricsLedger.") if name == "metrics.py"
+               else scope == "Simulation._spend"
+               for name, scope in total), total
+
+
 def test_select_and_recover_return_a_live_neighbour_or_none(monkeypatch):
     # The contract of every protocol's rules, on random small runs: a next
     # hop is None or one of the `live` records handed in, `missed` is a

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash, load_config
-from tdthr.core import LIGHT_SPEED, EnergyBudget, Position, dist, joules_to_nj
+from tdthr.core import (LIGHT_SPEED, EnergyBudget, PacketClass, Position,
+                        dist, joules_to_nj)
 from tdthr.forwarding import PROTOCOLS
 from tdthr.neighborhood import NeighborTable
 from tdthr.queueing import QueueBank
@@ -24,7 +25,8 @@ from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _link_table, _neighbours,
                              energy_costs_nj, generate_topology)
 
-from helpers import RETIRED_FIELDS, battery_j, mini_config, small_runs
+from helpers import (RETIRED_FIELDS, battery_j, mini_config, reference_spend,
+                     small_runs)
 
 CONFIG_DIR = "configs"
 
@@ -609,21 +611,8 @@ def test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops(
     monkeypatch.setattr(Simulation, "_start_tx", started)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(protocol=st.sampled_from(sorted(PROTOCOLS)),
-           seed=st.integers(0, 10**6),
-           mix=st.tuples(*[st.floats(0.0, 1 / 3)] * 3),
-           rate=st.floats(1000.0, 16000.0), deadline=st.floats(0.02, 0.5),
-           capacity=st.integers(1, 64), retries=st.integers(0, 4),
-           traffic_s=st.floats(1.0, 6.0))
-    def run_stops(protocol, seed, mix, rate, deadline, capacity, retries,
-                  traffic_s):
-        cfg = mini_config(
-            protocol=protocol, rng_seed=seed, critical_rate=mix[0],
-            delay_responsive_rate=mix[1], reliability_responsive_rate=mix[2],
-            rate_bytes_per_s=rate, deadline=deadline, queue_capacity=capacity,
-            max_retries=retries, traffic_start=11.0,
-            duration=11.0 + traffic_s, energy_initial=1000.0,
-            stop_energy_fraction=0.0)
+    @given(cfg=small_runs())
+    def run_stops(cfg):
         lags.clear()
         sim = Simulation(cfg)
         ledger = sim.run()
@@ -1353,6 +1342,122 @@ def test_the_integer_drain_threshold_is_the_float_test(initial_nj, fraction):
         old = initial - spent < fraction * initial
         assert (sim._drain_until is not None) == old, spent
         assert not (fraction == 0 and old)
+
+
+def _energy_state(sim) -> tuple:
+    """What a charge can change: each node's life and budget, the drain,
+    the ledger and the trace text."""
+    return ([(n.id, n.alive, n.energy.spent_nj) for n in sim.nodes.values()],
+            sim._drain_until, sim._stop_at, sim.metrics.total_energy_nj,
+            sim.metrics.first_death_time, sim.metrics.partition_time,
+            sim.metrics.per_class, sim.trace.getvalue())
+
+
+def test_a_charge_is_the_charge_of_the_full_path():
+    # `_spend` pays a charge that leaves `spent_nj` at or below
+    # `_drain_after_nj` as an addition; `reference_spend` pays every charge
+    # by deduct, record, drain test and death. On twin simulations both
+    # give the same answer, budgets, drain, ledger and trace around both
+    # edges, the drain threshold and the whole battery, for sinks, the
+    # source and a relay, with and without a drain already begun.
+    seen = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(fraction=st.sampled_from([0.0, 0.05]),
+           nid=st.sampled_from([PRIMARY_SINK, SECONDARY_SINK, SOURCE, 7]),
+           edge=st.sampled_from(["drain", "initial"]),
+           offset=st.integers(-2, 2),
+           cost=st.sampled_from(["tx", "rx", "idle"]) | st.integers(0, 3 * 10**9),
+           draining=st.booleans())
+    def charge(fraction, nid, edge, offset, cost, draining):
+        cfg = mini_config(stop_energy_fraction=fraction)
+        fast, full = [Simulation(cfg, trace=io.StringIO()) for _ in range(2)]
+        cost = dict(zip(["tx", "rx", "idle"], energy_costs_nj(cfg))).get(cost, cost)
+        initial, limit = fast.nodes[nid].energy.initial_nj, fast._drain_after_nj
+        target = limit if edge == "drain" else initial
+        spent = min(max(target - cost + offset, 0), initial)
+        for sim in (fast, full):
+            sim.nodes[nid].energy.spent_nj = spent
+            if draining:
+                sim._begin_drain()
+        paid = fast._spend(fast.nodes[nid], cost)
+        assert paid == reference_spend(full, full.nodes[nid], cost)
+        assert _energy_state(fast) == _energy_state(full)
+        seen.update(name for name, hit in [
+            ("sink", nid in (PRIMARY_SINK, SECONDARY_SINK)),
+            ("cost 0", cost == 0), ("draining", draining),
+            ("at the threshold", spent + cost == limit),
+            ("one above it", spent + cost == limit + 1),
+            ("the whole battery", spent + cost == initial),
+            ("beyond it", spent + cost > initial),
+            (f"fraction {fraction}", True)] if hit)
+
+    charge()
+    assert seen == {"sink", "cost 0", "draining", "at the threshold",
+                    "one above it", "the whole battery", "beyond it",
+                    "fraction 0.0", "fraction 0.05"}
+
+
+class _PerRelayAudit(Simulation):
+    """The audit as one full-path charge per live node, sinks included."""
+
+    def _ev_audit(self):
+        for node in self.nodes.values():
+            if node.alive:
+                reference_spend(self, node, self._idle_nj)
+        if self._drain_until is None:
+            self._schedule(self.now + self.cfg.audit_period, self._ev_audit)
+
+
+def _heap_view(sim) -> list:
+    """The heap's events by time, seq, handler and payload, the payload's
+    objects by type: twin simulations hold equal but distinct objects."""
+    return [(t, seq, handler.__name__,
+             [x if isinstance(x, (int, float)) else type(x).__name__
+              for x in payload]) for t, seq, handler, payload in sim._heap]
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.05])
+def test_the_audit_is_a_full_path_charge_per_relay(fraction):
+    # Mid-field, relay 20's audit charge passes the drain threshold, and
+    # relay 40, holding a queued packet, cannot pay and dies; relay 30 is
+    # already dead, and every other relay pays in full. One audit on twin
+    # simulations, the kernel's, whose charges at or below the threshold
+    # are additions in `_spend`, and one that charges node by node through
+    # the full path, leaves the same nodes, ledger, drain, heap and trace.
+    cfg = mini_config(stop_energy_fraction=fraction)
+    sims = [kind(cfg, trace=io.StringIO()) for kind in (Simulation, _PerRelayAudit)]
+    for sim in sims:
+        idle, limit = sim._idle_nj, sim._drain_after_nj
+        draw = random.Random(5).randrange
+        for node in sim.nodes.values():
+            node.energy.spent_nj = 0 if node.is_sink else draw(limit - idle + 1)
+        sim.nodes[20].energy.spent_nj = limit - idle + 1
+        poor = sim.nodes[40]
+        poor.energy.spent_nj = poor.energy.initial_nj - idle + 1
+        sim.nodes[30].alive = False
+        packet = sim._make_packet(PacketClass.REGULAR, PRIMARY_SINK, 0)
+        sim.metrics.record_generated(0, PacketClass.REGULAR, 0.0,
+                                     [packet.packet_id])
+        sim._accept_packet(poor, packet)
+        sim._ev_audit()
+    kernel, per_relay = sims
+    assert _energy_state(kernel) == _energy_state(per_relay)
+    assert _heap_view(kernel) == _heap_view(per_relay)
+    # the audit met both edges: relay 20 ran low (at fraction 0 it died),
+    # relay 40 died and dropped its packet, and the rest paid in full
+    lines = [line.split()[1:] for line in kernel.trace.getvalue().splitlines()]
+    if fraction:
+        assert lines[0] == ["20", "energy_low", "-"]
+        assert kernel.nodes[20].alive
+    else:
+        assert lines[0] == ["20", "death", "-"]
+    assert ["40", "death", "-"] in lines
+    assert ["40", "drop", str(packet.packet_id), "dead_node"] in lines
+    # a relay's death drains nothing here: the source lives and reaches a sink
+    assert (kernel._drain_until is not None) == bool(fraction)
+    assert sum(not node.alive for node in kernel.nodes.values()) == (
+        2 if fraction else 3)
 
 
 def test_trace_lines_are_well_formed():
