@@ -2,7 +2,7 @@
 with a deterministic discrete-event simulator and baseline protocols."""
 
 from .config import SimConfig
-from .core import NodeId, Packet, PacketClass, Position, dist
+from .core import NodeId, Packet, PacketClass, Position
 from .estimators import DelayEstimator, PrrEstimator
 from .forwarding import (NoQualifyingPair, VoidRegion, required_velocity,
                          select_next_hop, update_lag_time)
@@ -12,7 +12,7 @@ from .queueing import QueueBank
 from .simkernel import Simulation, generate_topology
 
 __all__ = [
-    "NodeId", "Packet", "PacketClass", "Position", "dist",
+    "NodeId", "Packet", "PacketClass", "Position",
     "DelayEstimator", "PrrEstimator",
     "NoQualifyingPair", "VoidRegion",
     "required_velocity", "select_next_hop", "update_lag_time",

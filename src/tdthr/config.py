@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 
-from .core import NodeId, PacketClass, Position
+from .core import NodeId, Position
 from .forwarding import PROTOCOLS
 
 PRIMARY_SINK: NodeId = 0
@@ -81,8 +81,7 @@ class SimConfig:
 
     protocol: str = _f("protocol", "tdthr")  # a PROTOCOLS name, see validate
     hello_period: float = _f("protocol", 5.0, _POSITIVE)
-    duplicate_critical: bool = _f("protocol", True)
-    duplicate_reliability: bool = _f("protocol", True)
+    duplicate: bool = _f("protocol", True)  # see RoutingProtocol.duplicated
     queue_capacity: int = _f("protocol", 64, _at_least(1))
 
     bandwidth_bps: float = _f("mac", 250000.0, _POSITIVE)
@@ -171,13 +170,6 @@ class SimConfig:
     @property
     def cbr_interval(self) -> float:
         return self.payload_bytes / self.rate_bytes_per_s
-
-    @property
-    def duplicated_classes(self) -> frozenset:
-        """The classes whose duplicate_* switch is on."""
-        on = {PacketClass.CRITICAL: self.duplicate_critical,
-              PacketClass.RELIABILITY_RESPONSIVE: self.duplicate_reliability}
-        return frozenset(cls for cls, dup in on.items() if dup)
 
 
 # attribute name -> (section, YAML key), in declaration order

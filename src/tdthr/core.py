@@ -32,11 +32,6 @@ class Position:
             raise ValueError("position coordinates must be finite")
 
 
-def dist(a: Position, b: Position) -> float:
-    """Euclidean distance in meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 @dataclass(slots=True)
 class Packet:
     packet_id: int

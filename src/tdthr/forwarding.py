@@ -10,15 +10,17 @@ Regular traffic is plain greedy-geographic; reliability-responsive traffic
 maximizes path reliability unconditionally. Offered velocities are computed
 where the pairs are built, in `NeighborTable.favorable_pairs`.
 
-`PROTOCOLS` holds each protocol's next-hop rule, its recovery rule and the
-traits the kernel reads, so that the kernel never knows which protocol it
-runs. A rule reads no config: it sees only the decision's node, packet and
-neighbourhood, and says "no next hop" by returning None, never by raising.
+`PROTOCOLS` holds each protocol's next-hop rule, its recovery rule and its
+per-class policy (the queue each class waits in, the classes dropped once
+late, the classes sent to both sinks), so that the kernel never knows which
+protocol it runs. A rule reads no config: it sees only the decision's node,
+packet and neighbourhood, and says "no next hop" by returning None, never
+by raising.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import NodeId, PacketClass
@@ -121,10 +123,14 @@ class RoutingProtocol:
     # -> (a neighbor in `live` or None, whether it is slower than the deadline
     # requires); None goes to `recover`, or is a void where there is none
     select: Callable
-    priority_queues: bool  # three priority queues with promotion, else one FIFO
     recover: Callable | None = None  # same arguments -> next hop, or None
+    # class -> the queue it waits in (`queueing.QueueBank`); queue 0 is
+    # served first, and an entry in any other is promoted to it when aged.
+    # By default every class shares queue 0, one FIFO with no promotion.
+    lanes: dict = field(default_factory=lambda: dict.fromkeys(PacketClass, 0))
     expire_in_network: frozenset = frozenset()  # classes dropped once late
-    duplicated: frozenset = frozenset()  # classes also sent to the other sink
+    # classes also sent to the other sink, where `protocol.duplicate` is on
+    duplicated: frozenset = frozenset()
 
 
 def _progress(d_own: float, f1) -> list:
@@ -200,12 +206,15 @@ def select_one_hop_velocity(node, packet, to_dest, d_own, live, links):
 # (and a recover function, if a void should not drop the packet).
 PROTOCOLS = {
     "tdthr": RoutingProtocol(
-        select_tdthr, priority_queues=True, recover=detour,
+        select_tdthr, recover=detour,
+        # the paper's three priority queues: reliability-responsive and
+        # regular traffic share the last
+        lanes={PacketClass.CRITICAL: 0, PacketClass.DELAY_RESPONSIVE: 1,
+               PacketClass.RELIABILITY_RESPONSIVE: 2, PacketClass.REGULAR: 2},
         expire_in_network=frozenset({PacketClass.CRITICAL,
                                      PacketClass.DELAY_RESPONSIVE}),
         duplicated=frozenset({PacketClass.CRITICAL,
                               PacketClass.RELIABILITY_RESPONSIVE})),
-    "one_hop_velocity": RoutingProtocol(
-        select_one_hop_velocity, priority_queues=False),
-    "greedy_geo": RoutingProtocol(select_greedy_geo, priority_queues=False),
+    "one_hop_velocity": RoutingProtocol(select_one_hop_velocity),
+    "greedy_geo": RoutingProtocol(select_greedy_geo),
 }

@@ -1,24 +1,20 @@
 """Per-node queuing controller: three strict-priority FIFO queues with
-timer-based promotion of aged non-critical packets into the critical queue.
+timer-based promotion of aged entries into queue 0.
+
+Which lane a traffic class waits in is the protocol's policy
+(`forwarding.RoutingProtocol.lanes`); the bank sees only lane numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Packet, PacketClass
+from .core import Packet
 
-# A queue's index is its priority: 0 is served first.
-CRITICAL_Q, DELAY_Q, RELIABILITY_Q = 0, 1, 2
-
-# The queue each class lands in; reliability-responsive and regular traffic
-# share the lowest-priority one.
-_PRIORITY = {
-    PacketClass.CRITICAL: CRITICAL_Q,
-    PacketClass.DELAY_RESPONSIVE: DELAY_Q,
-    PacketClass.RELIABILITY_RESPONSIVE: RELIABILITY_Q,
-    PacketClass.REGULAR: RELIABILITY_Q,
-}
+# `QueueBank.enqueue`: an armed promotion timer fires after the larger of
+# the floor and this fraction of the packet's lag time.
+PROMOTION_FLOOR_S = 0.010
+PROMOTION_FRACTION = 0.5
 
 
 @dataclass(slots=True)
@@ -32,8 +28,11 @@ class QueueEntry:
 
 
 class QueueBank:
-    """Strict-priority scheduler. `single_queue=True` collapses everything
-    into one FIFO with no promotion (used by the baseline protocols).
+    """Strict-priority scheduler over three queues; `lanes` maps each
+    traffic class to the index of the queue it waits in. Queue 0 is served
+    first and its entries are never armed; an entry in queue 1 or 2 is
+    armed, and its timer moves it to the tail of queue 0. With every class
+    in lane 0 the bank is one FIFO with no promotion.
 
     Each FIFO is a plain list: an empty list holds no storage, where an
     empty deque keeps a 64-slot block, and most of a run's queues never
@@ -41,29 +40,27 @@ class QueueBank:
     shipped configs), so taking its head with `pop(0)` moves a short
     array."""
 
-    __slots__ = ("capacity", "single_queue", "queues")
+    __slots__ = ("capacity", "lanes", "queues")
 
-    def __init__(self, capacity: int = 64, single_queue: bool = False):
+    def __init__(self, capacity: int, lanes: dict):
         self.capacity = capacity
-        self.single_queue = single_queue
+        self.lanes = lanes
         # the three FIFOs, indexed by priority: served in that order
         self.queues = ([], [], [])
 
-    def _target_queue(self, cls: PacketClass) -> int:
-        return RELIABILITY_Q if self.single_queue else _PRIORITY[cls]
-
-    def enqueue(self, packet: Packet, now: float,
-                timer_deadline: float) -> QueueEntry | None:
+    def enqueue(self, packet: Packet, now: float) -> QueueEntry | None:
         """Returns the packet's new entry, or None on a tail drop (queue
-        full). The bank alone decides which entries are armed: one in the
-        critical queue or a single-queue bank holds None, not the deadline."""
-        index = self._target_queue(packet.cls)
-        q = self.queues[index]
+        full). An entry outside queue 0 is armed to fire after the larger
+        of `PROMOTION_FLOOR_S` and `PROMOTION_FRACTION` of the lag time."""
+        lane = self.lanes[packet.cls]
+        q = self.queues[lane]
         if len(q) >= self.capacity:
             return None
-        if index == CRITICAL_Q or self.single_queue:
-            timer_deadline = None
-        entry = QueueEntry(packet, now, timer_deadline)
+        deadline = None
+        if lane:
+            deadline = now + max(PROMOTION_FLOOR_S,
+                                 PROMOTION_FRACTION * packet.lag_time)
+        entry = QueueEntry(packet, now, deadline)
         q.append(entry)
         return entry
 
@@ -79,17 +76,17 @@ class QueueBank:
         return None
 
     def on_timer_expire(self, entry: QueueEntry, now: float) -> bool:
-        """Move an aged entry to the tail of the critical queue. The timer of
-        an entry that has left the bank, or was never armed, is a no-op."""
+        """Move an aged entry to the tail of queue 0. The timer of an entry
+        that has left the bank, or was never armed, is a no-op."""
         if entry.timer_deadline is None:
             return False
-        q = self.queues[self._target_queue(entry.packet.cls)]
+        q = self.queues[self.lanes[entry.packet.cls]]
         for i, queued in enumerate(q):
             if queued is entry:
                 del q[i]
                 break
         entry.timer_deadline = None
-        self.queues[CRITICAL_Q].append(entry)
+        self.queues[0].append(entry)
         return True
 
     def flush(self):

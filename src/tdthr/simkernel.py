@@ -110,7 +110,7 @@ def _neighbours(positions, tx_range) -> dict:
                           for q in cells.get(cell, ())]
         for i, (x, x0, y0, found) in enumerate(members, 1):
             for y, qx, qy, theirs in scan[i:]:
-                # dist(p, q) inlined: set-up's hottest line
+                # the Euclidean distance: set-up's hottest line
                 d = hypot(x0 - qx, y0 - qy)
                 if d <= tx_range:
                     found.append((y, d))
@@ -202,7 +202,7 @@ class _Node:
                  "prr_in", "hellos", "data_out", "queues", "busy")
 
     def __init__(self, nid, is_sink, expiry: float, gamma: float,
-                 capacity: int, single_queue: bool, initial_nj: int,
+                 capacity: int, lanes: dict, initial_nj: int,
                  dt_prior: float):
         self.id = nid
         self.is_sink = is_sink
@@ -218,7 +218,7 @@ class _Node:
         # on each link and checks the number each reception carries.
         self.hellos = 0        # beacons sent
         self.data_out = {}     # receiver -> data attempts sent to it
-        self.queues = QueueBank(capacity, single_queue)
+        self.queues = QueueBank(capacity, lanes)
         self.busy = False
 
     @property
@@ -249,10 +249,6 @@ ACK_BYTES = 12
 # must outlast the ACK's round trip; at a guard of 0 the two would tie.
 BACKOFF_WINDOW_S = 0.008
 ACK_TIMEOUT_GUARD_S = 0.001
-# `_accept_packet`: an armed promotion timer fires after the larger of the
-# floor and this fraction of the packet's lag time.
-PROMOTION_FLOOR_S = 0.010
-PROMOTION_FRACTION = 0.5
 
 
 class Simulation:
@@ -269,8 +265,8 @@ class Simulation:
         if errors:
             raise ValueError("invalid configuration: " + "; ".join(errors))
         self.cfg = cfg
-        self._protocol = PROTOCOLS[cfg.protocol]
-        self._duplicated = self._protocol.duplicated & cfg.duplicated_classes
+        protocol = self._protocol = PROTOCOLS[cfg.protocol]
+        self._duplicated = protocol.duplicated if cfg.duplicate else frozenset()
         self.rng = random.Random(f"run:{cfg.rng_seed}")
         self.positions, neighbours = generate_topology(cfg, cfg.rng_seed)
         # Energy in integer nanojoules. What each action costs is the same
@@ -290,12 +286,10 @@ class Simulation:
         self._ack_ser = ACK_BYTES * 8 / cfg.bandwidth_bps
         # every node is built from these run-wide constants, read once
         node_args = (cfg.neighbor_expiry, cfg.delay_gamma, cfg.queue_capacity,
-                     not self._protocol.priority_queues, initial_nj,
-                     self._payload_ser)
+                     protocol.lanes, initial_nj, self._payload_ser)
         self.nodes = {nid: _Node(nid, nid in (PRIMARY_SINK, SECONDARY_SINK),
                                  *node_args) for nid in sorted(self.positions)}
-        # Positions never move: sink -> {nid: distance to that sink}, fixed
-        # here as `dist(pos, sink)` computes it.
+        # Positions never move: sink -> {nid: distance to that sink}, fixed here.
         hypot = math.hypot
         self.sink_distance = {}
         for sink in (PRIMARY_SINK, SECONDARY_SINK):
@@ -582,9 +576,9 @@ class Simulation:
 
     def _accept_packet(self, node: _Node, packet: Packet):
         """Enqueue at `node` and kick the transmitter. The bank decides
-        whether the new entry's promotion timer is armed."""
-        entry = node.queues.enqueue(packet, self.now, self.now + max(
-            PROMOTION_FLOOR_S, PROMOTION_FRACTION * packet.lag_time))
+        whether the new entry is armed and when its timer fires; the kernel
+        only schedules the promotion at that deadline."""
+        entry = node.queues.enqueue(packet, self.now)
         if entry is None:
             self._drop(packet, "queue_full", node.id)
             return

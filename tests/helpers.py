@@ -15,17 +15,23 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 import random
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 from tdthr.cli import load_config
-from tdthr.core import PacketClass, Position, dist
+from tdthr.core import PacketClass, Position
 from tdthr.estimators import DelayEstimator
 from tdthr.forwarding import PROTOCOLS
 from tdthr.neighborhood import ForwarderPair, HelloMessage, NeighborTable
 from tdthr.simkernel import SimConfig, Simulation, energy_costs_nj
+
+
+def dist(a: Position, b: Position) -> float:
+    """Euclidean distance in meters."""
+    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 # ---- desk-scale configuration -------------------------------------------
@@ -53,7 +59,9 @@ RETIRED_FIELDS = [("protocol", "neighbor_expiry_factor"),
                   ("protocol", "promotion_floor"),
                   ("protocol", "promotion_fraction"),
                   ("mac", "backoff_window"), ("mac", "ack_bytes"),
-                  ("mac", "ack_timeout_guard")]
+                  ("mac", "ack_timeout_guard"),
+                  ("protocol", "duplicate_critical"),
+                  ("protocol", "duplicate_reliability")]
 
 
 def mini_config(**overrides) -> SimConfig:

@@ -15,13 +15,13 @@ import pytest
 import yaml
 
 from tdthr.cli import run_grid
-from tdthr.core import PacketClass, Position, dist
+from tdthr.core import PacketClass, Position
 from tdthr.estimators import DelayEstimator, PrrEstimator
 from tdthr.forwarding import NoQualifyingPair, select_next_hop, update_lag_time
 from tdthr.simkernel import SimConfig, Simulation
 
 from helpers import (brute_favorable_one_hop, brute_favorable_pairs,
-                     brute_select, build_tables, desk_config,
+                     brute_select, build_tables, desk_config, dist,
                      favorable_one_hop, favorable_pairs, geometric_one_hop,
                      line_pairs, one_hop_set, random_pair_snapshot,
                      random_positions, two_hop_set)
@@ -284,10 +284,12 @@ def test_08c_two_hop_delay_advantage():
 
 def test_08d_lifetime_advantage():
     """Energy-aware relay rotation keeps the first node alive at least as
-    long as pure greedy forwarding, on identical seeds."""
+    long as pure greedy forwarding, on identical seeds. Duplication is off
+    so that tdthr sends one copy per packet, as greedy does, and the energy
+    comparison is fair."""
     runs = _runs("protocol", ("tdthr", "greedy_geo"),
                  delay_responsive_rate=0.5, reliability_responsive_rate=0.5,
-                 duplicate_critical=False, duplicate_reliability=False,
+                 duplicate=False,
                  stop_energy_fraction=0.0, stop_at_first_death=True)
     lifetimes = {protocol: _mean([ledger.lifetime(cfg.duration)
                                   for cfg, ledger in per_seed])

@@ -64,7 +64,7 @@ def _assert_rejected(tmp_path, capsys, section, key, value, message,
 @pytest.mark.parametrize("section, key, value", [
     ("network", "node_count", "100"),
     ("mac", "max_retries", 2.5),
-    ("protocol", "duplicate_critical", "no"),
+    ("protocol", "duplicate", "no"),
     ("energy", "tx", "x"),
 ])
 def test_validate_rejects_mistyped_values(tmp_path, capsys, section, key, value):

@@ -74,8 +74,8 @@ def test_each_field_round_trips_under_its_yaml_key(f):
 def test_shipped_configs_keep_their_hash_and_echo():
     # to_dict() content and key order: config_hash fingerprints every CSV
     # row, and `tdthr validate` echoes the dict in order
-    pinned = {"default": ("5c957b292877", "928f08bb856b7604"),
-              "desk": ("d9182c8141a8", "a04c70736da93d8e")}
+    pinned = {"default": ("60b392d033c7", "d3046b5c29f6d1ad"),
+              "desk": ("8d559cc8bbbd", "78cdf5d53a8c2f8c")}
     for name, (cfg_hash, echo_sha) in pinned.items():
         cfg = load_config(f"configs/{name}.yaml")
         echo = yaml.safe_dump(cfg.to_dict(), sort_keys=False)
@@ -184,8 +184,7 @@ def test_every_config_field_reaches_the_engine():
 # each with the test, or the helper a test draws its configs from, that sets
 # it to another value
 SET_BY_TEST = {
-    "duplicate_critical": "test_08d_lifetime_advantage",
-    "duplicate_reliability": "test_08d_lifetime_advantage",
+    "duplicate": "test_08d_lifetime_advantage",
     "stop_at_first_death": "test_08d_lifetime_advantage",
     "queue_capacity": "_small_run",   # the no-orphan property's draws
     "loss_exponent": "test_link_table_is_exact_over_the_channel_parameters",

@@ -5,17 +5,20 @@ import random
 
 import pytest
 
-from tdthr.core import (EnergyBudget, Packet, PacketClass, Position, dist,
+from tdthr.core import (EnergyBudget, Packet, PacketClass, Position,
                         joules_to_nj)
 from tdthr.estimators import DelayEstimator, PrrEstimator
+from tdthr.forwarding import PROTOCOLS
 from tdthr.neighborhood import (ForwarderPair, HelloMessage, NeighborRecord,
                                 NeighborTable)
 from tdthr.queueing import QueueBank, QueueEntry
 
+from helpers import dist
+
 EPS = 1e-12
 
 
-# ---- distance ------------------------------------------------------------
+# ---- distance (the tests' own `dist`, which the oracles measure with) -----
 
 def test_dist_three_four_five():
     assert abs(dist(Position(0, 0), Position(3, 4)) - 5.0) <= EPS
@@ -113,6 +116,6 @@ def test_records_made_per_event_are_slotted():
                  HelloMessage(1, 1.0, {}, {}, {}),
                  ForwarderPair(1, 2, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
                  QueueEntry(packet, 0.0, None), NeighborTable(0, 1.0),
-                 QueueBank(), Position(0.0, 0.0)]
+                 QueueBank(64, PROTOCOLS["tdthr"].lanes), Position(0.0, 0.0)]
     for obj in instances:
         assert not hasattr(obj, "__dict__"), type(obj).__name__

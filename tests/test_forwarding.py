@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 
-from tdthr import forwarding, simkernel
+from tdthr import config, forwarding, queueing, simkernel
 from tdthr.config import PRIMARY_SINK
 from tdthr.core import Packet, PacketClass
 from tdthr.forwarding import (NoQualifyingPair, RoutingProtocol, VoidRegion,
@@ -278,8 +278,7 @@ def _catches_void(node) -> bool:
 def test_only_the_kernel_decision_turns_no_next_hop_into_a_void():
     # A rule says "no next hop" by returning None, and lateness is a number:
     # `forwarding` neither raises nor catches `VoidRegion`, the kernel raises
-    # it only in `_select`, and no module defines `DeadlineExpired`. The
-    # kernel names a traffic class only where it draws one.
+    # it only in `_select`, and no module defines `DeadlineExpired`.
     assert _scopes(forwarding.__file__,
                    lambda n: _raises_void(n) or _catches_void(n)) == []
     assert _scopes(simkernel.__file__, _raises_void) == ["Simulation._select"]
@@ -288,10 +287,22 @@ def test_only_the_kernel_decision_turns_no_next_hop_into_a_void():
             isinstance(n, ast.ClassDef) and n.name == "DeadlineExpired"
             or isinstance(n, ast.Name) and n.id == "DeadlineExpired"
             and isinstance(n.ctx, ast.Store))) == [], path.name
+
+
+def test_per_class_policy_lives_in_the_protocol_table():
+    # Which queue a class waits in, which classes expire and which go to
+    # both sinks are `PROTOCOLS` entries: config and the queue bank never
+    # name a traffic class, and the kernel names one only where it draws it.
+    def names_class(n):
+        return (isinstance(n, ast.Name) and n.id == "PacketClass"
+                or isinstance(n, ast.alias) and n.name == "PacketClass")
+
+    for module in (config, queueing):
+        assert _scopes(module.__file__, names_class) == [], module.__name__
     named = _scopes(simkernel.__file__, lambda n: (
         isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
         and n.value.id == "PacketClass"))
-    assert set(named) <= {"Simulation._draw_class"}
+    assert set(named) == {"Simulation._draw_class"}
 
 
 def test_only_the_charge_paths_write_spent_energy():
@@ -358,7 +369,12 @@ def test_select_and_recover_return_a_live_neighbour_or_none(monkeypatch):
 
 def test_a_protocol_is_one_table_entry(monkeypatch):
     # config and kernel read one table: an entry added there validates and
-    # runs, with no other change
+    # runs, with no other change. Each entry's lanes put every class in
+    # one of the three queues, and tdthr serves critical traffic first.
+    for name, protocol in forwarding.PROTOCOLS.items():
+        assert set(protocol.lanes) == set(PacketClass), name
+        assert set(protocol.lanes.values()) <= {0, 1, 2}, name
+    assert forwarding.PROTOCOLS["tdthr"].lanes[PacketClass.CRITICAL] == 0
     cfg = mini_config(protocol="lowest_id", critical_rate=0.25,
                       delay_responsive_rate=0.25,
                       reliability_responsive_rate=0.25, rng_seed=4)
@@ -370,8 +386,8 @@ def test_a_protocol_is_one_table_entry(monkeypatch):
         f1 = node.table.favorable_one_hop(live, d_own, to_dest)
         return min((r.neighbor for r, _ in f1), default=None), False
 
-    monkeypatch.setitem(forwarding.PROTOCOLS, "lowest_id", RoutingProtocol(
-        select_lowest_id, priority_queues=False))
+    monkeypatch.setitem(forwarding.PROTOCOLS, "lowest_id",
+                        RoutingProtocol(select_lowest_id))
     assert cfg.validate() == []
     sim = Simulation(cfg)
     ledger = sim.run()

@@ -3,14 +3,14 @@ table-derived neighbor/forwarder sets with brute-force geometric evaluation."""
 
 import random
 
-from tdthr.core import PacketClass, Position, dist
+from tdthr.core import PacketClass, Position
 from tdthr.estimators import DelayEstimator
 from tdthr.neighborhood import (HELLO_HEADER_BYTES, HELLO_NEIGHBOR_ENTRY_BYTES,
                                 HELLO_PRR_ENTRY_BYTES, HelloMessage,
                                 NeighborTable)
 
 from helpers import (brute_favorable_one_hop, brute_favorable_pairs,
-                     build_tables, favorable_one_hop, favorable_pairs,
+                     build_tables, dist, favorable_one_hop, favorable_pairs,
                      geometric_one_hop, one_hop_set, random_positions,
                      two_hop_set)
 

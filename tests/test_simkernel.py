@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from tdthr import metrics, simkernel
 from tdthr.cli import config_hash, load_config
 from tdthr.core import (LIGHT_SPEED, EnergyBudget, PacketClass, Position,
-                        dist, joules_to_nj)
+                        joules_to_nj)
 from tdthr.forwarding import PROTOCOLS
 from tdthr.neighborhood import NeighborTable
 from tdthr.queueing import QueueBank
@@ -25,8 +25,8 @@ from tdthr.simkernel import (PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig,
                              Simulation, _connected, _link_table, _neighbours,
                              energy_costs_nj, generate_topology)
 
-from helpers import (RETIRED_FIELDS, battery_j, mini_config, reference_spend,
-                     small_runs)
+from helpers import (RETIRED_FIELDS, battery_j, dist, mini_config,
+                     reference_spend, small_runs)
 
 CONFIG_DIR = "configs"
 
@@ -724,22 +724,22 @@ def test_a_run_leaves_no_reference_cycle_and_the_collector_as_it_was(protocol):
 _FINGERPRINTS = {
     "tdthr": (
         "f5d64a85a887bae158172f307815fbce1095bb0ba10629b7b4b6294bc6b244d3",
-        "a7f43d70d891,1,tdthr,0.25,0.4,0.857143,0,0.333333,0.109878,0.130924,,"
+        "dd8c6500c5ef,1,tdthr,0.25,0.4,0.857143,0,0.333333,0.109878,0.130924,,"
         "0.0719006,0.113661,0.169884,,0.0768293,0.833333,1.22511,11.4631,"
         "13.4762,0,0,1,9,3,24,11,26,8"),
     "one_hop_velocity": (
         "1bbd4dd3c4fd1455e2839b6f78d2fc95e219a053415bf1ed8bbaae817a084d4c",
-        "30ac0c127641,1,one_hop_velocity,0.25,0.6,0.4,0.538462,0.625,0.111197,"
+        "16ec5478eba9,1,one_hop_velocity,0.25,0.6,0.4,0.538462,0.625,0.111197,"
         "0.109084,0.0982245,0.0798591,0.119673,0.114864,0.132523,0.116329,"
         "0.516129,0.633807,11.5962,10.7747,13,0,0,0,1,31,17,0,68"),
     "greedy_geo": (
         "a9b311a7b487206a933b7db37ca4a1ba67ccd991006cd16e1093f146c953dede",
-        "3f03822c95d6,1,greedy_geo,0.25,0.833333,0.75,0.714286,1,0.101355,"
+        "bfdf0281d35c,1,greedy_geo,0.25,0.833333,0.75,0.714286,1,0.101355,"
         "0.0994352,0.0648396,0.0740819,0.138558,0.131165,0.110847,0.106294,"
         "0.655172,0.499747,20,11.9939,5,0,0,0,0,29,24,0,0"),
     "desk_revisit": (
         "15f21ac781143f1c8dc93bf4fdc6af7710169ca8ae79ebd7b9a8b00943a7d8dd",
-        "9f3c587d9cb5,1000,tdthr,0.25,0.435897,0.567568,0.363636,0.6,0.168087,"
+        "cb856004a5a5,1000,tdthr,0.25,0.435897,0.567568,0.363636,0.6,0.168087,"
         "0.180022,0.120082,0.146894,0.530555,0.445143,0.185819,0.492384,"
         "0.0447761,4.43242,20,288.108,56,0,5,0,0,134,65,4,0"),
 }
@@ -792,8 +792,8 @@ def test_a_packet_back_at_its_source_is_forwarded_and_promoted_by_its_own_visit(
     promotions = []
     enqueue, expire = QueueBank.enqueue, QueueBank.on_timer_expire
 
-    def enqueued(bank, packet, now, deadline):
-        entry = enqueue(bank, packet, now, deadline)
+    def enqueued(bank, packet, now):
+        entry = enqueue(bank, packet, now)
         if entry is not None:
             armed[bank, packet.packet_id] = entry.timer_deadline
         return entry
@@ -1102,8 +1102,7 @@ def test_single_copies_alternate_between_the_sinks(monkeypatch):
     monkeypatch.setattr(Simulation, "_make_packet", watched)
     ledger = Simulation(mini_config(
         critical_rate=0.5, reliability_responsive_rate=0.25,
-        duplicate_critical=False, duplicate_reliability=False,
-        duration=20.0)).run()
+        duplicate=False, duration=20.0)).run()
     assert len(made) == ledger.generated_total > 10
     assert made == [(PRIMARY_SINK, SECONDARY_SINK)[i % 2]
                     for i in range(len(made))]
@@ -1168,8 +1167,7 @@ def test_duplication_only_for_loss_averse_classes():
     base = dict(critical_rate=0.5, reliability_responsive_rate=0.25,
                 delay_responsive_rate=0.25, rng_seed=6, duration=25.0)
     dup = Simulation(mini_config(**base)).run()
-    plain = Simulation(mini_config(duplicate_critical=False,
-                                   duplicate_reliability=False, **base)).run()
+    plain = Simulation(mini_config(duplicate=False, **base)).run()
     assert dup.duplicates_generated > 0
     assert plain.duplicates_generated == 0
 
