@@ -160,14 +160,15 @@ def select_tdthr(node, packet, to_dest, d_own, live, links):
     if cls is PacketClass.RELIABILITY_RESPONSIVE:
         fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
         return route_reliability(pairs, fallback), False
-    # critical / delay-responsive: velocity-filtered two-hop selection
+    # critical / delay-responsive: velocity-filtered two-hop selection, or
+    # greedy where no pair is known
+    if not pairs:
+        return route_regular(_progress(d_own, f1)), False
     v_req = required_velocity(d_own, packet.lag_time)
     try:
         return select_next_hop(pairs, v_req, cls).y, False
     except NoQualifyingPair:
-        if pairs:
-            return best_effort_pair(pairs).y, True
-        return route_regular(_progress(d_own, f1)), False
+        return best_effort_pair(pairs).y, True
 
 
 def detour(node, packet, to_dest, d_own, live, links):

@@ -99,6 +99,3 @@ class QueueBank:
                 stranded.append(entry.packet)
             q.clear()
         return stranded
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self.queues)

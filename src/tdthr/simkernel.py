@@ -230,12 +230,16 @@ class _Node:
 
 
 class _TxState:
-    __slots__ = ("packet", "next_hop", "t_s", "attempts", "delivered_any",
-                 "timeout")
+    """One hop: every attempt of `packet` from `sender` to `next_hop` (set
+    once chosen), begun at `t_s`. The MAC's events carry it alone, and it
+    ends once, in `Simulation._end_hop`."""
+    __slots__ = ("sender", "packet", "next_hop", "t_s", "attempts",
+                 "delivered_any", "timeout")
 
-    def __init__(self, packet, next_hop, t_s):
+    def __init__(self, sender, packet, t_s):
+        self.sender = sender
         self.packet = packet
-        self.next_hop = next_hop
+        self.next_hop = None
         self.t_s = t_s
         self.attempts = 0
         self.delivered_any = False
@@ -476,14 +480,14 @@ class Simulation:
                 raise RuntimeError(f"HELLO reception scheduled in the past "
                                    f"({t} < {self.now})")
             heapq.heappush(self._heap, (t, seq, type(self)._deliver_hellos,
-                                        (nid, hello, receptions)))
+                                        (hello, receptions)))
         self._log(nid, "hello")
         self._schedule(self.now + cfg.hello_period, self._ev_hello, nid)
 
-    def _deliver_hellos(self, sender: NodeId, hello: HelloMessage,
-                        receptions: list):
-        """Run one beacon's receptions, each an `_ev_hello_rx` event, in the
-        order they would run as heap entries of their own. Only the earliest
+    def _deliver_hellos(self, hello: HelloMessage, receptions: list):
+        """Run the receptions of `hello`, each an `_ev_hello_rx` event, in
+        the order they would run as heap entries of their own. The beacon
+        names its sender, `hello.sender`. Only the earliest
         is on the heap; `receptions` holds it and the rest, latest first.
         The next one runs here directly only while it is strictly before the
         heap top in `(t, seq)` order and passes `run()`'s stop test, both
@@ -492,17 +496,17 @@ class Simulation:
         receive = self._ev_hello_rx
         heap = self._heap
         _, _, peer, seq = receptions.pop()
-        receive(peer, sender, hello, seq)
+        receive(peer, hello, seq)
         while receptions:
             t, order, peer, seq = receptions[-1]
             # seqs are unique, so the comparison never reaches a handler
             if (heap and heap[0] < (t, order)) or t > self._stop_at:
                 heapq.heappush(heap, (t, order, type(self)._deliver_hellos,
-                                      (sender, hello, receptions)))
+                                      (hello, receptions)))
                 return
             receptions.pop()
             self.now = t
-            receive(peer, sender, hello, seq)
+            receive(peer, hello, seq)
 
     def _build_hello(self, node: _Node, live: list) -> HelloMessage:
         """One snapshot per beacon, shared by every receiver: tables keep
@@ -517,14 +521,13 @@ class Simulation:
             node.id, node.reported_energy, node.delays.dq,
             {s: est.prr for s, est in node.prr_in.items()}, one_hop)
 
-    def _ev_hello_rx(self, receiver_id: NodeId, sender_id: NodeId,
-                     hello: HelloMessage, seq: int):
+    def _ev_hello_rx(self, receiver_id: NodeId, hello: HelloMessage, seq: int):
         node = self.nodes[receiver_id]
         if not node.alive:
             return
         if not self._spend(node, self._idle_nj):
             return
-        self._note_reception(node, sender_id, seq)
+        self._note_reception(node, hello.sender, seq)
         node.table.process_hello(hello, self.now)
 
     # ---- traffic generation ----------------------------------------------
@@ -603,15 +606,11 @@ class Simulation:
         node.busy = True
         self._start_tx(node, packet, wait)
 
-    def _finish_tx(self, node: _Node):
-        node.busy = False
-        if node.alive:
-            self._schedule(self.now, self._ev_kick, node.id)
-
     # ---- forwarding decision ---------------------------------------------
 
     def _start_tx(self, node: _Node, packet: Packet, queue_wait: float):
         node.delays.dq_update(packet.cls, queue_wait)
+        state = _TxState(node.id, packet, self.now)
         lag = update_lag_time(packet.lag_time, packet.received_time, self.now,
                               self._payload_ser)
         if lag <= 0:
@@ -619,18 +618,15 @@ class Simulation:
             # everything else is delivered late (and scored as a deadline
             # miss at the sink).
             if packet.cls in self._protocol.expire_in_network:
-                self._drop(packet, "deadline", node.id)
-                self._finish_tx(node)
+                self._end_hop(node, state, "deadline")
                 return
             lag = 0.0
         packet.lag_time = lag
         try:
-            next_hop = self._select(node, packet)
+            state.next_hop = self._select(node, packet)
         except VoidRegion:
-            self._drop(packet, "void", node.id)
-            self._finish_tx(node)
+            self._end_hop(node, state, "void")
             return
-        state = _TxState(packet, next_hop, t_s=self.now)
         self._begin_attempt(node, state)
 
     def _select(self, node: _Node, packet: Packet) -> NodeId:
@@ -665,12 +661,10 @@ class Simulation:
     # ---- MAC: attempts, ACKs, retries ------------------------------------
 
     def _begin_attempt(self, node: _Node, state: _TxState):
-        packet = state.packet
         peer = state.next_hop
         p, prop, cost = self.links[node.id][peer]
         if not self._spend(node, cost):
-            if not state.delivered_any:
-                self._drop(packet, "dead_node", node.id)
+            self._end_hop(node, state, "dead_node")
             return
         state.attempts += 1
         n_data = node.data_out[peer] = node.data_out.get(peer, 0) + 1
@@ -681,21 +675,21 @@ class Simulation:
         backoff = BACKOFF_WINDOW_S * self.rng.random()
         arrival = self.now + backoff + self._payload_ser + prop
         delivered = self.rng.random() < p
-        self._log(node.id, "tx_attempt", packet.packet_id, "to={} n={} seq={}",
+        self._log(node.id, "tx_attempt", state.packet.packet_id, "to={} n={} seq={}",
                   peer, state.attempts, seq)
         # An ACK timer is armed only where the exchange fails: here if the
         # data is lost, else in `_ev_data_rx`. An ACK beats its timer.
         state.timeout = arrival + self._ack_ser + prop + ACK_TIMEOUT_GUARD_S
         if delivered:
-            self._schedule(arrival, self._ev_data_rx, peer, node.id, state, seq)
+            self._schedule(arrival, self._ev_data_rx, state, seq)
         else:
-            self._schedule(state.timeout, self._ev_ack_timeout, node.id, state)
+            self._schedule(state.timeout, self._ev_ack_timeout, state)
 
-    def _ev_data_rx(self, receiver_id: NodeId, sender_id: NodeId,
-                    state: _TxState, seq: int):
+    def _ev_data_rx(self, state: _TxState, seq: int):
+        sender_id, receiver_id = state.sender, state.next_hop
         receiver = self.nodes[receiver_id]
         if not (receiver.alive and self._spend(receiver, self._rx_nj)):
-            self._schedule(state.timeout, self._ev_ack_timeout, sender_id, state)
+            self._schedule(state.timeout, self._ev_ack_timeout, state)
             return
         self._note_reception(receiver, sender_id, seq)
         # every attempt of one hop shares `state`: a frame after the first
@@ -709,9 +703,9 @@ class Simulation:
         p, prop, _ = self.links[receiver_id][sender_id]
         if self.rng.random() < p:
             ack_t = self.now + self._ack_ser + prop
-            self._schedule(ack_t, self._ev_ack_rx, sender_id, receiver_id, state)
+            self._schedule(ack_t, self._ev_ack_rx, state)
         else:
-            self._schedule(state.timeout, self._ev_ack_timeout, sender_id, state)
+            self._schedule(state.timeout, self._ev_ack_timeout, state)
         if not self._spend(receiver, self._idle_nj):
             # dead paying for its ACK, which still goes out: a fresh packet
             # dies with the receiver
@@ -730,42 +724,47 @@ class Simulation:
         packet.hop_trace.append(receiver_id)
         self._accept_packet(receiver, packet)
 
-    def _ev_ack_rx(self, sender_id: NodeId, receiver_id: NodeId, state: _TxState):
+    def _ev_ack_rx(self, state: _TxState):
+        # The exchange delivered, so ending it drops nothing. A sender dead
+        # before the ACK, or killed paying for it, records nothing of it.
+        sender_id, receiver_id = state.sender, state.next_hop
         node = self.nodes[sender_id]
-        if not node.alive:
-            # no timer follows: the exchange delivered, so there is no drop
-            return
-        if not self._spend(node, self._idle_nj):
-            # dead paying for the ACK: the transmission ends, and nothing else
-            self._finish_tx(node)
-            return
-        peer = self.nodes[receiver_id]
-        node.delays.dt_update(receiver_id, state.t_s, self.now, self._ack_ser)
-        # piggybacked state of the ACKing node
-        rev = peer.prr_in.get(sender_id)
-        node.table.process_ack_info(
-            receiver_id, peer.reported_energy, peer.delays.dq,
-            rev.prr if rev is not None else None, self.now)
-        self._log(sender_id, "ack_rx", state.packet.packet_id, "from={}", receiver_id)
-        self._finish_tx(node)
+        if node.alive and self._spend(node, self._idle_nj):
+            peer = self.nodes[receiver_id]
+            node.delays.dt_update(receiver_id, state.t_s, self.now, self._ack_ser)
+            # piggybacked state of the ACKing node
+            rev = peer.prr_in.get(sender_id)
+            node.table.process_ack_info(
+                receiver_id, peer.reported_energy, peer.delays.dq,
+                rev.prr if rev is not None else None, self.now)
+            self._log(sender_id, "ack_rx", state.packet.packet_id, "from={}",
+                      receiver_id)
+        self._end_hop(node, state)
 
-    def _ev_ack_timeout(self, sender_id: NodeId, state: _TxState):
-        node = self.nodes[sender_id]
+    def _ev_ack_timeout(self, state: _TxState):
+        node = self.nodes[state.sender]
         if not node.alive:
-            if not state.delivered_any:
-                self._drop(state.packet, "dead_node", sender_id)
-            return
-        if state.attempts > self.cfg.max_retries:
-            self._log(sender_id, "hop_failed", state.packet.packet_id, "to={}",
+            self._end_hop(node, state, "dead_node")
+        elif state.attempts > self.cfg.max_retries:
+            self._log(node.id, "hop_failed", state.packet.packet_id, "to={}",
                       state.next_hop)
             # unreachable-neighbor detection: a hop that never ACKed is
             # dropped from the table until its next HELLO revives it
             node.table.forget(state.next_hop)
-            if not state.delivered_any:
-                self._drop(state.packet, "retries_exhausted", sender_id)
-            self._finish_tx(node)
-            return
-        self._begin_attempt(node, state)
+            self._end_hop(node, state, "retries_exhausted")
+        else:
+            self._begin_attempt(node, state)
+
+    def _end_hop(self, node: _Node, state: _TxState, cause=None):
+        """Every hop ends here, once. The one sender-side read of
+        `delivered_any`: a packet that no attempt delivered is lost here, to
+        `cause`. `node`, the sender, is free again, and if alive serves its
+        queue next. Not named `_ev_*`: it is no event."""
+        if not state.delivered_any:
+            self._drop(state.packet, cause, node.id)
+        node.busy = False
+        if node.alive:
+            self._schedule(self.now, self._ev_kick, node.id)
 
     # ---- housekeeping ----------------------------------------------------
 

@@ -121,13 +121,13 @@ class ReferenceSimulation(Simulation):
     ordering and stop test decide when each runs. Every other rule, the
     link numbering included, is the kernel's own."""
 
-    def _deliver_hellos(self, sender, hello, receptions):
+    def _deliver_hellos(self, hello, receptions):
         _, _, peer, seq = receptions.pop()
-        self._ev_hello_rx(peer, sender, hello, seq)
+        self._ev_hello_rx(peer, hello, seq)
         if receptions:
             t, order = receptions[-1][:2]
             heapq.heappush(self._heap, (t, order, type(self)._deliver_hellos,
-                                        (sender, hello, receptions)))
+                                        (hello, receptions)))
 
 
 # ---- the receiver's sequence mark, as the kernel kept it -----------------

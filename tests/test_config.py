@@ -1,13 +1,16 @@
 """Configuration declarations: every field round-trips under its YAML key
 and reports errors as `section.key`, `validate` never raises, a run reads
-every field but two, every field has a scenario, and the README names only
-real fields."""
+every field but two, every field has a scenario, every definition in the
+source is named outside the tests, and the README names only real
+fields."""
 
+import ast
 import hashlib
 import importlib.util
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from test_acceptance import GOLDEN_DEFAULTS
 
 FIELDS = fields(SimConfig)
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tdthr"
 
 # The YAML spells these fields without their attribute's prefix.
 YAML_SPELLING = {"energy_initial": "initial", "energy_tx": "tx",
@@ -244,6 +248,24 @@ def test_every_config_field_has_a_scenario(monkeypatch):
     # the helper's draws reach the test that needs a small queue
     assert "small_runs()" in _test_source(
         "test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops")
+
+
+def test_every_definition_is_named_outside_the_tests():
+    # Helpers that only tests call are removed: each function, method and
+    # class defined in src/tdthr is named again in src/tdthr (beyond its
+    # definitions) or in perfbench/, whose tracer wraps kernel methods by
+    # name. Dunders are exempt.
+    src = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    bench = "\n".join(path.read_text()
+                      for path in sorted((ROOT / "perfbench").glob("*.py")))
+    defined = Counter(node.name for text in src for node in ast.walk(ast.parse(text))
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and not re.fullmatch(r"__\w+__", node.name))
+    assert len(defined) > 100
+    unnamed = [name for name, count in sorted(defined.items())
+               if len(re.findall(rf"\b{name}\b", "\n".join(src))) <= count
+               and not re.search(rf"\b{name}\b", bench)]
+    assert unnamed == []
 
 
 def test_readme_names_only_config_fields():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from tdthr import config, forwarding, queueing, simkernel
+from tdthr.cli import load_config
 from tdthr.config import PRIMARY_SINK
 from tdthr.core import Packet, PacketClass
 from tdthr.forwarding import (NoQualifyingPair, RoutingProtocol, VoidRegion,
@@ -528,3 +529,37 @@ def test_a_hop_in_recovery_counts_no_miss():
                      cls=PacketClass.DELAY_RESPONSIVE, lag_time=1e-6)
     assert sim._select(node, packet) == 6
     assert sim.metrics.missed_velocity == 0
+
+
+def test_velocity_selection_judges_only_known_pairs(monkeypatch):
+    # A critical or delay-responsive packet with no forwarder pair goes to
+    # greedy without a velocity test, so `select_next_hop`, and the
+    # benchmark's count of velocity misses, see only lists of pairs.
+    judged = []
+    unpaired = []
+    select, pairs_of = forwarding.select_next_hop, NeighborTable.favorable_pairs
+
+    def judging(pairs, v_req, cls):
+        judged.append(len(pairs))
+        return select(pairs, v_req, cls)
+
+    def pairing(self, f1, to_dest, d_own, cls, *args):
+        pairs = pairs_of(self, f1, to_dest, d_own, cls, *args)
+        if not pairs and cls in (PacketClass.CRITICAL,
+                                 PacketClass.DELAY_RESPONSIVE):
+            unpaired.append(cls)
+        return pairs
+
+    monkeypatch.setattr(forwarding, "select_next_hop", judging)
+    monkeypatch.setattr(NeighborTable, "favorable_pairs", pairing)
+    # the benchmark's desk_mixed_load: desk.yaml, four classes at 4 kB/s
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "desk.yaml")
+    cfg.critical_rate = cfg.delay_responsive_rate = 0.25
+    cfg.reliability_responsive_rate = 0.25
+    cfg.rate_bytes_per_s = 4000.0
+    cfg.energy_initial = 1000.0
+    cfg.stop_energy_fraction = 0.0
+    cfg.duration = 20.0
+    Simulation(cfg).run()
+    assert len(judged) > 100 and len(unpaired) > 10
+    assert min(judged) > 0

@@ -55,16 +55,16 @@ class Observed:
         if state.attempts > attempts:
             self.attempt_numbers[state] = self._sent(node.id, state.next_hop)
 
-    def _ev_hello_rx(self, receiver_id, sender_id, hello, seq):
-        self.hello_rx_calls.append((self.now, receiver_id, sender_id, seq))
+    def _ev_hello_rx(self, receiver_id, hello, seq):
+        self.hello_rx_calls.append((self.now, receiver_id, hello.sender, seq))
         assert seq == self.beacon_numbers[id(hello)][1][receiver_id]
         self.checked["hello"] += 1
-        super()._ev_hello_rx(receiver_id, sender_id, hello, seq)
+        super()._ev_hello_rx(receiver_id, hello, seq)
 
-    def _ev_data_rx(self, receiver_id, sender_id, state, seq):
+    def _ev_data_rx(self, state, seq):
         assert seq == self.attempt_numbers[state]
         self.checked["data" if state.attempts == 1 else "retry"] += 1
-        super()._ev_data_rx(receiver_id, sender_id, state, seq)
+        super()._ev_data_rx(state, seq)
 
 
 class Logged(Observed, Simulation):
@@ -212,13 +212,14 @@ def test_a_failed_hop_is_forgotten_until_its_next_hello(monkeypatch):
     process_hello = NeighborTable.process_hello
     process_ack_info = NeighborTable.process_ack_info
 
-    def timed_out(self, sender_id, state):
+    def timed_out(self, state):
         attempts = state.attempts
-        timeout(self, sender_id, state)
-        if (state.attempts == attempts and self.nodes[sender_id].alive
+        timeout(self, state)
+        sender = self.nodes[state.sender]
+        if (state.attempts == attempts and sender.alive
                 and attempts > self.cfg.max_retries):
-            assert state.next_hop not in self.nodes[sender_id].table.records
-            forgotten.add((sender_id, state.next_hop))
+            assert state.next_hop not in sender.table.records
+            forgotten.add((state.sender, state.next_hop))
 
     def live(self, now):
         records = live_records(self, now)

@@ -636,6 +636,113 @@ def test_every_open_copy_is_queued_or_in_an_exchange_when_a_run_stops(
     assert sum(n > 0 for n in relayed) >= len(relayed) // 2
 
 
+def _watch_hop_ends(monkeypatch):
+    """Keep every `_TxState` built, in order, and count for each how often
+    `_end_hop` ends it (`ends`), checking at each end that the node given is
+    the state's sender and is not busy afterwards. `dead` counts the ends
+    of a dead sender. The states themselves are kept: an id() is reused
+    once its object is freed."""
+    built, ends, dead = [], {}, [0]
+    init, end_hop = simkernel._TxState.__init__, Simulation._end_hop
+
+    def building(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def ending(self, node, state, cause=None):
+        end_hop(self, node, state, cause)
+        assert node.id == state.sender and not node.busy
+        ends[state] = ends.get(state, 0) + 1
+        dead[0] += not node.alive
+
+    monkeypatch.setattr(simkernel._TxState, "__init__", building)
+    monkeypatch.setattr(Simulation, "_end_hop", ending)
+    return built, ends, dead
+
+
+def _assert_each_hop_ends_once(sim, built, ends) -> int:
+    """Every exchange built in `sim`'s run has ended exactly once, but one
+    that an event on the heap still holds, which has not ended. Returns how
+    many are held."""
+    held = {item for *_, payload in sim._heap for item in payload
+            if isinstance(item, simkernel._TxState)}
+    assert held <= set(built)
+    for state in built:
+        assert ends.get(state, 0) == (state not in held), state.packet
+    return len(held)
+
+
+def test_each_exchange_ends_once(monkeypatch):
+    # One exit for a hop: every `_TxState` reaches `_end_hop` once, through
+    # a deadline, a void, an ACK, or a timer that gives up, unless the run
+    # stops while an event still holds it; its sender is then free.
+    built, ends, _ = _watch_hop_ends(monkeypatch)
+    runs = []
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(cfg=small_runs())
+    def run_stops(cfg):
+        built.clear()
+        ends.clear()
+        sim = Simulation(cfg)
+        sim.run()
+        runs.append((len(built), _assert_each_hop_ends_once(sim, built, ends)))
+
+    run_stops()
+    assert sum(n for n, _ in runs) > 1000
+    assert sum(held > 0 for _, held in runs) >= len(runs) // 4
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_each_exchange_of_a_dying_sender_ends_once(monkeypatch, seed):
+    # the same on runs where relays and the source die: a sender that dies
+    # paying for an attempt or an ACK, or before its timer fires, ends its
+    # exchange there, once
+    built, ends, dead = _watch_hop_ends(monkeypatch)
+    cfg = mini_config(stop_energy_fraction=0.0, duration=60.0, rng_seed=seed)
+    cfg.energy_initial = battery_j(cfg, tx=3, rx=2)
+    sim = Simulation(cfg)
+    sim.run()
+    _assert_each_hop_ends_once(sim, built, ends)
+    assert len(built) > 5 and dead[0] > 0
+
+
+def _kill(sim, node):
+    sim._die(node)
+
+
+def _leave_half_an_idle_charge(sim, node):
+    node.energy.spent_nj = node.energy.initial_nj - sim._idle_nj // 2
+
+
+@pytest.mark.parametrize("handler,strike", [
+    ("_ev_ack_rx", _kill),                       # dead before its ACK
+    ("_ev_ack_rx", _leave_half_an_idle_charge),  # killed paying for it
+    ("_ev_ack_timeout", _kill),                  # dead before its timer
+])
+def test_an_exchange_whose_sender_dies_ends_once(monkeypatch, handler, strike):
+    # exits too rare to count on: at the first such event of a relay, the
+    # sender is struck just before the handler runs, which ends its
+    # exchange there, once, with the sender dead and not busy
+    built, ends, dead = _watch_hop_ends(monkeypatch)
+    original = getattr(Simulation, handler)
+    struck = []
+
+    def striking(self, state):
+        node = self.nodes[state.sender]
+        if not struck and node.alive and state.sender != SOURCE:
+            strike(self, node)
+            struck.append(state)
+        original(self, state)
+
+    monkeypatch.setattr(Simulation, handler, striking)
+    sim = Simulation(mini_config(rng_seed=3))
+    sim.run()
+    _assert_each_hop_ends_once(sim, built, ends)
+    assert len(struck) == 1 and ends[struck[0]] == 1 and dead[0] >= 1
+    assert not sim.nodes[struck[0].sender].alive
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(cfg=small_runs())
 def test_a_random_small_run_is_the_same_traced_untraced_and_twice(cfg):
@@ -973,14 +1080,14 @@ def test_every_ack_timer_can_act(monkeypatch, protocol):
     late = []
     ack_rx, timeout = Simulation._ev_ack_rx, Simulation._ev_ack_timeout
 
-    def acked(self, sender_id, receiver_id, state):
-        ack_rx(self, sender_id, receiver_id, state)
+    def acked(self, state):
+        ack_rx(self, state)
         finished.add(state)
 
-    def timed_out(self, sender_id, state):
+    def timed_out(self, state):
         late.append(state in finished)
         attempts = state.attempts
-        timeout(self, sender_id, state)
+        timeout(self, state)
         if state.attempts == attempts:   # no new attempt: abandoned
             finished.add(state)
 
@@ -1238,11 +1345,11 @@ def test_a_receiver_that_cannot_pay_for_its_ack_dies(monkeypatch):
     # a relay that affords a reception but not its ACK's idle charge pays
     # what it has and dies. The ACK still goes out, and the fresh packet
     # dies with the relay.
-    def fresh_at_relay(sim, receiver_id, sender_id, state, seq):
-        receiver = sim.nodes[receiver_id]
+    def fresh_at_relay(sim, state, seq):
+        receiver = sim.nodes[state.next_hop]
         if (receiver.alive and not receiver.is_sink
                 and not state.delivered_any):
-            return receiver_id, sender_id, state.packet.packet_id
+            return state.next_hop, state.sender, state.packet.packet_id
         return None
 
     fields, _, (relay, sender, pid) = _starve_first(
@@ -1259,9 +1366,9 @@ def test_a_sender_that_cannot_pay_for_an_ack_dies(monkeypatch):
     # a relay that hears the ACK of its transmission but cannot pay for it
     # pays what it has, dies and ends the transmission, recording nothing
     # of the ACK
-    def relay_sender(sim, sender_id, receiver_id, state):
-        if sim.nodes[sender_id].alive and sender_id != SOURCE:
-            return sender_id, state.packet.packet_id
+    def relay_sender(sim, state):
+        if sim.nodes[state.sender].alive and state.sender != SOURCE:
+            return state.sender, state.packet.packet_id
         return None
 
     fields, sim, (relay, pid) = _starve_first(
