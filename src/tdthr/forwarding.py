@@ -13,18 +13,21 @@ where the pairs are built, in `NeighborTable.favorable_pairs`.
 `PROTOCOLS` holds each protocol's next-hop rule, its recovery rule and its
 per-class policy (the queue each class waits in, the classes dropped once
 late, the classes sent to both sinks), so that the kernel never knows which
-protocol it runs. A rule reads no config: it sees only the decision's node,
-packet and neighbourhood, and says "no next hop" by returning None, never
-by raising.
+protocol it runs. A rule takes one `Decision`, the view of the
+neighbourhood that `Simulation._select` builds once per decision, and reads
+nothing else: no config and no kernel object. It returns a live neighbour,
+or None for "no next hop", never raising.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import NodeId, PacketClass
-from .neighborhood import ForwarderPair
+from .core import NodeId, Packet, PacketClass
+from .estimators import DelayEstimator
+from .neighborhood import ForwarderPair, NeighborTable
 
 
 class NoQualifyingPair(Exception):
@@ -60,8 +63,9 @@ def _energy_key(pair: ForwarderPair):
 
 
 def _efficiency_key(pair: ForwarderPair):
-    # argmax residual energy per unit of transmission cost
-    return (-(pair.energy_y / pair.tx_cost_y), pair.y, pair.z)
+    # argmax residual energy per unit of transmission cost; a 0 nJ hop first
+    cost = pair.tx_cost_y
+    return (-(pair.energy_y / cost) if cost else -math.inf, pair.y, pair.z)
 
 
 def select_next_hop(pairs, v_req: float, cls: PacketClass) -> ForwarderPair:
@@ -104,26 +108,37 @@ def route_regular(candidates) -> NodeId | None:
     return min(candidates, key=lambda c: (-c[1], c[0]))[0]
 
 
-def route_reliability(pairs, one_hop_fallback=()) -> NodeId | None:
-    """Most reliable path: argmax prr_xy * prr_yz over pairs, ties broken by
-    residual energy then lower id. Falls back to the one-hop neighbor with
-    the best link reliability when no pair exists."""
-    if pairs:
-        return min(pairs, key=lambda p: (-(p.prr_xy * p.prr_yz), -p.energy_y,
-                                         p.tx_cost_y, p.y, p.z)).y
-    if one_hop_fallback:
-        return min(one_hop_fallback, key=lambda c: (-c[1], c[0]))[0]
-    return None
+def route_reliability(pairs) -> NodeId:
+    """Most reliable path over a non-empty list of pairs: argmax
+    prr_xy * prr_yz, ties broken by residual energy, transmission cost,
+    then lower id."""
+    return min(pairs, key=lambda p: (-(p.prr_xy * p.prr_yz), -p.energy_y,
+                                     p.tx_cost_y, p.y, p.z)).y
+
+
+@dataclass(slots=True)
+class Decision:
+    """A forwarding decision's view, built once by `Simulation._select`."""
+    owner: NodeId
+    packet: Packet
+    table: NeighborTable      # the owner's; `live` is its records, read once
+    delays: DelayEstimator    # the owner's dq and dt estimates
+    live: list
+    to_dest: dict             # node id -> distance to the packet's sink
+    d_own: float              # the owner's distance to that sink
+    links: dict               # neighbour id -> the owner's (p, delay, cost nJ)
+    # set by a select rule whose hop is slower than the deadline requires
+    missed: bool = False
 
 
 @dataclass(frozen=True)
 class RoutingProtocol:
     """All the kernel knows of a routing protocol; see `PROTOCOLS`."""
-    # `Simulation._select` calls (node, packet, to_dest, d_own, live, links)
-    # -> (a neighbor in `live` or None, whether it is slower than the deadline
-    # requires); None goes to `recover`, or is a void where there is none
+    # `Simulation._select` calls select(view), a `Decision` -> a neighbour in
+    # `view.live` or None, which goes to `recover`, or is a void where there
+    # is none; a hop slower than the deadline requires sets `view.missed`
     select: Callable
-    recover: Callable | None = None  # same arguments -> next hop, or None
+    recover: Callable | None = None  # the same view -> next hop, or None
     # class -> the queue it waits in (`queueing.QueueBank`); queue 0 is
     # served first, and an entry in any other is promoted to it when aged.
     # By default every class shares queue 0, one FIFO with no promotion.
@@ -138,69 +153,74 @@ def _progress(d_own: float, f1) -> list:
     return [(r.neighbor, d_own - d_y) for r, d_y in f1]
 
 
-def select_greedy_geo(node, packet, to_dest, d_own, live, links):
-    f1 = node.table.favorable_one_hop(live, d_own, to_dest)
-    return route_regular(_progress(d_own, f1)), False
+def select_greedy_geo(view: Decision) -> NodeId | None:
+    f1 = view.table.favorable_one_hop(view.live, view.d_own, view.to_dest)
+    return route_regular(_progress(view.d_own, f1))
 
 
-def select_tdthr(node, packet, to_dest, d_own, live, links):
+def select_tdthr(view: Decision) -> NodeId | None:
+    packet, d_own = view.packet, view.d_own
     anchor = packet.recovery_anchor
     if anchor is not None:
         if d_own >= anchor:
-            return None, False   # still in recovery: `detour` again
+            return None   # still in recovery: `detour` again
         packet.recovery_anchor = None  # escaped the dead-end region
-    f1 = node.table.favorable_one_hop(live, d_own, to_dest)
+    f1 = view.table.favorable_one_hop(view.live, d_own, view.to_dest)
     if not f1:
-        return None, False   # a void: every class's rule would end here
+        return None   # a void: every class's rule would end here
     cls = packet.cls
     if cls is PacketClass.REGULAR:
-        return route_regular(_progress(d_own, f1)), False
-    pairs = node.table.favorable_pairs(
-        f1, to_dest, d_own, cls, node.delays.dq[cls], node.delays, links)
+        return route_regular(_progress(d_own, f1))
+    delays = view.delays
+    pairs = view.table.favorable_pairs(
+        f1, view.to_dest, d_own, cls, delays.dq[cls], delays, view.links)
     if cls is PacketClass.RELIABILITY_RESPONSIVE:
-        fallback = [(r.neighbor, r.prr_xy) for r, _ in f1]
-        return route_reliability(pairs, fallback), False
+        if pairs:
+            return route_reliability(pairs)
+        # no pair known: the most reliable first hop
+        return route_regular([(r.neighbor, r.prr_xy) for r, _ in f1])
     # critical / delay-responsive: velocity-filtered two-hop selection, or
     # greedy where no pair is known
     if not pairs:
-        return route_regular(_progress(d_own, f1)), False
+        return route_regular(_progress(d_own, f1))
     v_req = required_velocity(d_own, packet.lag_time)
     try:
-        return select_next_hop(pairs, v_req, cls).y, False
+        return select_next_hop(pairs, v_req, cls).y
     except NoQualifyingPair:
-        return best_effort_pair(pairs).y, True
+        view.missed = True
+        return best_effort_pair(pairs).y
 
 
-def detour(node, packet, to_dest, d_own, live, links):
+def detour(view: Decision) -> NodeId | None:
     """tdthr's recovery, a local-minimum escape: no live neighbor offers
     positive progress, so hand the packet to the neighbor closest to the
     destination that it has not visited yet. The packet stays in recovery
     mode until it gets strictly closer to the destination than where the
     detour began (`select_tdthr`); the hop trace breaks routing loops and
     the deadline bounds the excursion."""
-    if packet.recovery_anchor is None:
-        packet.recovery_anchor = d_own
-    visited = {node.id, *packet.hop_trace}
-    candidates = [(to_dest[r.neighbor], r.neighbor)
-                  for r in live if r.neighbor not in visited]
+    if view.packet.recovery_anchor is None:
+        view.packet.recovery_anchor = view.d_own
+    visited = {view.owner, *view.packet.hop_trace}
+    candidates = [(view.to_dest[r.neighbor], r.neighbor)
+                  for r in view.live if r.neighbor not in visited]
     return min(candidates)[1] if candidates else None
 
 
-def select_one_hop_velocity(node, packet, to_dest, d_own, live, links):
-    f1 = node.table.favorable_one_hop(live, d_own, to_dest)
+def select_one_hop_velocity(view: Decision) -> NodeId | None:
+    f1 = view.table.favorable_one_hop(view.live, view.d_own, view.to_dest)
     if not f1:
-        return None, False
-    speeds = [(nid, progress / node.delays.dt_for(nid))
-              for nid, progress in _progress(d_own, f1)]
-    if packet.lag_time > 0:
-        v_req = required_velocity(d_own, packet.lag_time)
+        return None
+    speeds = [(nid, progress / view.delays.dt_for(nid))
+              for nid, progress in _progress(view.d_own, f1)]
+    if view.packet.lag_time > 0:
+        v_req = required_velocity(view.d_own, view.packet.lag_time)
         qualifying = [s for s in speeds if s[1] >= v_req]
     else:
         qualifying = []
-    missed = not qualifying
-    if missed:
+    if not qualifying:
+        view.missed = True
         qualifying = speeds
-    return min(qualifying, key=lambda s: (-s[1], s[0]))[0], missed
+    return min(qualifying, key=lambda s: (-s[1], s[0]))[0]
 
 
 # Adding a protocol takes one entry here and one select function above

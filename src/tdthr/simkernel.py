@@ -19,7 +19,7 @@ from .config import PRIMARY_SINK, SECONDARY_SINK, SOURCE, SimConfig
 from .core import (LIGHT_SPEED, EnergyBudget, NodeId, Packet, PacketClass,
                    Position, joules_to_nj)
 from .estimators import DelayEstimator, PrrEstimator
-from .forwarding import PROTOCOLS, VoidRegion, update_lag_time
+from .forwarding import PROTOCOLS, Decision, VoidRegion, update_lag_time
 from .metrics import MetricsLedger
 from .neighborhood import HelloMessage, NeighborTable
 from .queueing import QueueBank, QueueEntry
@@ -631,32 +631,31 @@ class Simulation:
 
     def _select(self, node: _Node, packet: Packet) -> NodeId:
         """One view of the neighborhood per decision: the live records, read
-        once, and the owner's distance `d_own` to the destination. A sink in
-        the table takes the packet; otherwise the protocol's select function
-        decides. A next hop of None goes to `_detour` where the protocol has
-        a `recover`; still None, the decision is a `VoidRegion`."""
+        once, and the owner's distance to the destination. A sink in the
+        table takes the packet; otherwise the protocol's select function
+        decides on a `Decision` built here. A next hop of None goes to
+        `_detour` where the protocol has a `recover`; still None, the
+        decision is a `VoidRegion`."""
         dest = packet.destination_sink
         live = node.table.live_records(self.now)
         for r in live:
             if r.neighbor == dest:
                 return dest
         to_dest = self.sink_distance[dest]
-        d_own = to_dest[node.id]
-        links = self.links[node.id]
-        next_hop, missed = self._protocol.select(
-            node, packet, to_dest, d_own, live, links)
+        view = Decision(node.id, packet, node.table, node.delays, live,
+                        to_dest, to_dest[node.id], self.links[node.id])
+        next_hop = self._protocol.select(view)
         if next_hop is None and self._protocol.recover is not None:
-            next_hop = self._detour(node, packet, to_dest, d_own, live, links)
-        elif missed:   # the packet leaves slower than its deadline requires
+            next_hop = self._detour(view)
+        elif view.missed:   # the hop is slower than the deadline requires
             self.metrics.missed_velocity += 1
         if next_hop is None:
             raise VoidRegion(f"no next hop at node {node.id}")
         return next_hop
 
-    def _detour(self, node: _Node, packet: Packet, to_dest, d_own, live,
-                links) -> NodeId:
+    def _detour(self, view: Decision) -> NodeId:
         """The protocol's recovery, given the decision's view."""
-        return self._protocol.recover(node, packet, to_dest, d_own, live, links)
+        return self._protocol.recover(view)
 
     # ---- MAC: attempts, ACKs, retries ------------------------------------
 

@@ -8,7 +8,7 @@ import pytest
 from tdthr.core import (EnergyBudget, Packet, PacketClass, Position,
                         joules_to_nj)
 from tdthr.estimators import DelayEstimator, PrrEstimator
-from tdthr.forwarding import PROTOCOLS
+from tdthr.forwarding import PROTOCOLS, Decision
 from tdthr.neighborhood import (ForwarderPair, HelloMessage, NeighborRecord,
                                 NeighborTable)
 from tdthr.queueing import QueueBank, QueueEntry
@@ -107,11 +107,14 @@ def test_joules_round_trip():
 # ---- slotted records ------------------------------------------------------
 
 def test_records_made_per_event_are_slotted():
-    # the records made per packet, beacon, pair, queue entry or neighbour,
-    # each node's estimators, energy budget, neighbour table and queues, and
-    # its position are slotted: no per-instance __dict__ to build or read
+    # the records made per packet, beacon, pair, queue entry, neighbour or
+    # forwarding decision, each node's estimators, energy budget, neighbour
+    # table and queues, and its position are slotted: no per-instance
+    # __dict__ to build or read
     packet = Packet(0, PacketClass.REGULAR, 0, lag_time=0.1, deadline=0.1)
     instances = [packet, EnergyBudget(1), PrrEstimator(), DelayEstimator(),
+                 Decision(0, packet, NeighborTable(0, 1.0), DelayEstimator(),
+                          [], {0: 1.0}, 1.0, {}),
                  NeighborRecord(1, 1.0, {}, 1.0, 0.0),
                  HelloMessage(1, 1.0, {}, {}, {}),
                  ForwarderPair(1, 2, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),

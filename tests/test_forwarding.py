@@ -6,7 +6,6 @@ import dataclasses
 import inspect
 import random
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +14,13 @@ from tdthr import config, forwarding, queueing, simkernel
 from tdthr.cli import load_config
 from tdthr.config import PRIMARY_SINK
 from tdthr.core import Packet, PacketClass
-from tdthr.forwarding import (NoQualifyingPair, RoutingProtocol, VoidRegion,
-                              best_effort_pair, required_velocity,
+from tdthr.estimators import DelayEstimator
+from tdthr.forwarding import (Decision, NoQualifyingPair, RoutingProtocol,
+                              VoidRegion, best_effort_pair, required_velocity,
                               route_regular, route_reliability,
                               select_next_hop, update_lag_time)
 from tdthr.neighborhood import ForwarderPair, HelloMessage, NeighborTable
-from tdthr.simkernel import Simulation
+from tdthr.simkernel import Simulation, _link_table, energy_costs_nj
 
 from helpers import (brute_select, line_pairs, mini_config, random_pair_snapshot,
                      small_runs)
@@ -131,6 +131,21 @@ def test_critical_reliability_tie_breaks_on_power():
     assert select_next_hop(pairs, 100.0, PacketClass.CRITICAL).y == 4
 
 
+def test_a_zero_cost_first_hop_ranks_as_the_most_efficient():
+    # A 9 mm link costs 0 nJ at the shipped transmit energy: the link table
+    # rounds tx_nj * r ** alpha. Two critical paths of equal reliability
+    # fall to the power tie-break, which ranks the free hop first and does
+    # not divide by its cost.
+    cfg = mini_config()
+    links = _link_table({0: [(1, 0.009)], 1: [(0, 0.009)]}, cfg,
+                        energy_costs_nj(cfg)[0])
+    assert links[0][1][2] == 0
+    for free in (3, 4):
+        pairs = [_pair(y=y, prr_xy=1.0, prr_yz=1.0, energy_y=2.0,
+                       tx_cost_y=0 if y == free else 1000) for y in (3, 4)]
+        assert select_next_hop(pairs, 100.0, PacketClass.CRITICAL).y == free
+
+
 def test_delay_responsive_prefers_energy_then_cheap_hop():
     pairs = [_pair(y=3, energy_y=1.8, tx_cost_y=0.05),
              _pair(y=4, energy_y=1.8, tx_cost_y=0.03),
@@ -160,8 +175,18 @@ def test_route_reliability_takes_best_path_then_fallback():
     pairs = [_pair(y=3, prr_xy=0.5, prr_yz=1.0),
              _pair(y=4, prr_xy=0.95, prr_yz=0.95)]
     assert route_reliability(pairs) == 4
-    assert route_reliability([], one_hop_fallback=[(8, 0.7), (9, 0.9)]) == 9
-    assert route_reliability([]) is None
+    # With no pair known, tdthr sends reliability-responsive traffic over
+    # the most reliable first hop: 10 (prr 0.95), not 7, which offers more
+    # progress (prr 0.7). With no favourable neighbour there is no next hop.
+    table = NeighborTable(_HOLDER, expiry=10.0)
+    table.process_hello(_hello(7, prr=0.7), 1.0)
+    table.process_hello(_hello(10, prr=0.95), 1.0)
+    select = forwarding.PROTOCOLS["tdthr"].select
+    packet = _packet(cls=PacketClass.RELIABILITY_RESPONSIVE)
+    links = {7: (0.7, 0.0, 1000), 10: (0.95, 0.0, 1000)}
+    assert select(_view(packet, table, {**_TO_SINK, 10: 95.0},
+                        links=links)) == 10
+    assert select(_view(packet, _table((6, 8)))) is None
 
 
 # ---- properties ----------------------------------------------------------
@@ -225,13 +250,19 @@ def test_selection_matches_brute_force_oracle():
 
 @pytest.mark.parametrize("name", sorted(forwarding.PROTOCOLS))
 def test_a_select_function_takes_the_decision_view_and_no_config(name):
-    # the six arguments `Simulation._select` passes, and nothing else; a
-    # recover function takes the same view
+    # the one `Decision` that `Simulation._select` builds, and nothing
+    # else; a recover function takes the same view
     protocol = forwarding.PROTOCOLS[name]
-    view = ["node", "packet", "to_dest", "d_own", "live", "links"]
-    assert list(inspect.signature(protocol.select).parameters) == view
+    assert list(inspect.signature(protocol.select).parameters) == ["view"]
     if protocol.recover is not None:
-        assert list(inspect.signature(protocol.recover).parameters) == view
+        assert list(inspect.signature(protocol.recover).parameters) == ["view"]
+
+
+def test_the_rules_name_no_kernel_object():
+    # a rule reads its `Decision`: `forwarding` names neither the kernel's
+    # node nor the simulation
+    assert {"_Node", "Simulation", "simkernel"}.isdisjoint(
+        _names(ast.parse(Path(forwarding.__file__).read_text())))
 
 
 def test_the_kernel_names_no_recovery_rule():
@@ -328,34 +359,42 @@ def test_only_the_charge_paths_write_spent_energy():
                for name, scope in total), total
 
 
+def _watch_rules(monkeypatch, watch):
+    """Put `watch(kind, rule)`, kind "select" or "recover", in place of
+    every rule of every protocol, and return the rules replaced."""
+    every_rule = set()
+    for protocol, rules in list(forwarding.PROTOCOLS.items()):
+        every_rule |= {rules.select, rules.recover} - {None}
+        recover = rules.recover and watch("recover", rules.recover)
+        monkeypatch.setitem(forwarding.PROTOCOLS, protocol, dataclasses.replace(
+            rules, select=watch("select", rules.select), recover=recover))
+    return every_rule
+
+
 def test_select_and_recover_return_a_live_neighbour_or_none(monkeypatch):
     # The contract of every protocol's rules, on random small runs: a next
-    # hop is None or one of the `live` records handed in, `missed` is a
-    # bool and False with no hop, and neither function raises (the kernel
-    # would swallow a `VoidRegion`, so a raise is turned into a failure).
+    # hop is None or one of the `live` records in the view, `view.missed`
+    # is a bool and False with no hop, and neither function raises (the
+    # kernel would swallow a `VoidRegion`, so a raise is turned into a
+    # failure).
     nones = {"select": 0, "recover": 0}
     called = set()
 
-    def checked(name, rule):
-        def rule_checked(node, packet, to_dest, d_own, live, links):
+    def checked(kind, rule):
+        def rule_checked(view):
             try:
-                out = rule(node, packet, to_dest, d_own, live, links)
+                hop = rule(view)
             except Exception as exc:
                 raise AssertionError(f"{rule.__name__} raised {exc!r}") from exc
-            hop, missed = out if name == "select" else (out, False)
-            assert hop is None or hop in {r.neighbor for r in live}, hop
-            assert isinstance(missed, bool) and not (hop is None and missed)
-            nones[name] += hop is None
+            assert hop is None or hop in {r.neighbor for r in view.live}, hop
+            assert isinstance(view.missed, bool)
+            assert not (hop is None and view.missed)
+            nones[kind] += hop is None
             called.add(rule)
-            return out
+            return hop
         return rule_checked
 
-    every_rule = {rule for rules in forwarding.PROTOCOLS.values()
-                  for rule in (rules.select, rules.recover) if rule}
-    for protocol, rules in list(forwarding.PROTOCOLS.items()):
-        recover = rules.recover and checked("recover", rules.recover)
-        monkeypatch.setitem(forwarding.PROTOCOLS, protocol, dataclasses.replace(
-            rules, select=checked("select", rules.select), recover=recover))
+    every_rule = _watch_rules(monkeypatch, checked)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(cfg=small_runs())
@@ -366,6 +405,39 @@ def test_select_and_recover_return_a_live_neighbour_or_none(monkeypatch):
     run()
     assert called == every_rule
     assert nones["select"] > 0 and nones["recover"] > 0
+
+
+def test_a_selected_hop_is_closer_to_the_sink(monkeypatch):
+    # Outside recovery no packet revisits a node, in a stronger form: every
+    # hop a select function returns lies strictly closer to the packet's
+    # sink than the deciding node. Only `recover` may pick otherwise. Each
+    # drawn run is run under every protocol.
+    hops = {protocol: 0 for protocol in forwarding.PROTOCOLS}
+    protocol_of = {rules.select: protocol
+                   for protocol, rules in forwarding.PROTOCOLS.items()}
+
+    def closer(kind, rule):
+        if kind == "recover":
+            return rule
+
+        def select(view):
+            hop = rule(view)
+            if hop is not None:
+                assert view.to_dest[hop] < view.d_own, (hop, view.owner)
+                hops[protocol_of[rule]] += 1
+            return hop
+        return select
+
+    _watch_rules(monkeypatch, closer)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(cfg=small_runs())
+    def run(cfg):
+        for protocol in forwarding.PROTOCOLS:
+            Simulation(dataclasses.replace(cfg, protocol=protocol)).run()
+
+    run()
+    assert min(hops.values()) > 1000, hops
 
 
 def test_a_protocol_is_one_table_entry(monkeypatch):
@@ -382,10 +454,10 @@ def test_a_protocol_is_one_table_entry(monkeypatch):
     assert any(e.startswith("protocol.protocol") for e in cfg.validate())
     calls = []
 
-    def select_lowest_id(node, packet, to_dest, d_own, live, links):
-        calls.append(node.id)
-        f1 = node.table.favorable_one_hop(live, d_own, to_dest)
-        return min((r.neighbor for r, _ in f1), default=None), False
+    def select_lowest_id(view):
+        calls.append(view.owner)
+        f1 = view.table.favorable_one_hop(view.live, view.d_own, view.to_dest)
+        return min((r.neighbor for r, _ in f1), default=None)
 
     monkeypatch.setitem(forwarding.PROTOCOLS, "lowest_id",
                         RoutingProtocol(select_lowest_id))
@@ -404,14 +476,29 @@ _HOLDER = 5
 _TO_SINK = {5: 100.0, 6: 120.0, 7: 90.0, 8: 130.0}
 
 
+def _hello(y, prr=0.9, two_hop=None):
+    """A HELLO from `y` that reports `prr` for the link 5 -> y and lists
+    `two_hop`, z -> (dt_yz, prr_yz), as y's neighbours."""
+    return HelloMessage(y, 2.0, dict.fromkeys(PacketClass, 0.0),
+                        {_HOLDER: prr}, two_hop or {})
+
+
 def _table(neighbours):
     """Node 5's table, built by hand from one HELLO of each of
     `neighbours`, heard at 1.0 s."""
     table = NeighborTable(_HOLDER, expiry=10.0)
     for y in neighbours:
-        table.process_hello(HelloMessage(
-            y, 2.0, dict.fromkeys(PacketClass, 0.0), {_HOLDER: 0.9}, {}), 1.0)
+        table.process_hello(_hello(y), 1.0)
     return table
+
+
+def _view(packet, table, to_dest=_TO_SINK, delays=None, links=None):
+    """Node 5's decision on `packet` at 1.0 s, built by hand with no
+    `Simulation`: the live records of `table`, the sink distances
+    `to_dest`, and by default the delay priors and no link costs."""
+    return Decision(_HOLDER, packet, table, delays or DelayEstimator(),
+                    table.live_records(1.0), to_dest, to_dest[_HOLDER],
+                    links or {})
 
 
 def _holder(protocol, neighbours):
@@ -468,12 +555,9 @@ def _detour_on_table(packet, neighbours=(6, 7, 8)):
     80 m from the sink, was last heard long before the decision, so it is
     not live."""
     table = _table(neighbours)
-    table.process_hello(HelloMessage(
-        9, 2.0, dict.fromkeys(PacketClass, 0.0), {_HOLDER: 0.9}, {}), -20.0)
-    node = SimpleNamespace(id=_HOLDER, table=table)
-    to_dest = {**_TO_SINK, 9: 80.0}
+    table.process_hello(_hello(9), -20.0)
     return forwarding.PROTOCOLS["tdthr"].recover(
-        node, packet, to_dest, _TO_SINK[_HOLDER], table.live_records(1.0), {})
+        _view(packet, table, {**_TO_SINK, 9: 80.0}))
 
 
 def test_a_detour_takes_the_closest_unvisited_live_neighbour():
@@ -492,6 +576,30 @@ def test_a_detour_keeps_an_anchor_already_set():
 
 def test_a_detour_with_every_live_neighbour_visited_is_a_void():
     assert _detour_on_table(_packet(visited=(6, 7, 8))) is None
+
+
+# ---- the two-hop trap, on a hand-built view ------------------------------
+
+def test_the_two_hop_rule_escapes_the_trap_the_one_hop_rule_takes():
+    # Relay 11 (70 m from the sink) has the faster first hop, 30 m over
+    # 0.01 s, but its only onward link, to node 13, takes 1 s. Relay 12
+    # (75 m) is slower to reach, 25 m over 0.02 s, but its pair with node 14
+    # offers 60 m over 0.03 s. A delay-responsive packet with 0.3 s left
+    # needs 100 m / 0.3 s = 333 m/s: one-hop velocity (3000 against
+    # 1250 m/s) and greedy progress take 11; tdthr takes 12, whose pair
+    # (2000 m/s) is the only one fast enough (11's offers 59 m/s).
+    table = NeighborTable(_HOLDER, expiry=10.0)
+    table.process_hello(_hello(11, two_hop={13: (1.0, 0.9)}), 1.0)
+    table.process_hello(_hello(12, two_hop={14: (0.01, 0.9)}), 1.0)
+    to_dest = {_HOLDER: 100.0, 11: 70.0, 12: 75.0, 13: 40.0, 14: 40.0}
+    links = {11: (0.9, 0.0, 1000), 12: (0.9, 0.0, 1000)}
+    picks = {}
+    for name in ("one_hop_velocity", "tdthr", "greedy_geo"):
+        view = _view(_packet(cls=PacketClass.DELAY_RESPONSIVE), table, to_dest,
+                     DelayEstimator(dt={11: 0.01, 12: 0.02}), links)
+        picks[name] = forwarding.PROTOCOLS[name].select(view)
+        assert not view.missed, name
+    assert picks == {"one_hop_velocity": 11, "tdthr": 12, "greedy_geo": 11}
 
 
 # ---- the decisions that count `missed_velocity` ---------------------------

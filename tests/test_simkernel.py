@@ -4,10 +4,12 @@ hidden link model, and end-to-end run invariants on a small field."""
 import enum
 import gc
 import hashlib
+import heapq
 import io
 import math
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -759,6 +761,37 @@ def test_a_random_small_run_is_the_same_traced_untraced_and_twice(cfg):
     assert rows == [untraced, untraced]
     assert traces[0].getvalue() == traces[1].getvalue()
     assert " generated " in traces[0].getvalue()
+
+
+def test_no_event_is_scheduled_in_the_past(monkeypatch):
+    # On the no-orphan property's runs, every push onto the event heap is
+    # at or after the simulation's `now`, with no slack: `_schedule`'s, a
+    # beacon's batched receptions, `_deliver_hellos`' push-back and `run()`'s
+    # return of the event past the stop. The kernel reaches the heap only
+    # through its `heapq` module, here a stand-in that records each push.
+    building, pushes = [], []
+    init = Simulation.__init__
+
+    def init_watched(self, *args, **kwargs):
+        building.append(self)
+        init(self, *args, **kwargs)
+
+    def heappush(heap, item):
+        pushes.append((item[0], building[-1].now))
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(Simulation, "__init__", init_watched)
+    monkeypatch.setattr(simkernel, "heapq", SimpleNamespace(
+        heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(cfg=small_runs())
+    def run(cfg):
+        Simulation(cfg).run()
+
+    run()
+    assert len(pushes) > 10_000
+    assert [(t, now) for t, now in pushes if t < now] == []
 
 
 @pytest.mark.parametrize("protocol", ["tdthr", "one_hop_velocity", "greedy_geo"])
